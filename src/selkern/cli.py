@@ -251,7 +251,7 @@ def _add_common(parser: argparse.ArgumentParser, k_required: bool) -> None:
     parser.add_argument("--bandwidth", type=float, default=None, help="fixed Gaussian bandwidth (default: median heuristic)")
     parser.add_argument("--imq-offset", type=float, default=1.0, dest="imq_offset")
     parser.add_argument("--shared-bandwidth", action="store_true", dest="shared_bandwidth")
-    parser.add_argument("--threads", type=int, default=1, help="cap on per-feature parallelism")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads for the trials of simulate and benchmark (no effect on single tests)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", type=str, default=None, help="write the result document here instead of stdout")
 

@@ -11,8 +11,9 @@ ESTIMATORS = ("incomplete", "block")
 class RunConfig:
     """Everything a test run depends on, minus the data.
 
-    ``threads`` caps parallelism of the per-feature tests; it is excluded
-    from serialized snapshots because results do not depend on it.
+    ``threads`` is the number of worker threads that run the trials of
+    `run_trials` and `benchmark_trials`; single tests ignore it.  It is
+    excluded from serialized snapshots because results do not depend on it.
     """
 
     seed: int

@@ -219,33 +219,51 @@ def fit_region_scaling(
 ) -> tuple[ScalingFit | None, dict]:
     """Run the bootstrap over all scales for one region and fit the line.
 
-    Scales whose bootstrap probability hits 0 or 1 carry an infinite psi and
-    are dropped.  When fewer than 3 scales survive the fit is None and the
-    caller decides the fallback.  The second return value reports per-scale
-    bootstrap probabilities and how many scales were dropped.
+    The fit and the returned report are those of `fit_bootstrap_probabilities`,
+    plus whether the covariance needed a jitter to factorize.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     jittered = False
     if chol is None:
         chol, jittered = _cholesky_with_jitter(cov)
     b_reps = scales.replicates_per_scale
+    bps = [
+        _sample_region_fraction(mean, chol, gamma2, region, b_reps, rng_for_scale(idx))
+        for idx, (_, gamma2) in enumerate(scales.scales)
+    ]
+    fit, info = fit_bootstrap_probabilities(bps, scales)
+    info["jitter_applied"] = jittered
+    return fit, info
+
+
+def fit_bootstrap_probabilities(bps: Sequence[float], scales: ScaleSet) -> tuple[ScalingFit | None, dict]:
+    """Fit the scaling law to one bootstrap probability per scale.
+
+    Scales whose bootstrap probability hits 0 or 1 carry an infinite psi and
+    are dropped.  When fewer than 3 scales survive the fit is None and the
+    caller decides the fallback.  The second return value reports the
+    per-scale bootstrap probabilities and psi values and which scales were
+    dropped.
+    """
+    b_reps = scales.replicates_per_scale
     pts: list[tuple[float, float]] = []
     wts: list[float] = []
-    bps: list[float] = []
+    psis: list[float] = []
     dropped: list[float] = []
-    for idx, (_, gamma2) in enumerate(scales.scales):
-        bp = _sample_region_fraction(mean, chol, gamma2, region, b_reps, rng_for_scale(idx))
-        bps.append(bp)
+    for (_, gamma2), bp in zip(scales.scales, bps, strict=True):
         if 0.0 < bp < 1.0:
-            pts.append((gamma2, psi_transform(bp, gamma2)))
+            psi = psi_transform(bp, gamma2)
+            pts.append((gamma2, psi))
             wts.append(1.0 / psi_variance(bp, gamma2, b_reps))
         else:
+            psi = np.inf if bp <= 0.0 else -np.inf
             dropped.append(gamma2)
+        psis.append(psi)
     info = {
-        "bootstrap_probabilities": bps,
+        "bootstrap_probabilities": [float(bp) for bp in bps],
+        "psi": psis,
         "scales_dropped": len(dropped),
         "dropped_gamma2": dropped,
-        "jitter_applied": jittered,
     }
     if len(pts) < 3:
         return None, info

@@ -8,7 +8,6 @@ linear constraints give a closed-form truncated-normal null.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,7 +22,7 @@ from .multiscale import (
     RegionIndicator,
     _cholesky_with_jitter,
     default_scales,
-    fit_region_scaling,
+    fit_bootstrap_probabilities,
     flat_hypothesis_distance,
     selective_p_detail,
     warn_selection_unconstraining,
@@ -229,7 +228,35 @@ def _snapshot(config: RunConfig, k: int, method: str) -> dict:
     return replace(config, k=k, method=_METHOD_KEYS[method]).snapshot()
 
 
-def _multiscale_feature_test(stat: MultiStat, i: int, k: int, scales, config: RunConfig, chol):
+def _top_k_fractions(draws: np.ndarray, k: int) -> np.ndarray:
+    """Fraction of the rows of ``draws`` in which each column is among the k largest.
+
+    Column i counts in a row exactly when `selection_indicator(i, k)` contains
+    that row: a stable descending sort ranks equal coordinates by index, the
+    tie rule of `select_top_k`.
+    """
+    top = np.argsort(-draws, axis=1, kind="stable")[:, :k]
+    return np.bincount(top.ravel(), minlength=draws.shape[1]) / draws.shape[0]
+
+
+def _selection_fractions(t: np.ndarray, chol: np.ndarray, k: int, scales, seed: int) -> np.ndarray:
+    """Per-scale top-k fractions of every feature, shape (scales, d).
+
+    Scale s draws one N(t, gamma^2 Sigma) sample from stream (seed, BOOT, s)
+    and every feature's selection event is counted on it, so each feature's
+    bootstrap probability has the same law as with a draw of its own.
+    """
+    b_reps = scales.replicates_per_scale
+    out = np.empty((len(scales.scales), t.shape[0]))
+    for s, (_, gamma2) in enumerate(scales.scales):
+        draws = derive_rng(seed, _STREAM_BOOT, s).standard_normal((b_reps, t.shape[0])) @ chol.T
+        draws *= np.sqrt(gamma2)
+        draws += t
+        out[s] = _top_k_fractions(draws, k)
+    return out
+
+
+def _multiscale_feature_test(stat: MultiStat, i: int, bps: np.ndarray, scales):
     diag: dict = {"feature": i, "name": stat.feature_names[i]}
     try:
         beta0 = flat_hypothesis_distance(stat, i)
@@ -237,15 +264,7 @@ def _multiscale_feature_test(stat: MultiStat, i: int, k: int, scales, config: Ru
         diag.update({"error": str(exc), "fallback": "degenerate-variance"})
         return 1.0, diag
     diag["beta0"] = beta0
-    region = selection_indicator(i, k)
-    fit, info = fit_region_scaling(
-        stat.t,
-        stat.sigma,
-        region,
-        scales,
-        rng_for_scale=lambda s: derive_rng(config.seed, _STREAM_BOOT, i, s),
-        chol=chol,
-    )
+    fit, info = fit_bootstrap_probabilities(bps, scales)
     diag.update(info)
     if fit is None:
         warn_selection_unconstraining()
@@ -261,6 +280,7 @@ def _multiscale_feature_test(stat: MultiStat, i: int, k: int, scales, config: Ru
                 "fit_beta0": fit.beta0,
                 "fit_beta1": fit.beta1,
                 "fit_points": fit.points_used,
+                **{f"fit_{key}": value for key, value in fit.diagnostics.items()},
             }
         )
     p, degenerate = selective_p_detail(beta0, phi_s)
@@ -273,20 +293,14 @@ def _multiscale_report(stat: MultiStat, n: int, k: int, config: RunConfig, metho
     sel = select_top_k(stat.t, k)
     chol, jittered = _cholesky_with_jitter(stat.sigma)
     scales = _scale_set(n, config)
-
-    def run(i: int):
-        return _multiscale_feature_test(stat, i, k, scales, config, chol)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run, sel.selected))
-    else:
-        results = [run(i) for i in sel.selected]
-    p_values = [p for p, _ in results]
-    diagnostics = [d for _, d in results]
-    if jittered:
-        for d in diagnostics:
-            d["jitter_applied"] = True
+    fractions = _selection_fractions(stat.t, chol, k, scales, config.seed)
+    p_values = []
+    diagnostics = []
+    for i in sel.selected:
+        p, diag = _multiscale_feature_test(stat, i, fractions[:, i], scales)
+        diag["jitter_applied"] = jittered
+        p_values.append(p)
+        diagnostics.append(diag)
     return SelectiveReport(
         method=method,
         selection=sel,

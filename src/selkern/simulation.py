@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -99,7 +102,8 @@ class TrialSummary:
 
     Rates are means of per-trial ratios; trials whose denominator set was
     empty are excluded from the corresponding mean, and the _trials fields
-    count how many trials actually contributed.
+    count how many trials actually contributed.  ``fallbacks`` counts the
+    selected-feature tests of all trials that fell back, by reason.
     """
 
     method: str
@@ -110,6 +114,7 @@ class TrialSummary:
     trials: int
     tpr_trials: int
     fpr_trials: int
+    fallbacks: dict[str, int] = field(default_factory=dict)
     config: dict = field(default_factory=dict)
     records: list[dict] = field(default_factory=list)
 
@@ -135,6 +140,7 @@ def _nan_mean_se(values: list[float]) -> tuple[float, float, int]:
 def _summarize(method: str, records: list[dict], config: RunConfig, k: int) -> TrialSummary:
     tpr, tpr_se, n_tpr = _nan_mean_se([r["tpr"] for r in records])
     fpr, fpr_se, n_fpr = _nan_mean_se([r["fpr"] for r in records])
+    fallbacks = sum((Counter(r["fallbacks"]) for r in records), Counter())
     snap = replace(config, k=k, method=method).snapshot()
     return TrialSummary(
         method=method,
@@ -145,6 +151,7 @@ def _summarize(method: str, records: list[dict], config: RunConfig, k: int) -> T
         trials=len(records),
         tpr_trials=n_tpr,
         fpr_trials=n_fpr,
+        fallbacks=dict(fallbacks),
         config=snap,
         records=records,
     )
@@ -154,6 +161,51 @@ def _check_methods(methods, allowed, problem_kind: str) -> None:
     for m in methods:
         if m not in allowed:
             raise ValueError(f"method {m!r} does not apply to {problem_kind} problems")
+
+
+def _trial_record(trial: int, seed: int, report: SelectiveReport, truth: set[int], alpha: float) -> dict:
+    tpr, fpr = tpr_fpr(report, truth, alpha)
+    reasons = Counter(d["fallback"] for d in report.diagnostics if "fallback" in d)
+    return {
+        "trial": trial,
+        "seed": seed,
+        "tpr": tpr,
+        "fpr": fpr,
+        "n_rejected": sum(report.rejected(alpha)),
+        "selected": list(report.selected),
+        "fallbacks": dict(reasons),
+    }
+
+
+def _run_trial_pool(
+    make_data: Callable[[np.random.Generator], object],
+    methods: list[str],
+    trials: int,
+    master_seed: int,
+    config: RunConfig,
+    k: int,
+    truth: set[int],
+) -> list[TrialSummary]:
+    """Run every trial on ``config.threads`` worker threads and summarize.
+
+    Trial t draws its data with ``make_data`` from stream (master, DATA, t)
+    and tests with seed (master, TEST, t); records are gathered in trial
+    order, so results do not depend on the thread count.  Only records
+    outlive a trial.
+    """
+
+    def one_trial(trial: int) -> dict[str, dict]:
+        data = make_data(derive_rng(master_seed, _STREAM_TRIAL_DATA, trial))
+        trial_seed = derive_seed(master_seed, _STREAM_TRIAL_TEST, trial)
+        reports = _trial_reports(methods, data, k, replace(config, seed=trial_seed))
+        return {m: _trial_record(trial, trial_seed, r, truth, config.alpha) for m, r in reports.items()}
+
+    # The filter is process-wide state, so it is set here, never in a worker.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScalesDroppedWarning)
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            per_trial = list(pool.map(one_trial, range(trials)))
+    return [_summarize(m, [records[m] for records in per_trial], config, k) for m in methods]
 
 
 def run_trials(
@@ -173,31 +225,13 @@ def run_trials(
     allowed = MMD_METHODS if problem.kind == "mean-shift" else HSIC_METHODS
     _check_methods(methods, allowed, problem.kind)
     k = config.k if config.k is not None else max(1, problem.d // 2)
-    truth = problem.truth_positive()
-    per_method: dict[str, list[dict]] = {m: [] for m in methods}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ScalesDroppedWarning)
-        for trial in range(trials):
-            data_rng = derive_rng(master_seed, _STREAM_TRIAL_DATA, trial)
-            if problem.kind == "mean-shift":
-                data = gen_mean_shift(problem.n, problem.d, problem.shift, problem.informative, data_rng)
-            else:
-                data = gen_logistic(problem.n, problem.d, problem.informative, data_rng)
-            trial_seed = derive_seed(master_seed, _STREAM_TRIAL_TEST, trial)
-            trial_config = replace(config, seed=trial_seed)
-            for method, report in _trial_reports(methods, data, k, trial_config).items():
-                tpr, fpr = tpr_fpr(report, truth, config.alpha)
-                per_method[method].append(
-                    {
-                        "trial": trial,
-                        "seed": trial_seed,
-                        "tpr": tpr,
-                        "fpr": fpr,
-                        "n_rejected": sum(report.rejected(config.alpha)),
-                        "selected": list(report.selected),
-                    }
-                )
-    return [_summarize(m, per_method[m], config, k) for m in methods]
+
+    def make_data(rng: np.random.Generator):
+        if problem.kind == "mean-shift":
+            return gen_mean_shift(problem.n, problem.d, problem.shift, problem.informative, rng)
+        return gen_logistic(problem.n, problem.d, problem.informative, rng)
+
+    return _run_trial_pool(make_data, methods, trials, master_seed, config, k, problem.truth_positive())
 
 
 def _subsample(rows: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -235,7 +269,6 @@ def benchmark_trials(
         raise ValueError("mode must be 'mmd' or 'hsic'")
     _check_methods(methods, MMD_METHODS if mode == "mmd" else HSIC_METHODS, f"{mode} benchmark")
     d_true = features.shape[1]
-    truth = set(range(d_true))
     k = config.k if config.k is not None else d_true
     if mode == "mmd":
         classes = np.unique(split)
@@ -244,35 +277,16 @@ def benchmark_trials(
         group_a = features[split == classes[0]]
         group_b = features[split == classes[1]]
         n = n if n is not None else min(len(group_a), len(group_b))
+
+        def make_data(rng: np.random.Generator):
+            xa = _subsample(group_a, n, rng)
+            xb = _subsample(group_b, n, rng)
+            return augment_fake_features(xa, n_fake, rng), augment_fake_features(xb, n_fake, rng)
     else:
         n = n if n is not None else features.shape[0]
-    per_method: dict[str, list[dict]] = {m: [] for m in methods}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ScalesDroppedWarning)
-        for trial in range(trials):
-            data_rng = derive_rng(master_seed, _STREAM_TRIAL_DATA, trial)
-            if mode == "mmd":
-                xa = _subsample(group_a, n, data_rng)
-                xb = _subsample(group_b, n, data_rng)
-                xa = augment_fake_features(xa, n_fake, data_rng)
-                xb = augment_fake_features(xb, n_fake, data_rng)
-                data = (xa, xb)
-            else:
-                idx = data_rng.choice(features.shape[0], size=n, replace=False)
-                xs = augment_fake_features(features[idx], n_fake, data_rng)
-                data = JointSample(xs, split[idx][:, None])
-            trial_seed = derive_seed(master_seed, _STREAM_TRIAL_TEST, trial)
-            trial_config = replace(config, seed=trial_seed)
-            for method, report in _trial_reports(methods, data, k, trial_config).items():
-                tpr, fpr = tpr_fpr(report, truth, config.alpha)
-                per_method[method].append(
-                    {
-                        "trial": trial,
-                        "seed": trial_seed,
-                        "tpr": tpr,
-                        "fpr": fpr,
-                        "n_rejected": sum(report.rejected(config.alpha)),
-                        "selected": list(report.selected),
-                    }
-                )
-    return [_summarize(m, per_method[m], config, k) for m in methods]
+
+        def make_data(rng: np.random.Generator):
+            idx = rng.choice(features.shape[0], size=n, replace=False)
+            return JointSample(augment_fake_features(features[idx], n_fake, rng), split[idx][:, None])
+
+    return _run_trial_pool(make_data, methods, trials, master_seed, config, k, set(range(d_true)))

@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm, truncnorm
 
 from selkern import (
@@ -22,6 +25,7 @@ from selkern import (
     select_top_k,
     selection_indicator,
 )
+from selkern.selective import _top_k_fractions
 
 
 def test_select_top_k_basic():
@@ -184,6 +188,11 @@ def test_report_shape_and_bounds():
             assert len(report.diagnostics) == 3
             assert report.config["seed"] == 17
             assert "threads" not in report.config
+    scale_count = RunConfig(seed=0).scale_count
+    for diag in multi_mmd(X, Y, 3, config).diagnostics:
+        assert len(diag["bootstrap_probabilities"]) == len(diag["psi"]) == scale_count
+        if "fit_beta0" in diag:
+            assert {"fit_weighted_rss", "fit_rmse", "fit_max_abs_residual"} <= diag.keys()
 
 
 def test_hsic_reports_run():
@@ -256,3 +265,24 @@ def test_threads_do_not_change_results():
         threaded = multi_mmd(X, Y, 3, RunConfig(seed=77, k=3, threads=4))
     assert serial.p_values == threaded.p_values
     assert serial.selected == threaded.selected
+
+
+@st.composite
+def _draw_matrices(draw):
+    b = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 8))
+    # A small value pool makes ties common, signed zeros included.
+    values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0]) | st.floats(-3, 3)
+    draws = draw(arrays(np.float64, (b, d), elements=values))
+    constant = draw(arrays(np.bool_, d))
+    draws[:, constant] = draw(st.sampled_from([0.0, 1.0]))
+    return draws, draw(st.integers(1, d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_draw_matrices())
+def test_top_k_fractions_match_selection_indicator(case):
+    draws, k = case
+    fractions = _top_k_fractions(draws, k)
+    for i in range(draws.shape[1]):
+        assert fractions[i] == selection_indicator(i, k).contains(draws).mean()

@@ -136,6 +136,38 @@ def test_run_trials_reproducible():
         )
 
 
+def test_trial_harnesses_do_not_depend_on_threads():
+    problem = ProblemSpec(kind="mean-shift", n=60, d=5, shift=0.4, informative=2)
+    rng = derive_rng(13)
+    features = rng.standard_normal((80, 3))
+    labels = (np.arange(80) % 2).astype(float)
+    runs = []
+    for threads in (1, 2):
+        config = RunConfig(seed=0, k=3, replicates_per_scale=300, threads=threads)
+        runs.append(
+            run_trials(problem, ["multi-mmd", "poly-mmd"], 3, master_seed=9, config=config)
+            + benchmark_trials(features, labels, "mmd", ["multi-mmd", "poly-mmd"], 3, 4, config, n_fake=3)
+        )
+    for serial, threaded in zip(*runs):
+        assert serial.records == threaded.records
+        assert serial.fallbacks == threaded.fallbacks
+        assert serial.config == threaded.config
+        for key in ("tpr", "fpr", "tpr_se", "fpr_se"):
+            a, b = getattr(serial, key), getattr(threaded, key)
+            assert a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_trial_summary_counts_fallbacks():
+    # With k = d every feature is always selected, so the selection event
+    # never constrains and every Multi test falls back.
+    problem = ProblemSpec(kind="mean-shift", n=60, d=2, shift=0.4, informative=1)
+    config = RunConfig(seed=0, k=2, replicates_per_scale=200)
+    multi, poly = run_trials(problem, ["multi-mmd", "poly-mmd"], 3, master_seed=2, config=config)
+    assert multi.fallbacks == {"selection-unconstraining": 6}
+    assert [rec["fallbacks"] for rec in multi.records] == [{"selection-unconstraining": 2}] * 3
+    assert poly.fallbacks == {}
+
+
 def test_run_trials_null_calibration_smoke():
     problem = ProblemSpec(kind="mean-shift", n=200, d=8, shift=0.0, informative=0)
     config = RunConfig(seed=0, k=4, replicates_per_scale=500)
