@@ -2,9 +2,9 @@
 
 Selects the top-k features by per-feature MMD or HSIC scores, then reports
 post-selection p-values: either minimally conditioned via parametric
-multiscale bootstrap (MultiMMD / MultiHSIC) or conditioned on the whole
-selected set via the polyhedral truncated-normal baseline (PolyMMD /
-PolyHSIC).
+multiscale bootstrap (the multi-* methods) or conditioned on the whole
+selected set via the polyhedral truncated-normal baseline (the poly-*
+methods).  `select_and_test` runs the method named by `RunConfig.method`.
 """
 from .config import RunConfig
 from .core import (
@@ -39,7 +39,6 @@ from .kernels import (
     gram_matrix,
     kernel_eval,
     median_heuristic,
-    univariate_gaussian_specs,
 )
 from .mmd import mmd_h, mmd_incomplete, mmd_linear, mmd_multistat, mmd_u
 from .multiscale import (
@@ -63,15 +62,12 @@ from .selective import (
     SelectiveReport,
     hsic_stat,
     mmd_stat,
-    multi_hsic,
-    multi_mmd,
-    poly_hsic,
-    poly_mmd,
     poly_p,
     poly_truncation_interval,
-    report_for_method,
+    select_and_test,
     select_top_k,
     selection_indicator,
+    selective_report,
 )
 from .simulation import (
     ProblemSpec,
@@ -113,7 +109,6 @@ __all__ = [
     "gram_matrix",
     "kernel_eval",
     "median_heuristic",
-    "univariate_gaussian_specs",
     "mmd_h",
     "mmd_incomplete",
     "mmd_linear",
@@ -137,15 +132,12 @@ __all__ = [
     "SelectiveReport",
     "hsic_stat",
     "mmd_stat",
-    "multi_hsic",
-    "multi_mmd",
-    "poly_hsic",
-    "poly_mmd",
     "poly_p",
     "poly_truncation_interval",
-    "report_for_method",
+    "select_and_test",
     "select_top_k",
     "selection_indicator",
+    "selective_report",
     "ProblemSpec",
     "TrialSummary",
     "augment_fake_features",

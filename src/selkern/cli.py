@@ -8,14 +8,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ESTIMATORS, METHODS, RunConfig
 from .core import DataFormatError, DataShapeError, DegenerateSampleError
 from .hsic import JointSample
-from .selective import multi_hsic, multi_mmd, poly_hsic, poly_mmd
+from .selective import select_and_test
 from .simulation import (
     HSIC_METHODS,
     MMD_METHODS,
@@ -212,26 +212,11 @@ def _resolve_seed(args, parser, required_flag: bool = False) -> int:
     raise AssertionError("unreachable")
 
 
-def _config_from_args(args, method: str, seed: int, parser) -> RunConfig:
+def _config_from_args(args, parser, **overrides) -> RunConfig:
+    """RunConfig from the parsed flags, whose dests are its field names."""
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name not in overrides}
     try:
-        return RunConfig(
-            seed=seed,
-            method=method,
-            k=args.k,
-            alpha=args.alpha,
-            r=args.r,
-            estimator=args.estimator,
-            block_size=args.block_size,
-            scale_count=args.scales,
-            scale_low=args.scale_low,
-            scale_high=args.scale_high,
-            replicates_per_scale=args.replicates,
-            kernel_family=args.kernel,
-            bandwidth=args.bandwidth,
-            imq_offset=args.imq_offset,
-            shared_bandwidth=args.shared_bandwidth,
-            threads=args.threads,
-        )
+        return RunConfig(**values, **overrides)
     except ValueError as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable")
@@ -241,13 +226,13 @@ def _add_common(parser: argparse.ArgumentParser, k_required: bool) -> None:
     parser.add_argument("--k", type=int, required=k_required, help="number of features to select")
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--r", type=float, default=1.0, help="design size ratio l = round(r*n)")
-    parser.add_argument("--estimator", choices=["incomplete", "block"], default="incomplete")
+    parser.add_argument("--estimator", choices=ESTIMATORS, default="incomplete", help="'block': HSIC methods only")
     parser.add_argument("--block-size", type=int, default=5, dest="block_size")
-    parser.add_argument("--scales", type=int, default=10, help="number of bootstrap scales")
+    parser.add_argument("--scales", type=int, default=10, dest="scale_count", help="number of bootstrap scales")
     parser.add_argument("--scale-low", type=float, default=0.5, dest="scale_low")
     parser.add_argument("--scale-high", type=float, default=2.0, dest="scale_high")
-    parser.add_argument("--replicates", type=int, default=2000, help="bootstrap replicates per scale")
-    parser.add_argument("--kernel", choices=["gaussian", "imq"], default="gaussian")
+    parser.add_argument("--replicates", type=int, default=2000, dest="replicates_per_scale", help="bootstrap replicates per scale")
+    parser.add_argument("--kernel", choices=["gaussian", "imq"], default="gaussian", dest="kernel_family")
     parser.add_argument("--bandwidth", type=float, default=None, help="fixed Gaussian bandwidth (default: median heuristic)")
     parser.add_argument("--imq-offset", type=float, default=1.0, dest="imq_offset")
     parser.add_argument("--shared-bandwidth", action="store_true", dest="shared_bandwidth")
@@ -280,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--informative", type=int, default=10)
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--methods", nargs="+", default=None,
-                       choices=list(MMD_METHODS + HSIC_METHODS),
+                       choices=list(METHODS),
                        help="methods to run (default: both for the problem)")
     _add_common(p_sim, k_required=False)
 
@@ -293,38 +278,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n", type=int, default=None, help="rows per trial (default: all / per-class minimum)")
     p_bench.add_argument("--trials", type=int, required=True)
     p_bench.add_argument("--methods", nargs="+", default=None,
-                         choices=list(MMD_METHODS + HSIC_METHODS))
+                         choices=list(METHODS))
     _add_common(p_bench, k_required=False)
 
     return parser
 
 
-def _cmd_mmd_test(args, parser) -> int:
+def _cmd_test(args, parser) -> int:
     seed = _resolve_seed(args, parser)
-    x, xnames = load_csv(args.x)
-    y, ynames = load_csv(args.y)
-    method = "multi-mmd" if args.method == "multi" else "poly-mmd"
-    config = _config_from_args(args, method, seed, parser)
-    fn = multi_mmd if args.method == "multi" else poly_mmd
-    report = fn(x, y, args.k, config, feature_names=xnames)
-    doc = _report_document("mmd-test", {"x": args.x, "y": args.y}, report, config)
-    _print_report_table(report, config.alpha)
-    _emit(doc, args.out)
-    return 0
-
-
-def _cmd_hsic_test(args, parser) -> int:
-    seed = _resolve_seed(args, parser)
-    values, names = load_csv(args.data)
-    X, xnames, y = split_response(values, names, args.response)
-    Z = JointSample(X, y[:, None])
-    method = "multi-hsic" if args.method == "multi" else "poly-hsic"
-    config = _config_from_args(args, method, seed, parser)
-    fn = multi_hsic if args.method == "multi" else poly_hsic
-    report = fn(Z, args.k, config, feature_names=xnames)
-    doc = _report_document(
-        "hsic-test", {"data": args.data, "response": args.response}, report, config
-    )
+    family = args.command.split("-")[0]
+    if family == "mmd":
+        x, names = load_csv(args.x)
+        y, _ = load_csv(args.y)
+        data, inputs = (x, y), {"x": args.x, "y": args.y}
+    else:
+        values, columns = load_csv(args.data)
+        X, names, y = split_response(values, columns, args.response)
+        data, inputs = JointSample(X, y[:, None]), {"data": args.data, "response": args.response}
+    config = _config_from_args(args, parser, seed=seed, method=f"{args.method}-{family}")
+    report = select_and_test(data, config, feature_names=names)
+    doc = _report_document(args.command, inputs, report, config)
     _print_report_table(report, config.alpha)
     _emit(doc, args.out)
     return 0
@@ -357,17 +330,9 @@ def _cmd_simulate(args, parser) -> int:
     default_methods = MMD_METHODS if args.problem == "mean-shift" else HSIC_METHODS
     methods = list(args.methods or default_methods)
     k = args.k if args.k is not None else max(1, args.d // 2)
-    config = _config_from_args(args, methods[0], seed, parser)
-    config = RunConfig(**{**config.snapshot(), "k": k, "threads": args.threads})
+    config = _config_from_args(args, parser, seed=seed, method=methods[0], k=k)
     summaries = run_trials(problem, methods, args.trials, seed, config)
-    inputs = {
-        "problem": args.problem,
-        "n": args.n,
-        "d": args.d,
-        "shift": args.shift,
-        "informative": args.informative,
-        "trials": args.trials,
-    }
+    inputs = {key: getattr(args, key) for key in ("problem", "n", "d", "shift", "informative", "trials")}
     doc = _summaries_document("simulate", inputs, summaries, config)
     _print_summary_table(summaries)
     _emit(doc, args.out)
@@ -377,30 +342,20 @@ def _cmd_simulate(args, parser) -> int:
 def _cmd_benchmark(args, parser) -> int:
     seed = _resolve_seed(args, parser)
     values, names = load_csv(args.data)
-    if args.mode == "mmd":
-        if not args.label:
-            parser.error("--label is required in mmd mode")
-        features, fnames, split = split_response(values, names, args.label)
-    else:
-        if not args.response:
-            parser.error("--response is required in hsic mode")
-        features, fnames, split = split_response(values, names, args.response)
+    flag = "label" if args.mode == "mmd" else "response"
+    column = getattr(args, flag)
+    if not column:
+        parser.error(f"--{flag} is required in {args.mode} mode")
+    features, _, split = split_response(values, names, column)
     default_methods = MMD_METHODS if args.mode == "mmd" else HSIC_METHODS
     methods = list(args.methods or default_methods)
     k = args.k if args.k is not None else features.shape[1]
-    config = _config_from_args(args, methods[0], seed, parser)
-    config = RunConfig(**{**config.snapshot(), "k": k, "threads": args.threads})
+    config = _config_from_args(args, parser, seed=seed, method=methods[0], k=k)
     summaries = benchmark_trials(
         features, split, args.mode, methods, args.trials, seed, config,
         n=args.n, n_fake=args.fakes,
     )
-    inputs = {
-        "data": args.data,
-        "mode": args.mode,
-        "column": args.label if args.mode == "mmd" else args.response,
-        "fakes": args.fakes,
-        "trials": args.trials,
-    }
+    inputs = {"data": args.data, "mode": args.mode, "column": column, "fakes": args.fakes, "trials": args.trials}
     doc = _summaries_document("benchmark", inputs, summaries, config)
     _print_summary_table(summaries)
     _emit(doc, args.out)
@@ -408,8 +363,8 @@ def _cmd_benchmark(args, parser) -> int:
 
 
 _HANDLERS = {
-    "mmd-test": _cmd_mmd_test,
-    "hsic-test": _cmd_hsic_test,
+    "mmd-test": _cmd_test,
+    "hsic-test": _cmd_test,
     "simulate": _cmd_simulate,
     "benchmark": _cmd_benchmark,
 }

@@ -3,7 +3,14 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-METHODS = ("multi-mmd", "poly-mmd", "multi-hsic", "poly-hsic")
+# The paper's four methods: a statistic family (MMD or HSIC) crossed with the
+# conditioning of the selective p-value (Multi: minimal, Poly: polyhedral).
+METHODS = {
+    "multi-mmd": "MultiMMD",
+    "poly-mmd": "PolyMMD",
+    "multi-hsic": "MultiHSIC",
+    "poly-hsic": "PolyHSIC",
+}
 ESTIMATORS = ("incomplete", "block")
 
 
@@ -11,6 +18,8 @@ ESTIMATORS = ("incomplete", "block")
 class RunConfig:
     """Everything a test run depends on, minus the data.
 
+    ``method`` is a key of `METHODS`; ``k`` is the number of features to
+    select and must be set before a report is made.
     ``threads`` is the number of worker threads that run the trials of
     `run_trials` and `benchmark_trials`; single tests ignore it.  It is
     excluded from serialized snapshots because results do not depend on it.
@@ -35,9 +44,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
+            raise ValueError(f"method must be one of {tuple(METHODS)}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}")
+        if self.estimator == "block" and self.family == "mmd":
+            raise ValueError("the block estimator applies to the HSIC methods only")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not self.r > 0:
@@ -62,6 +73,11 @@ class RunConfig:
             raise ValueError("threads must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
+
+    @property
+    def family(self) -> str:
+        """The statistic family of the method: "mmd" or "hsic"."""
+        return self.method.split("-")[1]
 
     def snapshot(self) -> dict:
         snap = asdict(self)

@@ -40,9 +40,6 @@ class JointSample:
     def d(self) -> int:
         return self.X.shape[1]
 
-    def feature(self, i: int) -> "JointSample":
-        return JointSample(self.X[:, [i]], self.Y)
-
 
 def hsic_h(Kmat: np.ndarray, Lmat: np.ndarray, quad) -> float:
     """Order-4 U-statistic kernel: the average of K_st * (L_st + L_uv - 2 L_su)
@@ -120,11 +117,17 @@ def _quad_h_matrix(Z: JointSample, specs, specY, design: Design) -> np.ndarray:
     """(l, d) per-feature h values, one row per design tuple.
 
     Gram matrices are built once per feature so each tuple costs O(1) lookups.
+    A constant feature's h is exactly 0, which the summed Gram terms would
+    reach only up to rounding, so its column is set to 0 directly.
     """
     L = gram_matrix(specY, Z.Y, Z.Y)
     cols = []
     for f, spec in enumerate(specs):
-        K = gram_matrix(spec, Z.X[:, [f]], Z.X[:, [f]])
+        x = Z.X[:, [f]]
+        if (x == x[0]).all():
+            cols.append(np.zeros(len(design)))
+            continue
+        K = gram_matrix(spec, x, x)
         cols.append(_h_quad_values(K, L, design.tuples))
     return np.column_stack(cols)
 

@@ -81,19 +81,3 @@ def median_heuristic(pooled: np.ndarray) -> float:
         med = float(np.median(positive))
     return float(np.sqrt(med / 2.0))
 
-
-def univariate_gaussian_specs(*column_sources: np.ndarray) -> list[KernelSpec]:
-    """Per-feature Gaussian specs with median-heuristic bandwidths.
-
-    Each argument is an (n, d) matrix; bandwidth for feature i is computed
-    from the pooled i-th columns of all sources.
-    """
-    mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in column_sources]
-    d = mats[0].shape[1]
-    if any(m.shape[1] != d for m in mats):
-        raise DataShapeError("sources must share the feature dimension")
-    specs = []
-    for i in range(d):
-        col = np.concatenate([m[:, i] for m in mats])
-        specs.append(KernelSpec(GAUSSIAN, bandwidth=median_heuristic(col)))
-    return specs

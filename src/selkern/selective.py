@@ -1,19 +1,19 @@
 """End-to-end selective tests.
 
-The multiscale variants (MultiMMD / MultiHSIC) condition each per-feature
+The multiscale variants (the multi-* methods) condition each per-feature
 test only on that feature entering the top-k set, estimating the signed
 distance to the selection boundary by multiscale bootstrap.  The polyhedral
-variants (PolyMMD / PolyHSIC) condition on the whole selected set, whose
+variants (the poly-* methods) condition on the whole selected set, whose
 linear constraints give a closed-form truncated-normal null.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import log_ndtr
 
-from .config import RunConfig
+from .config import METHODS, RunConfig
 from .core import DegenerateFeatureError, MultiStat, derive_rng
 from .hsic import JointSample, hsic_multistat_block, hsic_multistat_incomplete
 from .kernels import IMQ, KernelSpec, median_heuristic
@@ -183,10 +183,14 @@ def _feature_specs(config: RunConfig, *column_sources: np.ndarray) -> list[Kerne
     if config.bandwidth is not None:
         return [KernelSpec(bandwidth=config.bandwidth)] * d
     mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in column_sources]
-    widths = [median_heuristic(np.concatenate([m[:, i] for m in mats])) for i in range(d)]
+    pooled = (np.concatenate([m[:, i] for m in mats]) for i in range(d))
+    # A constant column (width None) has no median distance, but its h-values
+    # are 0 under any bandwidth, so it gets 1.0 and its test falls back to p = 1.
+    widths = [median_heuristic(col) if np.any(col != col[0]) else None for col in pooled]
     if config.shared_bandwidth:
-        widths = [float(np.median(widths))] * d
-    return [KernelSpec(bandwidth=w) for w in widths]
+        varying = [w for w in widths if w is not None]
+        widths = [float(np.median(varying)) if varying else None] * d
+    return [KernelSpec(bandwidth=w or 1.0) for w in widths]
 
 
 def _response_spec(Y: np.ndarray, config: RunConfig) -> KernelSpec:
@@ -216,16 +220,20 @@ def hsic_stat(Z: JointSample, config: RunConfig,
     return hsic_multistat_incomplete(Z, specs, spec_y, r=config.r, rng=rng, feature_names=feature_names)
 
 
-_METHOD_KEYS = {
-    "MultiMMD": "multi-mmd",
-    "PolyMMD": "poly-mmd",
-    "MultiHSIC": "multi-hsic",
-    "PolyHSIC": "poly-hsic",
-}
+def statistic(data, config: RunConfig,
+              feature_names: list[str] | None = None) -> tuple[MultiStat, int]:
+    """The per-feature statistic of ``config.method``'s family and the sample size.
 
-
-def _snapshot(config: RunConfig, k: int, method: str) -> dict:
-    return replace(config, k=k, method=_METHOD_KEYS[method]).snapshot()
+    ``data`` is an ``(X, Y)`` pair of samples for the MMD methods and a
+    `JointSample` for the HSIC methods.  Non-finite values are rejected: a NaN
+    score would silently drop its feature from the selection.
+    """
+    X, Y = (data.X, data.Y) if config.family == "hsic" else data
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("data contain NaN or infinite values")
+    if config.family == "hsic":
+        return hsic_stat(data, config, feature_names), data.n
+    return mmd_stat(X, Y, config, feature_names), np.atleast_2d(X).shape[0]
 
 
 def _top_k_fractions(draws: np.ndarray, k: int) -> np.ndarray:
@@ -289,94 +297,72 @@ def _multiscale_feature_test(stat: MultiStat, i: int, bps: np.ndarray, scales):
     return p, diag
 
 
-def _multiscale_report(stat: MultiStat, n: int, k: int, config: RunConfig, method: str) -> SelectiveReport:
-    sel = select_top_k(stat.t, k)
+def _report(stat: MultiStat, sel: SelectionResult, tests: list[tuple[float, dict]],
+            config: RunConfig) -> SelectiveReport:
+    return SelectiveReport(
+        method=METHODS[config.method],
+        selection=sel,
+        feature_names=stat.feature_names,
+        p_values=[p for p, _ in tests],
+        diagnostics=[diag for _, diag in tests],
+        config=config.snapshot(),
+    )
+
+
+def _multiscale_report(stat: MultiStat, n: int, config: RunConfig) -> SelectiveReport:
+    sel = select_top_k(stat.t, config.k)
     chol, jittered = _cholesky_with_jitter(stat.sigma)
     scales = _scale_set(n, config)
-    fractions = _selection_fractions(stat.t, chol, k, scales, config.seed)
-    p_values = []
-    diagnostics = []
-    for i in sel.selected:
-        p, diag = _multiscale_feature_test(stat, i, fractions[:, i], scales)
+    fractions = _selection_fractions(stat.t, chol, sel.k, scales, config.seed)
+    tests = [_multiscale_feature_test(stat, i, fractions[:, i], scales) for i in sel.selected]
+    for _, diag in tests:
         diag["jitter_applied"] = jittered
-        p_values.append(p)
-        diagnostics.append(diag)
-    return SelectiveReport(
-        method=method,
-        selection=sel,
-        feature_names=stat.feature_names,
-        p_values=p_values,
-        diagnostics=diagnostics,
-        config=_snapshot(config, k, method),
-    )
+    return _report(stat, sel, tests, config)
 
 
-def _poly_report(stat: MultiStat, k: int, config: RunConfig, method: str) -> SelectiveReport:
-    sel = select_top_k(stat.t, k)
-    p_values = []
-    diagnostics = []
-    for i in sel.selected:
-        diag: dict = {"feature": i, "name": stat.feature_names[i]}
-        try:
-            vminus, vplus = poly_truncation_interval(stat.t, stat.sigma, sel, i)
-            p = poly_p(float(stat.t[i]), float(stat.sigma[i, i]), vminus, vplus)
-            diag.update({"vminus": vminus, "vplus": vplus, "beta0": flat_hypothesis_distance(stat, i)})
-        except DegenerateFeatureError as exc:
-            p = 1.0
-            diag.update({"error": str(exc), "fallback": "degenerate-variance"})
-        p_values.append(p)
-        diagnostics.append(diag)
-    return SelectiveReport(
-        method=method,
-        selection=sel,
-        feature_names=stat.feature_names,
-        p_values=p_values,
-        diagnostics=diagnostics,
-        config=_snapshot(config, k, method),
-    )
+def _poly_feature_test(stat: MultiStat, sel: SelectionResult, i: int) -> tuple[float, dict]:
+    diag: dict = {"feature": i, "name": stat.feature_names[i]}
+    try:
+        vminus, vplus = poly_truncation_interval(stat.t, stat.sigma, sel, i)
+    except DegenerateFeatureError as exc:
+        diag.update({"error": str(exc), "fallback": "degenerate-variance"})
+        return 1.0, diag
+    t_i = float(stat.t[i])
+    # A tie at the selection boundary makes a constraint active, so t_i equals
+    # an interval end up to rounding; pull a t_i that close back inside.
+    inside = min(max(t_i, vminus), vplus)
+    if inside != t_i and abs(inside - t_i) <= 1e-9 * max(1.0, abs(t_i)):
+        t_i = inside
+        diag["clamped"] = True
+    p = poly_p(t_i, float(stat.sigma[i, i]), vminus, vplus)
+    diag.update({"vminus": vminus, "vplus": vplus, "beta0": flat_hypothesis_distance(stat, i)})
+    return p, diag
 
 
-def report_for_method(method: str, stat: MultiStat, n: int, k: int, config: RunConfig) -> SelectiveReport:
-    """Run one method's per-feature tests on an already-computed statistic.
+def _poly_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
+    sel = select_top_k(stat.t, config.k)
+    return _report(stat, sel, [_poly_feature_test(stat, sel, i) for i in sel.selected], config)
+
+
+def selective_report(stat: MultiStat, n: int, config: RunConfig) -> SelectiveReport:
+    """Run ``config.method``'s per-feature tests on an already-computed statistic.
 
     Lets harnesses that compare methods on identical data compute the shared
     statistic once; selection sets then coincide by construction.
     """
-    if method == "multi-mmd":
-        return _multiscale_report(stat, n, k, config, "MultiMMD")
-    if method == "poly-mmd":
-        return _poly_report(stat, k, config, "PolyMMD")
-    if method == "multi-hsic":
-        return _multiscale_report(stat, n, k, config, "MultiHSIC")
-    if method == "poly-hsic":
-        return _poly_report(stat, k, config, "PolyHSIC")
-    raise ValueError(f"unknown method {method!r}")
+    if config.k is None:
+        raise ValueError("config.k must be set to select features")
+    if config.method.startswith("multi-"):
+        return _multiscale_report(stat, n, config)
+    return _poly_report(stat, config)
 
 
-def multi_mmd(X: np.ndarray, Y: np.ndarray, k: int, config: RunConfig,
-              feature_names: list[str] | None = None) -> SelectiveReport:
-    """Two-sample feature selection with minimally conditioned selective p-values."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    stat = mmd_stat(X, Y, config, feature_names)
-    return _multiscale_report(stat, X.shape[0], k, config, "MultiMMD")
+def select_and_test(data, config: RunConfig,
+                    feature_names: list[str] | None = None) -> SelectiveReport:
+    """Select the top ``config.k`` features of ``data`` and test them by ``config.method``.
 
-
-def poly_mmd(X: np.ndarray, Y: np.ndarray, k: int, config: RunConfig,
-             feature_names: list[str] | None = None) -> SelectiveReport:
-    """Two-sample feature selection with whole-set polyhedral conditioning."""
-    stat = mmd_stat(X, Y, config, feature_names)
-    return _poly_report(stat, k, config, "PolyMMD")
-
-
-def multi_hsic(Z: JointSample, k: int, config: RunConfig,
-               feature_names: list[str] | None = None) -> SelectiveReport:
-    """Dependence-based feature selection with minimally conditioned p-values."""
-    stat = hsic_stat(Z, config, feature_names)
-    return _multiscale_report(stat, Z.n, k, config, "MultiHSIC")
-
-
-def poly_hsic(Z: JointSample, k: int, config: RunConfig,
-              feature_names: list[str] | None = None) -> SelectiveReport:
-    """Dependence-based feature selection with whole-set polyhedral conditioning."""
-    stat = hsic_stat(Z, config, feature_names)
-    return _poly_report(stat, k, config, "PolyHSIC")
+    ``data`` is an ``(X, Y)`` pair of samples for the MMD methods (two-sample
+    tests) and a `JointSample` for the HSIC methods (dependence tests).
+    """
+    stat, n = statistic(data, config, feature_names)
+    return selective_report(stat, n, config)

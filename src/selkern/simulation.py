@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -10,17 +9,16 @@ from typing import Callable
 
 import numpy as np
 
-from .config import RunConfig
+from .config import METHODS, RunConfig
 from .core import DataShapeError, derive_rng, derive_seed
 from .hsic import JointSample
-from .multiscale import ScalesDroppedWarning
-from .selective import SelectiveReport, hsic_stat, mmd_stat, report_for_method
+from .selective import SelectiveReport, selective_report, statistic
 
 _STREAM_TRIAL_DATA = 2
 _STREAM_TRIAL_TEST = 3
 
-MMD_METHODS = ("multi-mmd", "poly-mmd")
-HSIC_METHODS = ("multi-hsic", "poly-hsic")
+MMD_METHODS = tuple(m for m in METHODS if m.endswith("-mmd"))
+HSIC_METHODS = tuple(m for m in METHODS if m.endswith("-hsic"))
 
 
 @dataclass(frozen=True)
@@ -119,13 +117,10 @@ class TrialSummary:
     records: list[dict] = field(default_factory=list)
 
 
-def _trial_reports(methods: list[str], data, k: int, config: RunConfig) -> dict[str, SelectiveReport]:
+def _trial_reports(methods: list[str], data, config: RunConfig) -> dict[str, SelectiveReport]:
     """One report per method, computing the shared statistic only once."""
-    if isinstance(data, JointSample):
-        stat, n = hsic_stat(data, config), data.n
-    else:
-        stat, n = mmd_stat(data[0], data[1], config), data[0].shape[0]
-    return {m: report_for_method(m, stat, n, k, config) for m in methods}
+    stat, n = statistic(data, replace(config, method=methods[0]))
+    return {m: selective_report(stat, n, replace(config, method=m)) for m in methods}
 
 
 def _nan_mean_se(values: list[float]) -> tuple[float, float, int]:
@@ -137,11 +132,10 @@ def _nan_mean_se(values: list[float]) -> tuple[float, float, int]:
     return float(used.mean()), se, int(used.size)
 
 
-def _summarize(method: str, records: list[dict], config: RunConfig, k: int) -> TrialSummary:
+def _summarize(method: str, records: list[dict], config: RunConfig) -> TrialSummary:
     tpr, tpr_se, n_tpr = _nan_mean_se([r["tpr"] for r in records])
     fpr, fpr_se, n_fpr = _nan_mean_se([r["fpr"] for r in records])
     fallbacks = sum((Counter(r["fallbacks"]) for r in records), Counter())
-    snap = replace(config, k=k, method=method).snapshot()
     return TrialSummary(
         method=method,
         tpr=tpr,
@@ -152,12 +146,14 @@ def _summarize(method: str, records: list[dict], config: RunConfig, k: int) -> T
         tpr_trials=n_tpr,
         fpr_trials=n_fpr,
         fallbacks=dict(fallbacks),
-        config=snap,
+        config=replace(config, method=method).snapshot(),
         records=records,
     )
 
 
 def _check_methods(methods, allowed, problem_kind: str) -> None:
+    if not methods:
+        raise ValueError("at least one method is required")
     for m in methods:
         if m not in allowed:
             raise ValueError(f"method {m!r} does not apply to {problem_kind} problems")
@@ -183,7 +179,6 @@ def _run_trial_pool(
     trials: int,
     master_seed: int,
     config: RunConfig,
-    k: int,
     truth: set[int],
 ) -> list[TrialSummary]:
     """Run every trial on ``config.threads`` worker threads and summarize.
@@ -197,15 +192,12 @@ def _run_trial_pool(
     def one_trial(trial: int) -> dict[str, dict]:
         data = make_data(derive_rng(master_seed, _STREAM_TRIAL_DATA, trial))
         trial_seed = derive_seed(master_seed, _STREAM_TRIAL_TEST, trial)
-        reports = _trial_reports(methods, data, k, replace(config, seed=trial_seed))
+        reports = _trial_reports(methods, data, replace(config, seed=trial_seed))
         return {m: _trial_record(trial, trial_seed, r, truth, config.alpha) for m, r in reports.items()}
 
-    # The filter is process-wide state, so it is set here, never in a worker.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ScalesDroppedWarning)
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            per_trial = list(pool.map(one_trial, range(trials)))
-    return [_summarize(m, [records[m] for records in per_trial], config, k) for m in methods]
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        per_trial = list(pool.map(one_trial, range(trials)))
+    return [_summarize(m, [records[m] for records in per_trial], config) for m in methods]
 
 
 def run_trials(
@@ -224,14 +216,14 @@ def run_trials(
         raise ValueError("trials must be >= 1")
     allowed = MMD_METHODS if problem.kind == "mean-shift" else HSIC_METHODS
     _check_methods(methods, allowed, problem.kind)
-    k = config.k if config.k is not None else max(1, problem.d // 2)
+    config = replace(config, k=config.k or max(1, problem.d // 2))
 
     def make_data(rng: np.random.Generator):
         if problem.kind == "mean-shift":
             return gen_mean_shift(problem.n, problem.d, problem.shift, problem.informative, rng)
         return gen_logistic(problem.n, problem.d, problem.informative, rng)
 
-    return _run_trial_pool(make_data, methods, trials, master_seed, config, k, problem.truth_positive())
+    return _run_trial_pool(make_data, methods, trials, master_seed, config, problem.truth_positive())
 
 
 def _subsample(rows: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -269,7 +261,7 @@ def benchmark_trials(
         raise ValueError("mode must be 'mmd' or 'hsic'")
     _check_methods(methods, MMD_METHODS if mode == "mmd" else HSIC_METHODS, f"{mode} benchmark")
     d_true = features.shape[1]
-    k = config.k if config.k is not None else d_true
+    config = replace(config, k=config.k or d_true)
     if mode == "mmd":
         classes = np.unique(split)
         if classes.size != 2:
@@ -289,4 +281,4 @@ def benchmark_trials(
             idx = rng.choice(features.shape[0], size=n, replace=False)
             return JointSample(augment_fake_features(features[idx], n_fake, rng), split[idx][:, None])
 
-    return _run_trial_pool(make_data, methods, trials, master_seed, config, k, set(range(d_true)))
+    return _run_trial_pool(make_data, methods, trials, master_seed, config, set(range(d_true)))

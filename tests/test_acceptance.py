@@ -240,7 +240,7 @@ def test_c7_p_value_uniformity():
             rng = sk.derive_rng(1011, run)
             X, Y = sk.gen_mean_shift(n, d, 0.0, 0, rng)
             config = sk.RunConfig(seed=sk.derive_seed(1011, run), k=k)
-            report = sk.multi_mmd(X, Y, k, config)
+            report = sk.select_and_test((X, Y), config)
             pvals.extend(report.p_values)
     stat = kstest(np.array(pvals), "uniform").statistic
     ok = stat < 0.1

@@ -5,7 +5,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from selkern import DataFormatError, RunConfig, derive_rng, multi_mmd
+from selkern import DataFormatError, JointSample, RunConfig, derive_rng, select_and_test
 from selkern.cli import (
     RESULT_SCHEMA,
     cli_main,
@@ -124,14 +124,26 @@ def test_thread_count_does_not_change_document(sample_csvs, tmp_path):
 
 
 def test_cli_matches_library_call(sample_csvs, tmp_path):
+    # One loop over the four methods pins both branches of the test handler.
     xp, yp, x, y = sample_csvs
-    out = tmp_path / "doc.json"
-    cli_main(["mmd-test", "--x", xp, "--y", yp, "--k", "4", "--seed", "5", "--out", str(out)])
-    doc = json.loads(out.read_text())
-    config = RunConfig(seed=5, method="multi-mmd", k=4)
-    report = multi_mmd(x, y, 4, config, feature_names=[f"c{i}" for i in range(6)])
-    assert doc["results"]["p_values"] == pytest.approx(report.p_values, abs=0)
-    assert tuple(doc["results"]["selected"]) == report.selected
+    names = [f"c{i}" for i in range(6)]
+    zp = tmp_path / "z.csv"
+    save_csv(zp, np.hstack([x, y[:, :1]]), names + ["resp"])
+    for method in ("multi-mmd", "poly-mmd", "multi-hsic", "poly-hsic"):
+        conditioning, family = method.split("-")
+        if family == "mmd":
+            argv, data = ["mmd-test", "--x", xp, "--y", yp], (x, y)
+        else:
+            argv, data = ["hsic-test", "--data", str(zp), "--response", "resp"], JointSample(x, y[:, 0])
+        out = tmp_path / f"{method}.json"
+        code = cli_main(argv + ["--method", conditioning, "--k", "4", "--seed", "5", "--out", str(out)])
+        assert code == 0, method
+        doc = json.loads(out.read_text())
+        config = RunConfig(seed=5, method=method, k=4)
+        report = select_and_test(data, config, feature_names=names)
+        assert doc["config"] == report.config
+        assert doc["results"]["p_values"] == pytest.approx(report.p_values, abs=0)
+        assert tuple(doc["results"]["selected"]) == report.selected
 
 
 def test_poly_method_flag(sample_csvs, tmp_path):
@@ -244,6 +256,15 @@ def test_invalid_config_value_is_usage_error(sample_csvs, capsys):
     )
     capsys.readouterr()
     assert code == 2
+
+
+def test_block_estimator_with_mmd_is_usage_error(sample_csvs, capsys):
+    xp, yp, *_ = sample_csvs
+    code = cli_main(
+        ["mmd-test", "--x", xp, "--y", yp, "--k", "2", "--seed", "1", "--estimator", "block"]
+    )
+    assert code == 2
+    assert "HSIC methods only" in capsys.readouterr().err
 
 
 def test_missing_file_is_data_error(tmp_path, capsys):

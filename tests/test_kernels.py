@@ -7,11 +7,12 @@ from selkern import (
     DataShapeError,
     DegenerateSampleError,
     KernelSpec,
+    RunConfig,
     gram_matrix,
     kernel_eval,
     median_heuristic,
-    univariate_gaussian_specs,
 )
+from selkern.selective import _feature_specs
 
 
 def test_gaussian_same_point_is_one():
@@ -153,7 +154,7 @@ def test_univariate_specs_pool_columns():
     rng = np.random.default_rng(23)
     X = rng.standard_normal((15, 2))
     Y = rng.standard_normal((15, 2)) + 1.0
-    specs = univariate_gaussian_specs(X, Y)
+    specs = _feature_specs(RunConfig(seed=0), X, Y)
     assert len(specs) == 2
     for i, spec in enumerate(specs):
         pooled = np.concatenate([X[:, i], Y[:, i]])

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import norm, truncnorm
 
 from selkern import (
+    DegenerateSampleError,
+    JointSample,
+    MultiStat,
     RunConfig,
     ScalesDroppedWarning,
     derive_rng,
@@ -15,15 +19,12 @@ from selkern import (
     gen_logistic,
     gen_mean_shift,
     mmd_stat,
-    multi_hsic,
-    multi_mmd,
-    poly_hsic,
-    poly_mmd,
     poly_p,
     poly_truncation_interval,
-    report_for_method,
+    select_and_test,
     select_top_k,
     selection_indicator,
+    selective_report,
 )
 from selkern.selective import _top_k_fractions
 
@@ -155,8 +156,8 @@ def test_k_equals_d_equals_one_reduces_to_classical():
     X, Y = _single_feature_problem(4)
     config = RunConfig(seed=9, k=1)
     with pytest.warns(ScalesDroppedWarning):
-        multi = multi_mmd(X, Y, 1, config)
-    poly = poly_mmd(X, Y, 1, config)
+        multi = select_and_test((X, Y), config)
+    poly = select_and_test((X, Y), replace(config, method="poly-mmd"))
     stat = mmd_stat(X, Y, config)
     classical = norm.sf(stat.t[0] / np.sqrt(stat.sigma[0, 0]))
     assert multi.p_values[0] == pytest.approx(classical, rel=1e-12)
@@ -171,8 +172,8 @@ def test_selection_consistent_across_methods():
     config = RunConfig(seed=31, k=4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScalesDroppedWarning)
-        multi = multi_mmd(X, Y, 4, config)
-    poly = poly_mmd(X, Y, 4, config)
+        multi = select_and_test((X, Y), config)
+    poly = select_and_test((X, Y), replace(config, method="poly-mmd"))
     assert multi.selected == poly.selected
 
 
@@ -182,14 +183,15 @@ def test_report_shape_and_bounds():
     config = RunConfig(seed=17, k=3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScalesDroppedWarning)
-        for report in (multi_mmd(X, Y, 3, config), poly_mmd(X, Y, 3, config)):
+        for report in (select_and_test((X, Y), config),
+                       select_and_test((X, Y), replace(config, method="poly-mmd"))):
             assert len(report.p_values) == 3
             assert all(0.0 <= p <= 1.0 and np.isfinite(p) for p in report.p_values)
             assert len(report.diagnostics) == 3
             assert report.config["seed"] == 17
             assert "threads" not in report.config
     scale_count = RunConfig(seed=0).scale_count
-    for diag in multi_mmd(X, Y, 3, config).diagnostics:
+    for diag in select_and_test((X, Y), config).diagnostics:
         assert len(diag["bootstrap_probabilities"]) == len(diag["psi"]) == scale_count
         if "fit_beta0" in diag:
             assert {"fit_weighted_rss", "fit_rmse", "fit_max_abs_residual"} <= diag.keys()
@@ -201,8 +203,8 @@ def test_hsic_reports_run():
     config = RunConfig(seed=23, k=3, method="multi-hsic")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScalesDroppedWarning)
-        multi = multi_hsic(Z, 3, config)
-    poly = poly_hsic(Z, 3, config)
+        multi = select_and_test(Z, config)
+    poly = select_and_test(Z, replace(config, method="poly-hsic"))
     assert multi.selected == poly.selected
     assert all(0.0 <= p <= 1.0 for p in multi.p_values + poly.p_values)
 
@@ -210,27 +212,93 @@ def test_hsic_reports_run():
 def test_block_estimator_path():
     rng = derive_rng(8)
     Z = gen_logistic(100, 5, 2, rng)
-    config = RunConfig(seed=29, k=2, estimator="block", block_size=5)
+    config = RunConfig(seed=29, k=2, method="multi-hsic", estimator="block", block_size=5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScalesDroppedWarning)
-        report = multi_hsic(Z, 2, config)
+        report = select_and_test(Z, config)
     assert len(report.p_values) == 2
     assert all(0.0 <= p <= 1.0 for p in report.p_values)
 
 
 def test_degenerate_feature_yields_conservative_p():
-    # A constant column has zero h-variance; the test flags it and reports 1.
+    # A constant column has zero h-variance; the test flags it and reports 1,
+    # under a fixed bandwidth and under the median heuristic, for MMD and HSIC.
     rng = derive_rng(9)
     X = np.hstack([rng.standard_normal((80, 1)), np.zeros((80, 1))])
     Y = np.hstack([rng.standard_normal((80, 1)) + 1.5, np.zeros((80, 1))])
-    config = RunConfig(seed=41, k=2, bandwidth=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ScalesDroppedWarning)
-        report = multi_mmd(X, Y, 2, config)
-    flagged = {d["feature"]: d for d in report.diagnostics}
-    assert flagged[1]["fallback"] == "degenerate-variance"
-    p_by_feature = dict(zip(report.selected, report.p_values))
-    assert p_by_feature[1] == 1.0
+    Z = JointSample(X, X[:, 0] + rng.standard_normal(80))
+    cases = [
+        ((X, Y), RunConfig(seed=41, k=2, bandwidth=1.0)),
+        ((X, Y), RunConfig(seed=41, k=2, bandwidth=None)),
+        ((X, Y), RunConfig(seed=41, k=2, method="poly-mmd", shared_bandwidth=True)),
+        (Z, RunConfig(seed=41, k=2, method="multi-hsic")),
+        (Z, RunConfig(seed=41, k=2, method="poly-hsic", estimator="block", block_size=8)),
+    ]
+    for data, config in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScalesDroppedWarning)
+            report = select_and_test(data, config)
+        flagged = {d["feature"]: d for d in report.diagnostics}
+        assert flagged[1]["fallback"] == "degenerate-variance", config
+        p_by_feature = dict(zip(report.selected, report.p_values))
+        assert p_by_feature[1] == 1.0
+
+
+def test_constant_response_still_raises():
+    rng = derive_rng(9)
+    Z = JointSample(rng.standard_normal((40, 3)), np.ones(40))
+    with pytest.raises(DegenerateSampleError):
+        select_and_test(Z, RunConfig(seed=1, k=2, method="multi-hsic"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("config", [
+    RunConfig(seed=3, k=2, method="multi-mmd"),
+    RunConfig(seed=3, k=2, method="poly-mmd", bandwidth=1.0),
+    RunConfig(seed=3, k=2, method="multi-hsic", bandwidth=1.0),
+    RunConfig(seed=3, k=2, method="poly-hsic"),
+])
+def test_non_finite_data_rejected(bad, config):
+    rng = derive_rng(11)
+    X, Y = gen_mean_shift(40, 4, 0.5, 1, rng)
+    X[5, 2] = bad
+    data = (X, Y) if config.family == "mmd" else JointSample(X, Y[:, 0])
+    with pytest.raises(ValueError, match="data contain NaN or infinite values"):
+        select_and_test(data, config)
+
+
+def test_block_estimator_rejected_for_mmd():
+    for method in ("multi-mmd", "poly-mmd"):
+        with pytest.raises(ValueError, match="HSIC methods only"):
+            RunConfig(seed=1, method=method, estimator="block")
+    assert RunConfig(seed=1, method="poly-hsic", estimator="block").estimator == "block"
+
+
+def test_report_needs_k():
+    rng = derive_rng(12)
+    X, Y = gen_mean_shift(40, 4, 0.5, 1, rng)
+    for method in ("multi-mmd", "poly-mmd"):
+        with pytest.raises(ValueError, match="config.k"):
+            select_and_test((X, Y), RunConfig(seed=1, method=method))
+
+
+def test_poly_near_tie_is_clamped_into_interval():
+    # A tie at the selection boundary makes a constraint active, so rounding
+    # can put t_i an ulp or two outside its interval.  Such t_i are clamped
+    # and flagged; every p-value is still a valid probability.
+    rng = np.random.default_rng(0)
+    clamped = 0
+    for _ in range(160):
+        A = rng.standard_normal((6, 6))
+        sigma = A @ A.T + 0.1 * np.eye(6)
+        t = rng.standard_normal(6)
+        j = rng.integers(1, 6)
+        t[j] = t[0] * (1 + rng.choice([-1.0, 1.0]) * 1e-15)
+        stat = MultiStat(t=t, sigma=sigma, l=100)
+        report = selective_report(stat, 100, RunConfig(seed=1, k=3, method="poly-mmd"))
+        assert all(0.0 <= p <= 1.0 for p in report.p_values)
+        clamped += sum(d.get("clamped", False) for d in report.diagnostics)
+    assert clamped > 0
 
 
 def test_multi_not_less_powerful_than_poly_on_true_features():
@@ -245,8 +313,8 @@ def test_multi_not_less_powerful_than_poly_on_true_features():
             X, Y = gen_mean_shift(250, 12, 0.8, 4, rng)
             config = RunConfig(seed=derive_seed(1000, trial), k=6)
             stat = mmd_stat(X, Y, config)
-            multi = report_for_method("multi-mmd", stat, 250, 6, config)
-            poly = report_for_method("poly-mmd", stat, 250, 6, config)
+            multi = selective_report(stat, 250, config)
+            poly = selective_report(stat, 250, replace(config, method="poly-mmd"))
             true_set = set(range(4))
             m = [p for i, p in zip(multi.selected, multi.p_values) if i in true_set]
             q = [p for i, p in zip(poly.selected, poly.p_values) if i in true_set]
@@ -261,8 +329,8 @@ def test_threads_do_not_change_results():
     X, Y = gen_mean_shift(100, 6, 0.5, 2, rng)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ScalesDroppedWarning)
-        serial = multi_mmd(X, Y, 3, RunConfig(seed=77, k=3, threads=1))
-        threaded = multi_mmd(X, Y, 3, RunConfig(seed=77, k=3, threads=4))
+        serial = select_and_test((X, Y), RunConfig(seed=77, k=3, threads=1))
+        threaded = select_and_test((X, Y), RunConfig(seed=77, k=3, threads=4))
     assert serial.p_values == threaded.p_values
     assert serial.selected == threaded.selected
 
