@@ -100,6 +100,16 @@ class MultiStat:
         if len(self.feature_names) != d:
             raise DataShapeError("feature_names length must match t")
 
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, ddof: int,
+                  feature_names: list[str] | None = None) -> "MultiStat":
+        """sqrt(m) * mean of (m, d) per-feature ``rows``; sigma: their covariance, divisor m - ddof."""
+        m = rows.shape[0]
+        centered = rows - rows.mean(axis=0)
+        sigma = centered.T @ centered / (m - ddof)
+        return cls(t=np.sqrt(m) * rows.mean(axis=0), sigma=(sigma + sigma.T) / 2.0, l=m,
+                   feature_names=list(feature_names or []))
+
     @property
     def dim(self) -> int:
         return self.t.shape[0]

@@ -1,18 +1,21 @@
 """HSIC estimators: complete U-statistic, incomplete, block, and the
-per-feature multivariate statistic with its covariance."""
+per-feature multivariate statistic with its covariance.
+
+The incomplete estimators compute the order-4 kernel h from the 6 index
+pairs p of a quadruple, p' being the complementary pair of p:
+h = 1/4 sum_p K_p (L_p + L_p') - (sum_p L_p / 12) sum_p K_p."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
 from .core import DataShapeError, Design, MultiStat, derive_rng
-from .designs import block_design, complete_quad_design, sample_quad_design
-from .kernels import KernelSpec, gram_matrix
-from .mmd import _h_covariance
+from .designs import complete_quad_design, sample_quad_design
+from .kernels import KernelSpec, _apply, gram_matrix
 
-_PERM4 = np.array(list(permutations(range(4))), dtype=np.intp)
+# The 6 index pairs of a quadruple, ordered so that pair p's complement is 5 - p.
+_PAIRS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -23,8 +26,9 @@ class JointSample:
     Y: np.ndarray
 
     def __post_init__(self) -> None:
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        Y = np.asarray(self.Y, dtype=float)
+        # C order keeps every reduction's summation order independent of the input's layout.
+        X = np.atleast_2d(np.ascontiguousarray(self.X, dtype=float))
+        Y = np.ascontiguousarray(self.Y, dtype=float)
         if Y.ndim == 1:
             Y = Y[:, None]
         if X.shape[0] != Y.shape[0]:
@@ -52,19 +56,15 @@ def hsic_h(Kmat: np.ndarray, Lmat: np.ndarray, quad) -> float:
     return float(_h_quad_values(Kmat, Lmat, quad[None, :])[0])
 
 
+def _h_from_pairs(Kp: np.ndarray, Lp: np.ndarray) -> np.ndarray:
+    """h from the kernel values on the 6 pairs of each quadruple (axis 1)."""
+    return 0.25 * (Kp * (Lp + Lp[:, ::-1])).sum(axis=1) - Lp.sum(axis=1) / 12.0 * Kp.sum(axis=1)
+
+
 def _h_quad_values(K: np.ndarray, L: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """(l,) symmetrized h values for an (l, 4) array of index quadruples."""
-    acc = np.zeros(len(quads))
-    for perm in _PERM4:
-        s, t, u, v = (quads[:, p] for p in perm)
-        acc += K[s, t] * (L[s, t] + L[u, v] - 2.0 * L[s, u])
-    return acc / len(_PERM4)
-
-
-def _bracket_values(K: np.ndarray, L: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """Unsymmetrized integrand K_st (L_st + L_uv - 2 L_su), one value per tuple."""
-    s, t, u, v = quads.T
-    return K[s, t] * (L[s, t] + L[u, v] - 2.0 * L[s, u])
+    """(l,) h values for an (l, 4) array of index quadruples, read from Gram matrices."""
+    a, b = quads[:, _PAIRS].transpose(2, 0, 1)
+    return _h_from_pairs(K[a, b], L[a, b])
 
 
 def hsic_u(Z: JointSample, specX: KernelSpec, specY: KernelSpec) -> float:
@@ -72,16 +72,15 @@ def hsic_u(Z: JointSample, specX: KernelSpec, specY: KernelSpec) -> float:
     4-tuples.  Quartic in n; intended as an oracle for small samples (n <~ 40).
 
     Every ordering of each index set appears exactly once in the complete
-    enumeration, so averaging the raw integrand equals averaging the
-    permutation-symmetrized kernel.
+    enumeration, so averaging the raw integrand K_st (L_st + L_uv - 2 L_su)
+    equals averaging the permutation-symmetrized kernel.
     """
-    n = Z.n
-    if n < 4:
+    if Z.n < 4:
         raise DataShapeError("need n >= 4")
     K = gram_matrix(specX, Z.X, Z.X)
     L = gram_matrix(specY, Z.Y, Z.Y)
-    design = complete_quad_design(n)
-    return float(_bracket_values(K, L, design.tuples).mean())
+    s, t, u, v = complete_quad_design(Z.n).tuples.T
+    return float((K[s, t] * (L[s, t] + L[u, v] - 2.0 * L[s, u])).mean())
 
 
 def hsic_incomplete(Z: JointSample, specX: KernelSpec, specY: KernelSpec, design: Design) -> float:
@@ -114,22 +113,39 @@ def hsic_block(Z: JointSample, specX: KernelSpec, specY: KernelSpec, block_size:
 
 
 def _quad_h_matrix(Z: JointSample, specs, specY, design: Design) -> np.ndarray:
-    """(l, d) per-feature h values, one row per design tuple.
-
-    Gram matrices are built once per feature so each tuple costs O(1) lookups.
-    A constant feature's h is exactly 0, which the summed Gram terms would
-    reach only up to rounding, so its column is set to 0 directly.
+    """(l, d) per-feature h values, one row per design tuple, from the kernel
+    on each quadruple's 6 pairs; the response's squared distances sum over its
+    columns.  A constant feature's h is exactly 0, which the formula reaches
+    only up to rounding, so its column is set to 0 directly.
     """
-    L = gram_matrix(specY, Z.Y, Z.Y)
-    cols = []
-    for f, spec in enumerate(specs):
-        x = Z.X[:, [f]]
-        if (x == x[0]).all():
-            cols.append(np.zeros(len(design)))
-            continue
-        K = gram_matrix(spec, x, x)
-        cols.append(_h_quad_values(K, L, design.tuples))
-    return np.column_stack(cols)
+    a, b = design.tuples[:, _PAIRS].transpose(2, 0, 1)
+    K = _apply(specs, (Z.X[a] - Z.X[b]) ** 2)
+    L = _apply(specY, ((Z.Y[a] - Z.Y[b]) ** 2).sum(axis=-1))
+    H = _h_from_pairs(K, L[..., None])
+    H[:, (Z.X == Z.X[0]).all(axis=0)] = 0.0
+    return H
+
+
+def _block_hsic(Z: JointSample, specs, specY, block_size: int) -> np.ndarray:
+    """(m, d) per-feature unbiased HSIC of the m = floor(n/B) blocks, in O(n B d).
+
+    With K, L a block's Gram matrices with zeroed diagonals (Song et al. 2012),
+    HSIC_u = [tr(KL) + 1'K1 1'L1 / ((B-1)(B-2)) - 2/(B-2) 1'KL1] / (B(B-3)).
+    A constant feature's value is set to exactly 0, as in `_quad_h_matrix`.
+    """
+    B, m = block_size, Z.n // block_size
+    Xb = Z.X[: m * B].reshape(m, B, 1, Z.d)
+    Yb = Z.Y[: m * B].reshape(m, B, 1, -1)
+    K = _apply(specs, (Xb - Xb.transpose(0, 2, 1, 3)) ** 2)
+    L = _apply(specY, ((Yb - Yb.transpose(0, 2, 1, 3)) ** 2).sum(axis=-1))
+    K[:, range(B), range(B)] = 0.0
+    L[:, range(B), range(B)] = 0.0
+    K_rows, L_rows = K.sum(axis=2), L.sum(axis=2)[..., None]
+    eta = ((K * L[..., None]).sum(axis=2).sum(axis=1)
+           + K_rows.sum(axis=1) * L_rows.sum(axis=1) / ((B - 1) * (B - 2))
+           - 2.0 / (B - 2) * (K_rows * L_rows).sum(axis=1)) / (B * (B - 3))
+    eta[:, (Z.X == Z.X[0]).all(axis=0)] = 0.0
+    return eta
 
 
 def hsic_multistat_incomplete(
@@ -145,19 +161,14 @@ def hsic_multistat_incomplete(
     One quadruple design of size l = round(r * n) is shared across features;
     sigma is the sample covariance (divisor l - 1) of per-tuple h vectors.
     """
-    n, d = Z.n, Z.d
-    if len(specs) != d:
-        raise DataShapeError("need one kernel spec per feature")
-    l = int(round(r * n))
+    l = int(round(r * Z.n))
     if l < 2:
         raise DataShapeError("design size round(r * n) must be >= 2")
     if rng is None:
         rng = derive_rng(0)
-    design = sample_quad_design(n, l, rng)
-    H = _quad_h_matrix(Z, specs, specY, design)
-    t = np.sqrt(l) * H.mean(axis=0)
-    sigma = _h_covariance(H, ddof=1)
-    return MultiStat(t=t, sigma=sigma, l=l, feature_names=list(feature_names or []))
+    design = sample_quad_design(Z.n, l, rng)
+    return MultiStat.from_rows(_quad_h_matrix(Z, specs, specY, design), ddof=1,
+                               feature_names=feature_names)
 
 
 def hsic_multistat_block(
@@ -172,20 +183,9 @@ def hsic_multistat_block(
     sigma is the population-style covariance (divisor m) of the per-block
     vectors of feature-wise complete U-statistics.
     """
-    n, d = Z.n, Z.d
-    if len(specs) != d:
-        raise DataShapeError("need one kernel spec per feature")
     if block_size < 4:
         raise DataShapeError("block size must be >= 4")
-    blocks = n // block_size
-    if blocks < 2:
+    if Z.n // block_size < 2:
         raise DataShapeError("need at least 2 full blocks")
-    design = block_design(n, block_size)
-    per_block = len(design) // blocks
-    H = _quad_h_matrix(Z, specs, specY, design)
-    eta = H.reshape(blocks, per_block, d).mean(axis=1)
-    t = np.sqrt(blocks) * eta.mean(axis=0)
-    centered = eta - eta.mean(axis=0)
-    sigma = centered.T @ centered / blocks
-    sigma = (sigma + sigma.T) / 2.0
-    return MultiStat(t=t, sigma=sigma, l=blocks, feature_names=list(feature_names or []))
+    return MultiStat.from_rows(_block_hsic(Z, specs, specY, block_size), ddof=0,
+                               feature_names=feature_names)

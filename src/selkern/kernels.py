@@ -34,10 +34,20 @@ class KernelSpec:
             raise ValueError("offset must be positive")
 
 
-def _apply(spec: KernelSpec, sqdist: np.ndarray) -> np.ndarray:
-    if spec.family == GAUSSIAN:
-        return np.exp(-sqdist / (2.0 * spec.bandwidth**2))
-    return (spec.offset**2 + sqdist) ** -0.5
+def _apply(spec: KernelSpec | list[KernelSpec], sqdist: np.ndarray) -> np.ndarray:
+    """Kernel values from squared distances.  One spec applies to every entry;
+    a list of d specs of one family applies spec f's bandwidth or offset to
+    index f of the last axis, which must have length d.  Mixed families raise
+    `ValueError`."""
+    if isinstance(spec, KernelSpec):
+        return _apply([spec], np.asarray(sqdist)[..., None])[..., 0]
+    if len({s.family for s in spec}) != 1:
+        raise ValueError("kernel specs must share one family")
+    if len(spec) != np.shape(sqdist)[-1]:
+        raise DataShapeError("need one kernel spec per feature")
+    if spec[0].family == GAUSSIAN:
+        return np.exp(-sqdist / (2.0 * np.array([s.bandwidth for s in spec]) ** 2))
+    return (np.array([s.offset for s in spec]) ** 2 + sqdist) ** -0.5
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:

@@ -58,12 +58,14 @@ def mmd_linear(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> float:
     return float(vals.mean())
 
 
-def _pair_h(Xi, Yi, Xj, Yj, spec: KernelSpec) -> np.ndarray:
-    """Row-wise h values for paired blocks of observations."""
+def _pair_h(Xi, Yi, Xj, Yj, spec: KernelSpec | list[KernelSpec]) -> np.ndarray:
+    """Row-wise h values for paired blocks of observations: (l,) with one spec
+    on whole rows, (l, d) with a list of d specs, spec f on column f."""
 
     def k(A, B):
         diff = A - B
-        return _apply(spec, np.einsum("ij,ij->i", diff, diff))
+        sq = np.einsum("ij,ij->i", diff, diff) if isinstance(spec, KernelSpec) else diff**2
+        return _apply(spec, sq)
 
     return k(Xi, Xj) + k(Yi, Yj) - k(Xj, Yi) - k(Xi, Yj)
 
@@ -78,29 +80,6 @@ def mmd_incomplete(X: np.ndarray, Y: np.ndarray, spec: KernelSpec, design: Desig
     i = design.tuples[:, 0]
     j = design.tuples[:, 1]
     return float(_pair_h(X[i], Y[i], X[j], Y[j], spec).mean())
-
-
-def _pair_h_matrix(X, Y, specs, design: Design) -> np.ndarray:
-    """(l, d) matrix of per-feature h values, one row per design tuple."""
-    i = design.tuples[:, 0]
-    j = design.tuples[:, 1]
-    cols = []
-    for f, spec in enumerate(specs):
-        xi, xj = X[i, f], X[j, f]
-        yi, yj = Y[i, f], Y[j, f]
-        cols.append(
-            _apply(spec, (xi - xj) ** 2)
-            + _apply(spec, (yi - yj) ** 2)
-            - _apply(spec, (xj - yi) ** 2)
-            - _apply(spec, (xi - yj) ** 2)
-        )
-    return np.column_stack(cols)
-
-
-def _h_covariance(H: np.ndarray, ddof: int) -> np.ndarray:
-    centered = H - H.mean(axis=0)
-    sigma = centered.T @ centered / (H.shape[0] - ddof)
-    return (sigma + sigma.T) / 2.0
 
 
 def mmd_multistat(
@@ -120,16 +99,12 @@ def mmd_multistat(
     from .designs import sample_pair_design
 
     X, Y = _check_two_sample(X, Y)
-    n, d = X.shape
-    if len(specs) != d:
-        raise DataShapeError("need one kernel spec per feature")
+    n = X.shape[0]
     l = int(round(r * n))
     if l < 2:
         raise DataShapeError("design size round(r * n) must be >= 2")
     if rng is None:
         rng = derive_rng(0)
-    design = sample_pair_design(n, l, rng)
-    H = _pair_h_matrix(X, Y, specs, design)
-    t = np.sqrt(l) * H.mean(axis=0)
-    sigma = _h_covariance(H, ddof=1)
-    return MultiStat(t=t, sigma=sigma, l=l, feature_names=list(feature_names or []))
+    i, j = sample_pair_design(n, l, rng).tuples.T
+    return MultiStat.from_rows(_pair_h(X[i], Y[i], X[j], Y[j], specs), ddof=1,
+                               feature_names=feature_names)

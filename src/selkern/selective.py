@@ -201,9 +201,16 @@ def _response_spec(Y: np.ndarray, config: RunConfig) -> KernelSpec:
     return KernelSpec(bandwidth=median_heuristic(Y))
 
 
+def _check_finite(*arrays) -> None:
+    """Reject NaN and inf: a NaN score would silently drop its feature from the selection."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("data contain NaN or infinite values")
+
+
 def mmd_stat(X: np.ndarray, Y: np.ndarray, config: RunConfig,
              feature_names: list[str] | None = None) -> MultiStat:
     """The shared per-feature two-sample statistic both MMD methods test."""
+    _check_finite(X, Y)
     specs = _feature_specs(config, X, Y)
     rng = derive_rng(config.seed, _STREAM_STAT)
     return mmd_multistat(X, Y, specs, r=config.r, rng=rng, feature_names=feature_names)
@@ -212,6 +219,7 @@ def mmd_stat(X: np.ndarray, Y: np.ndarray, config: RunConfig,
 def hsic_stat(Z: JointSample, config: RunConfig,
               feature_names: list[str] | None = None) -> MultiStat:
     """The shared per-feature dependence statistic both HSIC methods test."""
+    _check_finite(Z.X, Z.Y)
     specs = _feature_specs(config, Z.X)
     spec_y = _response_spec(Z.Y, config)
     if config.estimator == "block":
@@ -225,14 +233,11 @@ def statistic(data, config: RunConfig,
     """The per-feature statistic of ``config.method``'s family and the sample size.
 
     ``data`` is an ``(X, Y)`` pair of samples for the MMD methods and a
-    `JointSample` for the HSIC methods.  Non-finite values are rejected: a NaN
-    score would silently drop its feature from the selection.
+    `JointSample` for the HSIC methods.  Non-finite values are rejected.
     """
-    X, Y = (data.X, data.Y) if config.family == "hsic" else data
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise ValueError("data contain NaN or infinite values")
     if config.family == "hsic":
         return hsic_stat(data, config, feature_names), data.n
+    X, Y = data
     return mmd_stat(X, Y, config, feature_names), np.atleast_2d(X).shape[0]
 
 

@@ -178,21 +178,28 @@ def test_multistat_incomplete_duplicate_features():
 def test_multistat_incomplete_matches_loop_oracle():
     rng = np.random.default_rng(15)
     n, d = 16, 2
-    Z = JointSample(rng.standard_normal((n, d)), rng.standard_normal(n))
-    specs = [KernelSpec(bandwidth=0.9), KernelSpec(bandwidth=1.3)]
-    stat = hsic_multistat_incomplete(Z, specs, SPEC_Y, r=1.0, rng=derive_rng(21))
+    X = rng.standard_normal((n, d))
+    cases = [
+        ([KernelSpec(bandwidth=0.9), KernelSpec(bandwidth=1.3)], SPEC_Y, rng.standard_normal(n)),
+        ([KernelSpec(family="imq", offset=0.6), KernelSpec(family="imq", offset=1.5)],
+         KernelSpec(family="imq", offset=0.8), rng.standard_normal(n)),
+        ([KernelSpec(bandwidth=0.9), KernelSpec(bandwidth=1.3)], SPEC_Y, rng.standard_normal((n, 2))),
+    ]
+    for specs, spec_y, y in cases:
+        Z = JointSample(X, y)
+        stat = hsic_multistat_incomplete(Z, specs, spec_y, r=1.0, rng=derive_rng(21))
 
-    design = sample_quad_design(n, n, derive_rng(21))
-    L = gram_matrix(SPEC_Y, Z.Y, Z.Y)
-    H = np.empty((n, d))
-    for f in range(d):
-        K = gram_matrix(specs[f], Z.X[:, [f]], Z.X[:, [f]])
-        H[:, f] = [loop_h(K, L, tuple(q)) for q in design.tuples.tolist()]
-    t_expected = np.sqrt(n) * H.mean(axis=0)
-    centered = H - H.mean(axis=0)
-    sigma_expected = centered.T @ centered / (n - 1)
-    assert np.allclose(stat.t, t_expected, atol=1e-10)
-    assert np.allclose(stat.sigma, sigma_expected, atol=1e-10)
+        design = sample_quad_design(n, n, derive_rng(21))
+        L = gram_matrix(spec_y, Z.Y, Z.Y)
+        H = np.empty((n, d))
+        for f in range(d):
+            K = gram_matrix(specs[f], Z.X[:, [f]], Z.X[:, [f]])
+            H[:, f] = [loop_h(K, L, tuple(q)) for q in design.tuples.tolist()]
+        t_expected = np.sqrt(n) * H.mean(axis=0)
+        centered = H - H.mean(axis=0)
+        sigma_expected = centered.T @ centered / (n - 1)
+        assert np.allclose(stat.t, t_expected, atol=1e-10)
+        assert np.allclose(stat.sigma, sigma_expected, atol=1e-10)
 
 
 def test_multistat_block_two_blocks_sigma():
@@ -216,22 +223,24 @@ def test_multistat_block_duplicate_features():
 
 def test_multistat_block_matches_loop_oracle():
     rng = np.random.default_rng(18)
-    n, d, B = 40, 2, 10
-    Z = JointSample(rng.standard_normal((n, d)), rng.standard_normal(n))
+    d = 2
     specs = [KernelSpec(bandwidth=1.0), KernelSpec(bandwidth=0.7)]
-    stat = hsic_multistat_block(Z, specs, SPEC_Y, block_size=B)
+    # (61, 27) leaves 7 trailing rows outside the two blocks.
+    for n, B, q in ((40, 10, 1), (40, 10, 2), (61, 27, 1)):
+        Z = JointSample(rng.standard_normal((n, d)), rng.standard_normal((n, q)))
+        stat = hsic_multistat_block(Z, specs, SPEC_Y, block_size=B)
 
-    blocks = n // B
-    eta = np.empty((blocks, d))
-    for b in range(blocks):
-        rows = slice(b * B, (b + 1) * B)
-        for f in range(d):
-            eta[b, f] = hsic_u(JointSample(Z.X[rows, [f]], Z.Y[rows]), specs[f], SPEC_Y)
-    t_expected = np.sqrt(blocks) * eta.mean(axis=0)
-    centered = eta - eta.mean(axis=0)
-    sigma_expected = centered.T @ centered / blocks
-    assert np.allclose(stat.t, t_expected, atol=1e-10)
-    assert np.allclose(stat.sigma, sigma_expected, atol=1e-10)
+        blocks = n // B
+        eta = np.empty((blocks, d))
+        for b in range(blocks):
+            rows = slice(b * B, (b + 1) * B)
+            for f in range(d):
+                eta[b, f] = hsic_u(JointSample(Z.X[rows, [f]], Z.Y[rows]), specs[f], SPEC_Y)
+        t_expected = np.sqrt(blocks) * eta.mean(axis=0)
+        centered = eta - eta.mean(axis=0)
+        sigma_expected = centered.T @ centered / blocks
+        assert np.allclose(stat.t, t_expected, atol=1e-10)
+        assert np.allclose(stat.sigma, sigma_expected, atol=1e-10)
 
 
 def test_multistat_block_needs_two_blocks():

@@ -6,11 +6,16 @@ import pytest
 from selkern import (
     DataShapeError,
     DegenerateSampleError,
+    JointSample,
     KernelSpec,
     RunConfig,
+    derive_rng,
     gram_matrix,
+    hsic_multistat_block,
+    hsic_multistat_incomplete,
     kernel_eval,
     median_heuristic,
+    mmd_multistat,
 )
 from selkern.selective import _feature_specs
 
@@ -73,6 +78,20 @@ def test_boundedness():
     offset = 0.7
     q = gram_matrix(KernelSpec(family="imq", offset=offset), pts, pts)
     assert (q > 0).all() and (q <= 1.0 / offset + 1e-15).all()
+
+
+def test_mixed_family_specs_rejected():
+    rng = np.random.default_rng(29)
+    X = rng.standard_normal((12, 2))
+    Y = rng.standard_normal((12, 2))
+    Z = JointSample(X, Y[:, 0])
+    specs = [KernelSpec(bandwidth=1.0), KernelSpec(family="imq", offset=1.0)]
+    with pytest.raises(ValueError, match="one family"):
+        mmd_multistat(X, Y, specs, rng=derive_rng(0))
+    with pytest.raises(ValueError, match="one family"):
+        hsic_multistat_incomplete(Z, specs, KernelSpec(), rng=derive_rng(0))
+    with pytest.raises(ValueError, match="one family"):
+        hsic_multistat_block(Z, specs, KernelSpec(), block_size=4)
 
 
 def test_gram_single_row():

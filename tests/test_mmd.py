@@ -170,18 +170,21 @@ def test_multistat_matches_loop_oracle():
     n, d = 20, 3
     X = rng.standard_normal((n, d))
     Y = rng.standard_normal((n, d)) + 0.2
-    specs = [KernelSpec(bandwidth=b) for b in (0.7, 1.0, 1.4)]
-    stat = mmd_multistat(X, Y, specs, r=1.0, rng=derive_rng(20))
+    for specs in (
+        [KernelSpec(bandwidth=b) for b in (0.7, 1.0, 1.4)],
+        [KernelSpec(family="imq", offset=c) for c in (0.5, 1.0, 2.0)],
+    ):
+        stat = mmd_multistat(X, Y, specs, r=1.0, rng=derive_rng(20))
 
-    design = sample_pair_design(n, n, derive_rng(20))
-    H = np.array(
-        [[mmd_h(X[i, f], X[j, f], Y[i, f], Y[j, f], specs[f]) for f in range(d)] for i, j in design.tuples]
-    )
-    t_expected = np.sqrt(n) * H.mean(axis=0)
-    centered = H - H.mean(axis=0)
-    sigma_expected = centered.T @ centered / (n - 1)
-    assert np.allclose(stat.t, t_expected, atol=1e-10)
-    assert np.allclose(stat.sigma, sigma_expected, atol=1e-10)
+        design = sample_pair_design(n, n, derive_rng(20))
+        H = np.array(
+            [[mmd_h(X[i, f], X[j, f], Y[i, f], Y[j, f], specs[f]) for f in range(d)] for i, j in design.tuples]
+        )
+        t_expected = np.sqrt(n) * H.mean(axis=0)
+        centered = H - H.mean(axis=0)
+        sigma_expected = centered.T @ centered / (n - 1)
+        assert np.allclose(stat.t, t_expected, atol=1e-10)
+        assert np.allclose(stat.sigma, sigma_expected, atol=1e-10)
 
 
 def test_incomplete_unbiased_over_designs():

@@ -18,6 +18,7 @@ from selkern import (
     derive_seed,
     gen_logistic,
     gen_mean_shift,
+    hsic_stat,
     mmd_stat,
     poly_p,
     poly_truncation_interval,
@@ -26,7 +27,7 @@ from selkern import (
     selection_indicator,
     selective_report,
 )
-from selkern.selective import _top_k_fractions
+from selkern.selective import _top_k_fractions, statistic
 
 
 def test_select_top_k_basic():
@@ -263,8 +264,10 @@ def test_non_finite_data_rejected(bad, config):
     X, Y = gen_mean_shift(40, 4, 0.5, 1, rng)
     X[5, 2] = bad
     data = (X, Y) if config.family == "mmd" else JointSample(X, Y[:, 0])
-    with pytest.raises(ValueError, match="data contain NaN or infinite values"):
-        select_and_test(data, config)
+    direct = (mmd_stat, (X, Y, config)) if config.family == "mmd" else (hsic_stat, (data, config))
+    for run, args in ((select_and_test, (data, config)), direct):
+        with pytest.raises(ValueError, match="data contain NaN or infinite values"):
+            run(*args)
 
 
 def test_block_estimator_rejected_for_mmd():
@@ -354,3 +357,32 @@ def test_top_k_fractions_match_selection_indicator(case):
     fractions = _top_k_fractions(draws, k)
     for i in range(draws.shape[1]):
         assert fractions[i] == selection_indicator(i, k).contains(draws).mean()
+
+
+@st.composite
+def _permuted_problem(draw):
+    n = draw(st.integers(24, 48))
+    d = draw(st.integers(2, 6))
+    perm = np.array(draw(st.permutations(range(d))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Rounding to a coarse grid gives tied values.
+    X = np.round(rng.standard_normal((n, d)), draw(st.integers(0, 3)))
+    return X, rng.standard_normal((n, d)) + 0.3, X[:, 0] + rng.standard_normal(n), perm
+
+
+@settings(max_examples=40, deadline=None)
+@given(_permuted_problem())
+def test_statistic_equivariant_under_feature_permutation(case):
+    X, Y, y, perm = case
+    Xp = X[:, perm]
+    cases = [
+        ((X, Y), (Xp, Y[:, perm]), RunConfig(seed=5, k=1)),
+        (JointSample(X, y), JointSample(Xp, y), RunConfig(seed=5, k=1, method="multi-hsic")),
+        (JointSample(X, y), JointSample(Xp, y),
+         RunConfig(seed=5, k=1, method="poly-hsic", estimator="block", block_size=6)),
+    ]
+    for data, permuted, config in cases:
+        stat, _ = statistic(data, config)
+        stat_p, _ = statistic(permuted, config)
+        assert np.array_equal(stat_p.t, stat.t[perm]), config
+        assert np.allclose(stat_p.sigma, stat.sigma[np.ix_(perm, perm)], rtol=0, atol=1e-12), config
