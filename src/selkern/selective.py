@@ -16,7 +16,7 @@ from scipy.special import log_ndtr
 from .config import METHODS, RunConfig
 from .core import DegenerateFeatureError, MultiStat, derive_rng
 from .hsic import JointSample, hsic_multistat_block, hsic_multistat_incomplete
-from .kernels import IMQ, KernelSpec, median_heuristic
+from .kernels import IMQ, KernelSpec, median_bandwidths, median_heuristic
 from .mmd import mmd_multistat
 from .multiscale import (
     RegionIndicator,
@@ -182,15 +182,13 @@ def _feature_specs(config: RunConfig, *column_sources: np.ndarray) -> list[Kerne
         return [KernelSpec(IMQ, offset=config.imq_offset)] * d
     if config.bandwidth is not None:
         return [KernelSpec(bandwidth=config.bandwidth)] * d
-    mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in column_sources]
-    pooled = (np.concatenate([m[:, i] for m in mats]) for i in range(d))
-    # A constant column (width None) has no median distance, but its h-values
-    # are 0 under any bandwidth, so it gets 1.0 and its test falls back to p = 1.
-    widths = [median_heuristic(col) if np.any(col != col[0]) else None for col in pooled]
+    widths = median_bandwidths(np.concatenate([np.atleast_2d(m) for m in column_sources]))
+    # A flat column (width NaN) has no positive squared difference, so its
+    # h-values are 0 under any bandwidth: it gets 1.0 and falls back to p = 1.
     if config.shared_bandwidth:
-        varying = [w for w in widths if w is not None]
-        widths = [float(np.median(varying)) if varying else None] * d
-    return [KernelSpec(bandwidth=w or 1.0) for w in widths]
+        varying = widths[~np.isnan(widths)]
+        widths = np.full(d, np.median(varying) if varying.size else np.nan)
+    return [KernelSpec(bandwidth=1.0 if np.isnan(w) else float(w)) for w in widths]
 
 
 def _response_spec(Y: np.ndarray, config: RunConfig) -> KernelSpec:

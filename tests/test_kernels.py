@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist
 
 from selkern import (
     DataShapeError,
@@ -17,6 +21,7 @@ from selkern import (
     median_heuristic,
     mmd_multistat,
 )
+from selkern.kernels import _SQUARE_UNDERFLOW, median_bandwidths
 from selkern.selective import _feature_specs
 
 
@@ -169,6 +174,19 @@ def test_median_heuristic_permutation_invariant():
     assert median_heuristic(pts[perm]) == sigma
 
 
+def _pdist_median_width(col):
+    """Oracle: the median heuristic of one column from all of its pairs, NaN
+    when no squared difference is positive."""
+    sq = pdist(np.asarray(col, dtype=float)[:, None], "sqeuclidean")
+    med = np.median(sq)
+    if med <= 0:
+        sq = sq[sq > 0]
+        if sq.size == 0:
+            return np.nan
+        med = np.median(sq)
+    return np.sqrt(med / 2.0)
+
+
 def test_univariate_specs_pool_columns():
     rng = np.random.default_rng(23)
     X = rng.standard_normal((15, 2))
@@ -177,4 +195,47 @@ def test_univariate_specs_pool_columns():
     assert len(specs) == 2
     for i, spec in enumerate(specs):
         pooled = np.concatenate([X[:, i], Y[:, i]])
-        assert spec.bandwidth == median_heuristic(pooled)
+        assert spec.bandwidth == _pdist_median_width(pooled)
+
+
+_VALUE_POOLS = {
+    "floats": st.floats(-1e3, 1e3),
+    "grid": st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 2.0]),
+    "binary": st.sampled_from([0.0, 1.0]),
+    # 1.5e-162 squares to 0 and 1.6e-162 does not.
+    "underflow": st.sampled_from([0.0, 1e-170, 3e-170, 1.5e-162, 1.6e-162, 1.0]),
+    "range": st.floats(math.exp(-40), math.exp(40)),
+}
+
+
+@st.composite
+def _bandwidth_columns(draw):
+    m = draw(st.integers(2, 300))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        col = draw(arrays(np.float64, m, elements=_VALUE_POOLS[draw(st.sampled_from(sorted(_VALUE_POOLS)))]))
+        # A long run of one value; at 0.8 of the rows the median is 0, at 1.0 the column is flat.
+        run = int(draw(st.sampled_from([0.0, 0.3, 0.8, 1.0])) * m)
+        start = draw(st.integers(0, m - run))
+        col[start:start + run] = col[start] if run else 0.0
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bandwidth_columns())
+def test_median_bandwidths_match_pdist(pooled):
+    expected = [_pdist_median_width(col) for col in pooled.T]
+    assert np.array_equal(median_bandwidths(pooled), expected, equal_nan=True)
+
+
+def test_median_bandwidths_match_pdist_large_column():
+    rng = np.random.default_rng(31)
+    col = rng.standard_normal(4000)
+    pooled = np.column_stack([col, np.round(col, 1)])
+    assert np.array_equal(median_bandwidths(pooled), [_pdist_median_width(c) for c in pooled.T])
+
+
+def test_square_underflow_threshold_is_the_largest_zero_square():
+    assert _SQUARE_UNDERFLOW ** 2 == 0.0
+    assert np.nextafter(_SQUARE_UNDERFLOW, 1.0) ** 2 > 0.0

@@ -222,27 +222,30 @@ def test_block_estimator_path():
 
 
 def test_degenerate_feature_yields_conservative_p():
-    # A constant column has zero h-variance; the test flags it and reports 1,
-    # under a fixed bandwidth and under the median heuristic, for MMD and HSIC.
+    # A constant column and a column whose differences all square to 0 have
+    # zero h-variance; the test flags each and reports 1, under a fixed
+    # bandwidth and under the median heuristic, for MMD and HSIC.
     rng = derive_rng(9)
-    X = np.hstack([rng.standard_normal((80, 1)), np.zeros((80, 1))])
-    Y = np.hstack([rng.standard_normal((80, 1)) + 1.5, np.zeros((80, 1))])
+    tiny = np.where(rng.random((80, 2)) < 0.5, 0.0, 1e-170)
+    X = np.hstack([rng.standard_normal((80, 1)), np.zeros((80, 1)), tiny[:, :1]])
+    Y = np.hstack([rng.standard_normal((80, 1)) + 1.5, np.zeros((80, 1)), tiny[:, 1:]])
     Z = JointSample(X, X[:, 0] + rng.standard_normal(80))
     cases = [
-        ((X, Y), RunConfig(seed=41, k=2, bandwidth=1.0)),
-        ((X, Y), RunConfig(seed=41, k=2, bandwidth=None)),
-        ((X, Y), RunConfig(seed=41, k=2, method="poly-mmd", shared_bandwidth=True)),
-        (Z, RunConfig(seed=41, k=2, method="multi-hsic")),
-        (Z, RunConfig(seed=41, k=2, method="poly-hsic", estimator="block", block_size=8)),
+        ((X, Y), RunConfig(seed=41, k=3, bandwidth=1.0)),
+        ((X, Y), RunConfig(seed=41, k=3, bandwidth=None)),
+        ((X, Y), RunConfig(seed=41, k=3, method="poly-mmd", shared_bandwidth=True)),
+        (Z, RunConfig(seed=41, k=3, method="multi-hsic")),
+        (Z, RunConfig(seed=41, k=3, method="poly-hsic", estimator="block", block_size=8)),
     ]
     for data, config in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ScalesDroppedWarning)
             report = select_and_test(data, config)
         flagged = {d["feature"]: d for d in report.diagnostics}
-        assert flagged[1]["fallback"] == "degenerate-variance", config
         p_by_feature = dict(zip(report.selected, report.p_values))
-        assert p_by_feature[1] == 1.0
+        for feature in (1, 2):
+            assert flagged[feature]["fallback"] == "degenerate-variance", config
+            assert p_by_feature[feature] == 1.0
 
 
 def test_constant_response_still_raises():
@@ -386,3 +389,44 @@ def test_statistic_equivariant_under_feature_permutation(case):
         stat_p, _ = statistic(permuted, config)
         assert np.array_equal(stat_p.t, stat.t[perm]), config
         assert np.allclose(stat_p.sigma, stat.sigma[np.ix_(perm, perm)], rtol=0, atol=1e-12), config
+
+
+@st.composite
+def _small_problem(draw):
+    n = draw(st.integers(24, 40))
+    d = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = draw(st.floats(0.0, 1.5))
+    X = rng.standard_normal((n, d))
+    Y = rng.standard_normal((n, d))
+    Y[:, 0] += shift
+    # Sometimes the last feature is flat: constant, or with differences that square to 0.
+    X[:, -1] *= draw(st.sampled_from([1.0, 0.0, 1e-170]))
+    return X, Y, shift * X[:, 0] + rng.standard_normal(n), draw(st.integers(1, d)), draw(st.integers(0, 999))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_small_problem(), st.sampled_from(["incomplete", "block"]))
+def test_report_invariants(case, hsic_estimator):
+    # p in [0, 1]; Multi p >= the naive p Φ̄(β0); Poly t_i inside [v-, v+]
+    # once a near-tie has been clamped.
+    X, Y, y, k, seed = case
+    for method in ("multi-mmd", "poly-mmd", "multi-hsic", "poly-hsic"):
+        config = RunConfig(seed=seed, k=k, method=method, replicates_per_scale=300)
+        data = (X, Y)
+        if config.family == "hsic":
+            config = replace(config, estimator=hsic_estimator, block_size=6)
+            data = JointSample(X, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScalesDroppedWarning)
+            stat, n = statistic(data, config)
+            report = selective_report(stat, n, config)
+        for i, p, diag in zip(report.selected, report.p_values, report.diagnostics):
+            assert 0.0 <= p <= 1.0, (config, diag)
+            if method.startswith("multi-") and "beta0" in diag:
+                assert p >= norm.sf(diag["beta0"]) * (1.0 - 1e-9), (config, diag)
+            if method.startswith("poly-") and "vminus" in diag:
+                vminus, vplus, t_i = diag["vminus"], diag["vplus"], float(stat.t[i])
+                if diag.get("clamped"):
+                    t_i = min(max(t_i, vminus), vplus)
+                assert vminus <= t_i <= vplus, (config, diag)
