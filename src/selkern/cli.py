@@ -66,8 +66,8 @@ def _parse_cell(cell: str, row_num: int, path: str) -> float:
 def load_csv(path: str) -> tuple[np.ndarray, list[str]]:
     """Read a rectangular numeric CSV; a non-numeric first row is a header.
 
-    Rows are numbered from 1 as they appear in the file; ragged or
-    non-numeric data rows are rejected by number.
+    Rows are numbered from 1 as they appear in the file; ragged,
+    non-numeric or non-finite data rows are rejected by number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [(num, row) for num, row in enumerate(csv.reader(fh), start=1) if row]
@@ -80,11 +80,19 @@ def load_csv(path: str) -> tuple[np.ndarray, list[str]]:
     data_rows = rows[1:] if has_header else rows
     if not data_rows:
         raise DataFormatError(f"{path}: no data rows")
-    values = np.empty((len(data_rows), width))
-    for out_idx, (num, row) in enumerate(data_rows):
-        if len(row) != width:
-            raise DataFormatError(f"{path}: ragged row {num} has {len(row)} cells, expected {width}")
-        values[out_idx] = [_parse_cell(c, num, path) for c in row]
+    # One conversion of the whole table: numpy converts each string cell with
+    # float(), as `_parse_cell` does.  A table it rejects is read row by row,
+    # which names the first offending row.
+    try:
+        values = np.array([row for _, row in data_rows], dtype=float)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (len(data_rows), width) or not np.isfinite(values).all():
+        values = np.empty((len(data_rows), width))
+        for out_idx, (num, row) in enumerate(data_rows):
+            if len(row) != width:
+                raise DataFormatError(f"{path}: ragged row {num} has {len(row)} cells, expected {width}")
+            values[out_idx] = [_parse_cell(c, num, path) for c in row]
     return values, names
 
 

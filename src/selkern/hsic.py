@@ -112,17 +112,24 @@ def hsic_block(Z: JointSample, specX: KernelSpec, specY: KernelSpec, block_size:
     return float(np.mean(vals))
 
 
+def _constant_kernel(X: np.ndarray, specs: list[KernelSpec]) -> np.ndarray:
+    """Mask of the features whose kernel is constant on the sample: a flat
+    column (see `flat_columns`), or an infinite Gaussian bandwidth."""
+    return flat_columns(X) | np.isinf([s.bandwidth for s in specs])
+
+
 def _quad_h_matrix(Z: JointSample, specs, specY, design: Design) -> np.ndarray:
     """(l, d) per-feature h values, one row per design tuple, from the kernel
     on each quadruple's 6 pairs; the response's squared distances sum over its
-    columns.  A flat feature's h is exactly 0, which the formula reaches only
-    up to rounding, so its column is set to 0 directly.
+    columns.  The h of a feature with a constant kernel (see `_constant_kernel`)
+    is exactly 0, which the formula reaches only up to rounding, so its column
+    is set to 0 directly.
     """
     a, b = design.tuples[:, _PAIRS].transpose(2, 0, 1)
     K = _apply(specs, (Z.X[a] - Z.X[b]) ** 2)
     L = _apply(specY, ((Z.Y[a] - Z.Y[b]) ** 2).sum(axis=-1))
     H = _h_from_pairs(K, L[..., None])
-    H[:, flat_columns(Z.X)] = 0.0
+    H[:, _constant_kernel(Z.X, specs)] = 0.0
     return H
 
 
@@ -131,7 +138,7 @@ def _block_hsic(Z: JointSample, specs, specY, block_size: int) -> np.ndarray:
 
     With K, L a block's Gram matrices with zeroed diagonals (Song et al. 2012),
     HSIC_u = [tr(KL) + 1'K1 1'L1 / ((B-1)(B-2)) - 2/(B-2) 1'KL1] / (B(B-3)).
-    A flat feature's value is set to exactly 0, as in `_quad_h_matrix`.
+    A feature with a constant kernel gets exactly 0, as in `_quad_h_matrix`.
     """
     B, m = block_size, Z.n // block_size
     Xb = Z.X[: m * B].reshape(m, B, 1, Z.d)
@@ -144,7 +151,7 @@ def _block_hsic(Z: JointSample, specs, specY, block_size: int) -> np.ndarray:
     eta = ((K * L[..., None]).sum(axis=2).sum(axis=1)
            + K_rows.sum(axis=1) * L_rows.sum(axis=1) / ((B - 1) * (B - 2))
            - 2.0 / (B - 2) * (K_rows * L_rows).sum(axis=1)) / (B * (B - 3))
-    eta[:, flat_columns(Z.X)] = 0.0
+    eta[:, _constant_kernel(Z.X, specs)] = 0.0
     return eta
 
 

@@ -46,7 +46,9 @@ def _apply(spec: KernelSpec | list[KernelSpec], sqdist: np.ndarray) -> np.ndarra
     if len(spec) != np.shape(sqdist)[-1]:
         raise DataShapeError("need one kernel spec per feature")
     if spec[0].family == GAUSSIAN:
-        return np.exp(-sqdist / (2.0 * np.array([s.bandwidth for s in spec]) ** 2))
+        bandwidth = np.array([s.bandwidth for s in spec])
+        # An infinite bandwidth gives the kernel's limit 1, also where sqdist overflows.
+        return np.exp(-np.where(np.isinf(bandwidth), 0.0, sqdist) / (2.0 * bandwidth ** 2))
     return (np.array([s.offset for s in spec]) ** 2 + sqdist) ** -0.5
 
 
@@ -76,8 +78,9 @@ def median_heuristic(pooled: np.ndarray) -> float:
     so frequent that the median itself is zero, the median of the positive
     squared distances is used instead, so the returned bandwidth is always
     positive; input with no positive squared distance (all rows identical,
-    or differences whose squares underflow) is an error.  One-column input
-    takes the exact sort-and-select path of `median_bandwidths`.
+    or differences whose squares underflow) or whose median squared distance
+    overflows is an error.  One-column input takes the exact sort-and-select
+    path of `median_bandwidths`.
     """
     pooled = np.asarray(pooled, dtype=float)
     if pooled.ndim == 1:
@@ -88,15 +91,18 @@ def median_heuristic(pooled: np.ndarray) -> float:
         width = float(median_bandwidths(pooled)[0])
         if np.isnan(width):
             raise DegenerateSampleError("no positive squared distance between rows")
-        return width
-    sq = pdist(pooled, "sqeuclidean")
-    med = float(np.median(sq))
-    if med <= 0.0:
-        positive = sq[sq > 0]
-        if positive.size == 0:
-            raise DegenerateSampleError("all rows identical: median distance is 0")
-        med = float(np.median(positive))
-    return float(np.sqrt(med / 2.0))
+    else:
+        sq = pdist(pooled, "sqeuclidean")
+        med = float(np.median(sq))
+        if med <= 0.0:
+            positive = sq[sq > 0]
+            if positive.size == 0:
+                raise DegenerateSampleError("all rows identical: median distance is 0")
+            med = float(np.median(positive))
+        width = float(np.sqrt(med / 2.0))
+    if np.isinf(width):
+        raise DegenerateSampleError("median squared distance overflows")
+    return width
 
 
 def flat_columns(A: np.ndarray) -> np.ndarray:
@@ -113,13 +119,15 @@ def flat_columns(A: np.ndarray) -> np.ndarray:
 
 # The largest double whose square rounds to 0.
 _SQUARE_UNDERFLOW = 1.5717277847026285e-162
-# Pairs drawn per column and round to bracket the target ranks, and the band
-# size per column below which the band is gathered and selected in.  Both
-# are fixed so that memory does not grow with the number of rows.
-_BRACKET_DRAWS = 1024
-_BAND_LIMIT = 4096
+# Most pairs drawn per column and round to bracket the target ranks, and the
+# band size per column at which the band is gathered and selected in.
+_BRACKET_DRAWS = 4096
+_BAND_LIMIT = 32768
+# Values per block of columns (m and the first round's draws per column), so
+# that the working arrays stay in cache.
+_BLOCK_VALUES = 1 << 16
 # Bracket half-width in sampling standard deviations of the target quantile.
-_BRACKET_Z = 3.0
+_BRACKET_Z = 2.0
 # The draws only steer the search; every result is exact whatever they are.
 _BRACKET_SEED = 0x5E1EC7
 
@@ -127,15 +135,12 @@ _BRACKET_SEED = 0x5E1EC7
 def median_bandwidths(pooled: np.ndarray) -> np.ndarray:
     """Median-heuristic bandwidths of every column of an (m, d) array at once.
 
-    Entry c equals ``median_heuristic(pooled[:, [c]])`` bit for bit,
-    including the fall-back to the positive squared differences; a flat
-    column (see `flat_columns`) gets NaN.  Each column is sorted once; the
-    m(m-1)/2 differences fl(x_j - x_i) of a sorted column are monotone in j,
-    so their order statistics are selected by counting (Johnson & Mizoguchi
-    1978; Croux & Rousseeuw 1992), never forming all pairs: each round costs
-    O(m log m) per column and shrinks the candidates by a roughly constant
-    factor.  Squaring is monotone too, so the middle squared differences are
-    the squares of the middle differences.
+    Entry c equals ``median_heuristic(pooled[:, [c]])`` bit for bit, with the
+    fall-back to the positive squared differences; a flat column (see
+    `flat_columns`) gets NaN and one whose median square overflows inf.  The
+    differences fl(x_j - x_i) of a sorted column are monotone in j, and so are
+    their squares, so the middle ones are selected by counting (Johnson &
+    Mizoguchi 1978; Croux & Rousseeuw 1992), never forming all m(m-1)/2 pairs.
     """
     pooled = np.asarray(pooled, dtype=float)
     if pooled.ndim != 2 or pooled.shape[0] < 2:
@@ -143,156 +148,150 @@ def median_bandwidths(pooled: np.ndarray) -> np.ndarray:
     if not np.isfinite(pooled).all():
         raise ValueError("data contain NaN or infinite values")
     m = pooled.shape[0]
-    n_pairs = m * (m - 1) // 2
     flat = flat_columns(pooled)
-    xs = np.ascontiguousarray(np.sort(pooled[:, ~flat], axis=0).T)
+    xs = np.sort(pooled[:, ~flat].T, axis=1)
+    block = max(1, _BLOCK_VALUES // (m + min(_BRACKET_DRAWS, int((m * m / 2) ** (2 / 3)))))
+    rng = np.random.default_rng(_BRACKET_SEED)
     # Differences and squares may overflow to inf, as they do in `pdist`.
     with np.errstate(over="ignore"):
-        med = _median_square(xs, np.array([[(n_pairs - 1) // 2, n_pairs // 2]]))
-        zero = med <= 0.0
-        if zero.any():
-            # Rank the positive squared differences past the z that round to 0.
-            xz = xs[zero]
-            z = (_ends(xz, np.full(len(xz), _SQUARE_UNDERFLOW))[1] - np.arange(1, m + 1)).sum(axis=1)
-            positive = n_pairs - z
-            med[zero] = _median_square(xz, z[:, None] + np.stack([(positive - 1) // 2, positive // 2], 1))
+        med = np.concatenate([_median_square(_Columns(xs[c:c + block]), 0, rng)
+                              for c in range(0, len(xs), block)] + [[]])
+        zero = np.flatnonzero(med <= 0.0)
+        if zero.size:  # rank the positive squared differences past the z that round to 0
+            cz = _Columns(xs[zero])
+            med[zero] = _median_square(cz, (cz.ends(np.full(zero.size, _SQUARE_UNDERFLOW))[1] - cz.first).sum(1), rng)
     widths = np.full(pooled.shape[1], np.nan)
     widths[~flat] = np.sqrt(med / 2.0)
     return widths
 
 
-def _median_square(xs: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """The median of each row's squared differences, given the ranks of its
-    middle element(s), combined as `np.median` combines them."""
-    ranks = np.broadcast_to(ranks, (xs.shape[0], 2))
-    sq = _differences_at_ranks(xs, ranks) ** 2
-    return np.where(ranks[:, 0] == ranks[:, 1], sq[:, 0], (sq[:, 0] + sq[:, 1]) / 2.0)
+def _median_square(cols: "_Columns", skip: int | np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Each column's median squared difference past its ``skip`` smallest, as `np.median` has it."""
+    skip = np.broadcast_to(skip, cols.d)
+    n = cols.m * (cols.m - 1) // 2 - skip
+    sq = _differences_at_ranks(cols, np.stack([(n - 1) // 2, n // 2], 1) + skip[:, None], rng) ** 2
+    return np.where(n % 2 == 1, sq[:, 0], (sq[:, 0] + sq[:, 1]) / 2.0)
 
 
-def _differences_at_ranks(xs: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """(d, 2) values at the 0-based ``ranks`` among the sorted differences
-    fl(xs[c, j] - xs[c, i]), i < j, of each sorted row c of ``xs``.
+def _differences_at_ranks(cols: "_Columns", ranks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(d, 2) values at the 0-based ``ranks`` (equal or adjacent) among the
+    sorted differences fl(xs[c, j] - xs[c, i]), i < j, of each column c.
 
-    The candidates of row c form a band, the open value interval
-    (low[c], high[c]): row i holds it at j in [lo_end[c, i], hi_end[c, i]),
-    and below[c] differences precede it.  Each round brackets the open ranks
-    by quantiles of differences drawn from the band, counts exactly where
-    the two bracket values fall, and so resolves a rank that lands on a
-    bracket value or narrows the band to the open interval between them.
-    A band of at most `_BAND_LIMIT` differences is gathered and partitioned.
+    The candidates of column c form a band, the open value interval between
+    bounds[c]: row i holds it at j in [lo_end[c, i], hi_end[c, i]), and below[c]
+    differences precede it.  Each round brackets the open ranks by quantiles of
+    differences drawn from the band and counts exactly where the two bracket
+    values fall: a rank lands on one, or the band narrows to the interval
+    between them.  A band of at most `_BAND_LIMIT` is gathered and partitioned.
     """
-    d, m = xs.shape
-    first = np.arange(1, m + 1)
-    low, high = np.full(d, -np.inf), np.full(d, np.inf)
-    lo_end, hi_end = np.tile(first, (d, 1)), np.full((d, m), m)
-    below = np.zeros(d, dtype=np.int64)
-    found = np.full((d, 2), np.nan)
-    rng = np.random.default_rng(_BRACKET_SEED)
+    d, m = cols.d, cols.m
+    bounds, below, found = np.tile([-np.inf, np.inf], (d, 1)), np.zeros(d, dtype=np.int64), np.full((d, 2), np.nan)
+    lo_end, hi_end = np.tile(cols.first, (d, 1)), np.full((d, m), m)
     while True:
-        size = (hi_end - lo_end).sum(axis=1)
+        size = hi_end.sum(axis=1) - lo_end.sum(axis=1)
         act = np.flatnonzero(np.isnan(found).any(axis=1) & (size > _BAND_LIMIT))
         if not act.size:
             break
-        xa, k, open_ = xs[act], ranks[act], np.isnan(found[act])
-        sample = np.sort(_band_draws(xa, lo_end[act], hi_end[act], rng), axis=1)
-        rel = k - below[act, None]
-        low_v = _bracket_value(sample, np.where(open_[:, 0], rel[:, 0], rel[:, 1]),
-                               size[act], -1, low[act])
-        high_v = _bracket_value(sample, np.where(open_[:, 1], rel[:, 1], rel[:, 0]),
-                                size[act], 1, high[act])
-        lt_low, le_low = _ends(xa, low_v)
-        lt_high, le_high = _ends(xa, high_v)
-        a, b, c, e = ((E - first).sum(axis=1)[:, None] for E in (lt_low, le_low, lt_high, le_high))
+        ca, k, open_ = cols.subset(act), ranks[act], np.isnan(found[act])
+        # size**(2/3) balances draws and band left; from 16 on, one bracket is always drawn.
+        draws = min(_BRACKET_DRAWS, max(16, int(size[act].max() ** (2 / 3))))
+        sample = np.sort(ca.band(lo_end[act], hi_end[act], draws, rng), axis=1)
+        # Brackets: sample quantiles likely below and above the open ranks, else the bounds.
+        q = (np.where(open_, k, k[:, ::-1]) - below[act, None] + 0.5) / size[act, None]
+        pos = q * draws + [-1, 1] * (_BRACKET_Z * np.sqrt(draws * q * (1.0 - q)) + 1.0)
+        pos = np.stack([np.floor(pos[:, 0]), np.ceil(pos[:, 1])], 1).astype(np.intp)
+        v = np.where((pos >= 0) & (pos < draws),
+                     np.take_along_axis(sample, np.clip(pos, 0, draws - 1), 1), bounds[act])
+        lt_low, le_low = ca.ends(v[:, 0])
+        lt_high, le_high = ca.ends(v[:, 1])
+        a, b, c, e = (E.sum(axis=1)[:, None] - ca.first.sum() for E in (lt_low, le_low, lt_high, le_high))
         at_low, at_high = open_ & (a <= k) & (k < b), open_ & (c <= k) & (k < e)
         inside = (b <= k) & (k < c)
-        found[act] = np.where(at_low, low_v[:, None], np.where(at_high, high_v[:, None], found[act]))
+        found[act] = np.where(at_low, v[:, :1], np.where(at_high, v[:, 1:], found[act]))
         # A rank outside [a, e) means the draws missed it: keep the band and draw again.
         held = (~open_ | at_low | at_high | inside).all(axis=1)
         upd = act[held]
-        low[upd], high[upd], below[upd] = low_v[held], high_v[held], b[held, 0]
+        bounds[upd], below[upd] = v[held], b[held, 0]
         lo_end[upd], hi_end[upd] = le_low[held], lt_high[held]
-    # Gather each remaining band and select in it, one column at a time.
-    flat = xs.ravel()
-    for col in np.flatnonzero(np.isnan(found).any(axis=1)):
-        row, j = _band_rows(lo_end[col:col + 1], hi_end[col:col + 1], np.arange(size[col]))
-        band = flat[col * m + j] - flat[col * m + row]
-        open_ = np.isnan(found[col])
-        rel = ranks[col, open_] - below[col]
-        found[col, open_] = np.partition(band, rel)[rel]
+    # Gather the remaining bands and select in each from its lower open rank.
+    open_ = np.isnan(found)
+    left = np.flatnonzero(open_.any(axis=1))
+    k = np.where(open_[left], ranks[left], ranks[left, ::-1]) - below[left, None]
+    bands = np.split(cols.subset(left).band(lo_end[left], hi_end[left]), np.cumsum(size[left])[:-1])
+    for row, values, (r, r1) in zip(left, bands, k):
+        values = np.partition(values, r)
+        found[row] = np.where(open_[row], (values[r], values[r + 1:].min() if r1 > r else values[r]), found[row])
     return found
 
 
-def _band_rows(lo_end: np.ndarray, hi_end: np.ndarray, offsets: np.ndarray):
-    """Flat row index (c*m + i) and column j of the band members at ``offsets``,
-    positions counted over the bands of all columns laid end to end."""
-    width = (hi_end - lo_end).ravel()
-    ends = np.cumsum(width)
-    row = np.searchsorted(ends, offsets, "right")
-    return row, lo_end.ravel()[row] + offsets - (ends[row] - width[row])
+class _Columns:
+    """Sorted columns as rows, with each position's run of equal values: its first index, one past its last."""
 
+    def __init__(self, xs: np.ndarray):
+        self.xs = np.ascontiguousarray(xs)
+        self.d, self.m = d, m = self.xs.shape
+        self.flat, self.first, self.base = self.xs.ravel(), np.arange(1, m + 1), np.arange(0, d * m, m)[:, None]
+        new = np.ones((d, m + 1), dtype=bool)
+        new[:, 1:-1] = self.xs[:, 1:] != self.xs[:, :-1]
+        at = np.arange(m + 1)
+        self.runs = (np.maximum.accumulate(np.where(new[:, :-1], at[:-1], 0), axis=1).ravel(),
+                     np.minimum.accumulate(np.where(new[:, :0:-1], at[:0:-1], m), axis=1)[:, ::-1].ravel())
 
-def _band_draws(xs: np.ndarray, lo_end: np.ndarray, hi_end: np.ndarray,
-                rng: np.random.Generator) -> np.ndarray:
-    """(d, _BRACKET_DRAWS) differences drawn uniformly, with replacement, from each band."""
-    d, m = xs.shape
-    size = (hi_end - lo_end).sum(axis=1)
-    offsets = (np.cumsum(size) - size)[:, None] + rng.integers(0, size[:, None], (d, _BRACKET_DRAWS))
-    row, j = _band_rows(lo_end, hi_end, offsets.ravel())
-    flat = xs.ravel()
-    return (flat[row - row % m + j] - flat[row]).reshape(d, _BRACKET_DRAWS)
+    def subset(self, rows: np.ndarray) -> "_Columns":
+        return self if rows.size == self.d else _Columns(self.xs[rows])
 
+    def band(self, lo_end: np.ndarray, hi_end: np.ndarray, draws: int | None = None,
+             rng: np.random.Generator | None = None) -> np.ndarray:
+        """The differences fl(xs[c, j] - xs[c, i]), lo_end[c, i] <= j < hi_end[c, i], row
+        by row: all, or ``draws`` per column, each member equally likely.  Evenly
+        spaced positions with a random phase share the draws out among the rows
+        without a search; each row places its own at random, since rows about as
+        wide as the spacing would otherwise all be drawn at one offset."""
+        width = hi_end - lo_end
+        start = (lo_end + self.base).ravel()
+        if draws is None:
+            count = width.ravel()
+            at = np.repeat(start - np.cumsum(count) + count, count)
+            at += np.arange(at.size)
+        else:
+            count = np.cumsum(width, axis=1) * (draws / width.sum(axis=1, keepdims=True))
+            count = np.minimum((count + rng.random((self.d, 1))).astype(np.intp), draws)
+            count[:, -1] = draws
+            count = np.diff(count, axis=1, prepend=0).ravel()
+            # u < 1 - 2**-53, so fl(u * width) < width.
+            at = (rng.random(draws * self.d) * np.repeat(width.ravel(), count)).astype(np.intp) + np.repeat(start, count)
+        values = self.flat[at]
+        values -= np.repeat(self.flat, count)
+        return values if draws is None else values.reshape(self.d, draws)
 
-def _bracket_value(sample: np.ndarray, rank: np.ndarray, size: np.ndarray, side: int,
-                   fallback: np.ndarray) -> np.ndarray:
-    """A sample quantile that lies below (side -1) or above (side 1) the
-    band's rank-``rank`` difference with high probability; ``fallback``
-    where that quantile falls outside the sample."""
-    draws = sample.shape[1]
-    q = (rank + 0.5) / size
-    pos = q * draws + side * (_BRACKET_Z * np.sqrt(draws * q * (1.0 - q)) + 1.0)
-    pos = (np.floor(pos) if side < 0 else np.ceil(pos)).astype(np.int64)
-    inside = (pos >= 0) & (pos < draws)
-    return np.where(inside, sample[np.arange(len(pos)), np.clip(pos, 0, draws - 1)], fallback)
+    def ends(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Two (d, m) arrays whose entry (c, i) is the first j > i at which
+        fl(xs[c, j] - xs[c, i]) < v[c], respectively <= v[c], fails (m if none).
+        A float `searchsorted` of xs[c] + v[c] per column is the first guess, one
+        pass checks every row, and `_settle` moves the flagged ones.  Every
+        difference before the first end is < v, so the second moves on from it."""
+        lt = np.maximum(np.array([x.searchsorted(q) for x, q in zip(self.xs, self.xs + v[:, None])]), self.first)
+        vv = v[:, None]
+        ahead = self.flat[np.minimum(lt, self.m - 1) + self.base] - self.xs  # NaN past the last row
+        ahead[lt == self.m] = np.nan
+        behind = self.flat[lt + (self.base - 1)] - self.xs
+        self._settle(lt, v, np.less, np.greater_equal, ahead,
+                     np.flatnonzero((ahead < vv) | ((behind >= vv) & (lt > self.first))))
+        le = lt.copy()
+        self._settle(le, v, np.less_equal, None, ahead, np.flatnonzero(ahead <= vv))
+        return lt, le
 
-
-def _column_keys(values: np.ndarray) -> np.ndarray:
-    """Flat complex keys c + 1j*values[c, i], which sort by row c, then by value.
-    Set part by part: 1j * inf would make the real part NaN."""
-    keys = np.empty(values.size, dtype=complex)
-    keys.real = np.repeat(np.arange(values.shape[0]), values.shape[1])
-    keys.imag = values.ravel()
-    return keys
-
-
-def _ends(xs: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two (d, m) arrays whose entry (c, i) is the first j > i at which
-    fl(xs[c, j] - xs[c, i]) < v[c], respectively <= v[c], fails (m if none).
-    The rows of ``xs`` are sorted, so the differences of a row are monotone.
-
-    A `searchsorted` for xs[c, i] + v[c] is the first guess, and the first
-    result is the guess for the second.  The fix-up then moves each end past,
-    or back before, whole runs of equal values until the rounded difference
-    itself decides.  All rows of all columns are searched in one call:
-    complex keys c + 1j*x sort by column, then by value.
-    """
-    d, m = xs.shape
-    flat = xs.ravel()
-    keys = _column_keys(xs)
-    start = np.repeat(np.arange(d) * m, m)
-    vi = np.repeat(v, m)
-    end = np.searchsorted(keys, _column_keys(xs + v[:, None]), "left")
-    every = np.arange(d * m)
-    out = []
-    for op in (np.less, np.less_equal):
-        rows = slice(None)
-        while True:
-            e, s, x0, vv = end[rows], start[rows], flat[rows], vi[rows]
-            back = every[rows][(e > s) & ~op(flat[np.maximum(e - 1, s)] - x0, vv)]
-            fwd = every[rows][(e < s + m) & op(flat[np.minimum(e, s + m - 1)] - x0, vv)]
-            if not (back.size or fwd.size):
-                break
-            end[back] = np.searchsorted(keys, keys[end[back] - 1], "left")
-            end[fwd] = np.searchsorted(keys, keys[end[fwd]], "right")
-            rows = np.concatenate([back, fwd])
-        out.append(np.maximum(end.reshape(d, m) - start.reshape(d, m), np.arange(1, m + 1)))
-    return tuple(out)
+    def _settle(self, end, v, holds, fails, ahead, rows) -> None:
+        """Move the ends at the flat ``rows`` in place, over runs of equal values, until
+        holds(difference, v) fails at the end and holds before it; ``fails`` negates
+        holds, or is None if no end is too far.  ``ahead`` tracks the end's difference."""
+        m, end, ahead = self.m, end.reshape(-1), ahead.reshape(-1)
+        while rows.size:
+            col0, x0, vv, e = rows - rows % m, self.flat[rows], v[rows // m], end[rows]
+            back = fails(self.flat[col0 + e - 1] - x0, vv) & (col0 + e > rows + 1) if fails else False
+            fwd = holds(ahead[rows], vv)
+            e = np.where(back, np.maximum(self.runs[0][col0 + e - 1], rows - col0 + 1),
+                         np.where(fwd, self.runs[1][col0 + np.minimum(e, m - 1)], e))
+            end[rows] = e
+            ahead[rows] = np.where(e < m, self.flat[col0 + np.minimum(e, m - 1)] - x0, np.nan)
+            rows = rows[back | fwd]

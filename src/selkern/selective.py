@@ -185,8 +185,10 @@ def _feature_specs(config: RunConfig, *column_sources: np.ndarray) -> list[Kerne
     widths = median_bandwidths(np.concatenate([np.atleast_2d(m) for m in column_sources]))
     # A flat column (width NaN) has no positive squared difference, so its
     # h-values are 0 under any bandwidth: it gets 1.0 and falls back to p = 1.
+    # A column whose median square overflows (width inf) keeps the infinite
+    # width, whose kernel is constant, so it falls back to p = 1 as well.
     if config.shared_bandwidth:
-        varying = widths[~np.isnan(widths)]
+        varying = widths[np.isfinite(widths)]
         widths = np.full(d, np.median(varying) if varying.size else np.nan)
     return [KernelSpec(bandwidth=1.0 if np.isnan(w) else float(w)) for w in widths]
 

@@ -38,6 +38,11 @@ def test_csv_round_trip(tmp_path):
     assert names == ["a", "b", "c", "d"]
     assert np.abs(loaded - values).max() <= 1e-12
     assert np.array_equal(loaded, values)  # 17 significant digits are lossless
+    # Every spelling float() accepts reads as float() reads it, bit for bit.
+    cells = ["1_000", " 1.5 ", "+1e5", "\uff11\uff12", "-0", ".5", "5.", "1E-400"]
+    path.write_text("a,b,c,d,e,f,g,h\n" + ",".join(cells) + "\n", encoding="utf-8")
+    loaded, _ = load_csv(str(path))
+    assert loaded.view(np.int64).tolist() == [np.array([float(c) for c in cells]).view(np.int64).tolist()]
 
 
 def test_csv_without_header(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from selkern import (
     median_heuristic,
     mmd_multistat,
 )
+from selkern import kernels
 from selkern.kernels import _SQUARE_UNDERFLOW, median_bandwidths
 from selkern.selective import _feature_specs
 
@@ -227,12 +229,25 @@ def _bandwidth_columns(draw):
 def test_median_bandwidths_match_pdist(pooled):
     expected = [_pdist_median_width(col) for col in pooled.T]
     assert np.array_equal(median_bandwidths(pooled), expected, equal_nan=True)
+    # With a small band limit and draw count, these sizes run through several
+    # counting rounds, their fix-ups and redraws, not only the final gather.
+    with mock.patch.multiple(kernels, _BAND_LIMIT=64, _BRACKET_DRAWS=64):
+        assert np.array_equal(median_bandwidths(pooled), expected, equal_nan=True)
 
 
 def test_median_bandwidths_match_pdist_large_column():
     rng = np.random.default_rng(31)
     col = rng.standard_normal(4000)
-    pooled = np.column_stack([col, np.round(col, 1)])
+    pooled = np.column_stack([
+        col,
+        np.round(col, 1),
+        rng.choice([0.0, 1.0], 4000),
+        rng.choice([-1.5, -0.0, 0.0, 0.25, 1.0, 2.0], 4000),
+        rng.choice([0.0, 1e-170, 3e-170, 1.5e-162, 1.6e-162, 1.0], 4000),
+        np.exp(rng.uniform(-40.0, 40.0, 4000)),
+        # Differences of 1e308 and 2e308 square to inf: the width is inf.
+        rng.choice([-1e308, 0.0, 1e308], 4000),
+    ])
     assert np.array_equal(median_bandwidths(pooled), [_pdist_median_width(c) for c in pooled.T])
 
 

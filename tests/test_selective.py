@@ -224,35 +224,45 @@ def test_block_estimator_path():
 def test_degenerate_feature_yields_conservative_p():
     # A constant column and a column whose differences all square to 0 have
     # zero h-variance; the test flags each and reports 1, under a fixed
-    # bandwidth and under the median heuristic, for MMD and HSIC.
+    # bandwidth and under the median heuristic, for MMD and HSIC.  A column
+    # whose median squared difference overflows has an infinite median-heuristic
+    # width, so a constant kernel: it is flagged wherever its own width is used.
     rng = derive_rng(9)
     tiny = np.where(rng.random((80, 2)) < 0.5, 0.0, 1e-170)
     X = np.hstack([rng.standard_normal((80, 1)), np.zeros((80, 1)), tiny[:, :1]])
     Y = np.hstack([rng.standard_normal((80, 1)) + 1.5, np.zeros((80, 1)), tiny[:, 1:]])
-    Z = JointSample(X, X[:, 0] + rng.standard_normal(80))
+    response = X[:, 0] + rng.standard_normal(80)
+    huge = rng.choice([-1e308, 0.0, 1e308], (80, 2))
+    X, Y = np.hstack([X, huge[:, :1]]), np.hstack([Y, huge[:, 1:]])
+    Z = JointSample(X, response)
     cases = [
-        ((X, Y), RunConfig(seed=41, k=3, bandwidth=1.0)),
-        ((X, Y), RunConfig(seed=41, k=3, bandwidth=None)),
-        ((X, Y), RunConfig(seed=41, k=3, method="poly-mmd", shared_bandwidth=True)),
-        (Z, RunConfig(seed=41, k=3, method="multi-hsic")),
-        (Z, RunConfig(seed=41, k=3, method="poly-hsic", estimator="block", block_size=8)),
+        ((X, Y), RunConfig(seed=41, k=4, bandwidth=1.0), (1, 2)),
+        ((X, Y), RunConfig(seed=41, k=4, bandwidth=None), (1, 2, 3)),
+        ((X, Y), RunConfig(seed=41, k=4, method="poly-mmd"), (1, 2, 3)),
+        ((X, Y), RunConfig(seed=41, k=4, method="poly-mmd", shared_bandwidth=True), (1, 2)),
+        (Z, RunConfig(seed=41, k=4, method="multi-hsic"), (1, 2, 3)),
+        (Z, RunConfig(seed=41, k=4, method="poly-hsic", estimator="block", block_size=8), (1, 2, 3)),
     ]
-    for data, config in cases:
-        with warnings.catch_warnings():
+    for data, config, degenerate in cases:
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.simplefilter("ignore", ScalesDroppedWarning)
             report = select_and_test(data, config)
         flagged = {d["feature"]: d for d in report.diagnostics}
         p_by_feature = dict(zip(report.selected, report.p_values))
-        for feature in (1, 2):
+        assert all(0.0 <= p <= 1.0 for p in report.p_values), config
+        for feature in degenerate:
             assert flagged[feature]["fallback"] == "degenerate-variance", config
             assert p_by_feature[feature] == 1.0
 
 
 def test_constant_response_still_raises():
+    # So does a response whose median squared difference overflows: its
+    # median-heuristic width is infinite and its kernel constant.
     rng = derive_rng(9)
-    Z = JointSample(rng.standard_normal((40, 3)), np.ones(40))
-    with pytest.raises(DegenerateSampleError):
-        select_and_test(Z, RunConfig(seed=1, k=2, method="multi-hsic"))
+    X = rng.standard_normal((40, 3))
+    for y in (np.ones(40), np.resize([-1e308, 0.0, 1e308], 40)):
+        with pytest.raises(DegenerateSampleError), np.errstate(over="ignore"):
+            select_and_test(JointSample(X, y), RunConfig(seed=1, k=2, method="multi-hsic"))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
