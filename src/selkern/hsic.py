@@ -126,8 +126,10 @@ def _quad_h_matrix(Z: JointSample, specs, specY, design: Design) -> np.ndarray:
     is set to 0 directly.
     """
     a, b = design.tuples[:, _PAIRS].transpose(2, 0, 1)
-    K = _apply(specs, (Z.X[a] - Z.X[b]) ** 2)
-    L = _apply(specY, ((Z.Y[a] - Z.Y[b]) ** 2).sum(axis=-1))
+    # Differences and squares may overflow to inf; the kernel takes its limit there.
+    with np.errstate(over="ignore"):
+        K = _apply(specs, (Z.X[a] - Z.X[b]) ** 2)
+        L = _apply(specY, ((Z.Y[a] - Z.Y[b]) ** 2).sum(axis=-1))
     H = _h_from_pairs(K, L[..., None])
     H[:, _constant_kernel(Z.X, specs)] = 0.0
     return H
@@ -143,8 +145,9 @@ def _block_hsic(Z: JointSample, specs, specY, block_size: int) -> np.ndarray:
     B, m = block_size, Z.n // block_size
     Xb = Z.X[: m * B].reshape(m, B, 1, Z.d)
     Yb = Z.Y[: m * B].reshape(m, B, 1, -1)
-    K = _apply(specs, (Xb - Xb.transpose(0, 2, 1, 3)) ** 2)
-    L = _apply(specY, ((Yb - Yb.transpose(0, 2, 1, 3)) ** 2).sum(axis=-1))
+    with np.errstate(over="ignore"):  # as in `_quad_h_matrix`
+        K = _apply(specs, (Xb - Xb.transpose(0, 2, 1, 3)) ** 2)
+        L = _apply(specY, ((Yb - Yb.transpose(0, 2, 1, 3)) ** 2).sum(axis=-1))
     K[:, range(B), range(B)] = 0.0
     L[:, range(B), range(B)] = 0.0
     K_rows, L_rows = K.sum(axis=2), L.sum(axis=2)[..., None]

@@ -130,6 +130,9 @@ _BLOCK_VALUES = 1 << 16
 _BRACKET_Z = 2.0
 # The draws only steer the search; every result is exact whatever they are.
 _BRACKET_SEED = 0x5E1EC7
+# Bracketing rounds before the search gives up; 2 to 4 occur in practice, so
+# reaching the cap means biased draws or counts, not bad luck.
+_MAX_ROUNDS = 64
 
 
 def median_bandwidths(pooled: np.ndarray) -> np.ndarray:
@@ -183,15 +186,18 @@ def _differences_at_ranks(cols: "_Columns", ranks: np.ndarray, rng: np.random.Ge
     differences drawn from the band and counts exactly where the two bracket
     values fall: a rank lands on one, or the band narrows to the interval
     between them.  A band of at most `_BAND_LIMIT` is gathered and partitioned.
+    More than `_MAX_ROUNDS` rounds raise `RuntimeError`.
     """
     d, m = cols.d, cols.m
     bounds, below, found = np.tile([-np.inf, np.inf], (d, 1)), np.zeros(d, dtype=np.int64), np.full((d, 2), np.nan)
     lo_end, hi_end = np.tile(cols.first, (d, 1)), np.full((d, m), m)
-    while True:
+    for rounds in range(_MAX_ROUNDS + 1):
         size = hi_end.sum(axis=1) - lo_end.sum(axis=1)
         act = np.flatnonzero(np.isnan(found).any(axis=1) & (size > _BAND_LIMIT))
         if not act.size:
             break
+        if rounds == _MAX_ROUNDS:
+            raise RuntimeError(f"difference ranks not bracketed after {_MAX_ROUNDS} rounds")
         ca, k, open_ = cols.subset(act), ranks[act], np.isnan(found[act])
         # size**(2/3) balances draws and band left; from 16 on, one bracket is always drawn.
         draws = min(_BRACKET_DRAWS, max(16, int(size[act].max() ** (2 / 3))))

@@ -63,8 +63,10 @@ def _pair_h(Xi, Yi, Xj, Yj, spec: KernelSpec | list[KernelSpec]) -> np.ndarray:
     on whole rows, (l, d) with a list of d specs, spec f on column f."""
 
     def k(A, B):
-        diff = A - B
-        sq = np.einsum("ij,ij->i", diff, diff) if isinstance(spec, KernelSpec) else diff**2
+        # Differences and squares may overflow to inf; the kernel takes its limit there.
+        with np.errstate(over="ignore"):
+            diff = A - B
+            sq = np.einsum("ij,ij->i", diff, diff) if isinstance(spec, KernelSpec) else diff**2
         return _apply(spec, sq)
 
     return k(Xi, Xj) + k(Yi, Yj) - k(Xj, Yi) - k(Xi, Yj)

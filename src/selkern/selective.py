@@ -118,47 +118,67 @@ def _truncnorm_sf(t, var: float, vminus, vplus) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
+def poly_truncation_intervals(
+    t: np.ndarray,
+    sigma: np.ndarray,
+    selected: SelectionResult,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Truncation intervals of every selected coordinate under the top-k selection.
+
+    The event "the selected set beat every unselected coordinate" is the
+    constraint set {t_b - t_a <= 0 : a selected, b not}.  Decomposing t along
+    eta = e_i gives the data-dependent interval of the standard polyhedral
+    lemma; with k = d there are no constraints and the interval is the line.
+    Entry j of both arrays belongs to ``selected.selected[j]``; a feature
+    with non-positive variance gets NaN at both ends.  The constraints are
+    visited one selected a at a time, on (d - k, k) blocks.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    sigma = np.asarray(sigma, dtype=float)
+    sel = np.array(selected.selected, dtype=np.intp)
+    var = sigma[sel, sel]
+    rest = np.ones(t.shape[0], dtype=bool)
+    rest[sel] = False
+    # A nearly parallel constraint gives an infinite ratio, a valid bound.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # Column j holds feature sel[j]'s c = Sigma e_i / var_i and z = t - c t_i.
+        c = sigma[:, sel] / var
+        z = t[:, None] - c * t[sel]
+        c_rest, z_rest = c[rest], z[rest]
+        vminus, vplus = np.full(sel.size, -np.inf), np.full(sel.size, np.inf)
+        for a in sel:
+            # Constraint row t_b - t_a <= 0 has A_j y = y_b - y_a.  A NaN among
+            # a feature's ratios voids constraint a's bound for it (fmax, fmin).
+            ac = c_rest - c[a]
+            ratio = -(z_rest - z[a]) / ac
+            np.fmax(vminus, np.where(ac < 0, ratio, -np.inf).max(axis=0, initial=-np.inf), out=vminus)
+            np.fmin(vplus, np.where(ac > 0, ratio, np.inf).min(axis=0, initial=np.inf), out=vplus)
+    degenerate = ~(var > 0)
+    vminus[degenerate] = vplus[degenerate] = np.nan
+    return vminus, vplus
+
+
+def _feature_interval(i: int, vminus: float, vplus: float) -> tuple[float, float]:
+    """Feature i's entry of `poly_truncation_intervals` as floats, or the error its NaN stands for."""
+    if np.isnan(vminus):
+        raise DegenerateFeatureError(f"feature {i} has non-positive variance")
+    return float(vminus), float(vplus)
+
+
 def poly_truncation_interval(
     t: np.ndarray,
     sigma: np.ndarray,
     selected: SelectionResult,
     i: int,
 ) -> tuple[float, float]:
-    """Truncation interval for coordinate i under the top-k selection event.
-
-    The event "the selected set beat every unselected coordinate" is the
-    constraint set {t_b - t_a <= 0 : a selected, b not}.  Decomposing t along
-    eta = e_i gives the data-dependent interval of the standard polyhedral
-    lemma; with k = d there are no constraints and the interval is the line.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    sigma = np.asarray(sigma, dtype=float)
-    d = t.shape[0]
-    sel = list(selected.selected)
-    if i not in sel:
+    """Truncation interval for selected coordinate i: its entry of
+    `poly_truncation_intervals`.  Raises `DegenerateFeatureError` if
+    feature i has non-positive variance."""
+    if i not in selected.selected:
         raise ValueError(f"feature {i} is not in the selected set")
-    rest = [j for j in range(d) if j not in sel]
-    eta_var = float(sigma[i, i])
-    if eta_var <= 0:
-        raise DegenerateFeatureError(f"feature {i} has non-positive variance")
-    if not rest:
-        return -np.inf, np.inf
-    c = sigma[:, i] / eta_var
-    z = t - c * t[i]
-    vminus, vplus = -np.inf, np.inf
-    for a in sel:
-        # Constraint row t_b - t_a <= 0 has A_j y = y_b - y_a.
-        ac = c[rest] - c[a]
-        az = z[rest] - z[a]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = -az / ac
-        neg = ac < 0
-        pos = ac > 0
-        if neg.any():
-            vminus = max(vminus, float(ratio[neg].max()))
-        if pos.any():
-            vplus = min(vplus, float(ratio[pos].min()))
-    return vminus, vplus
+    j = selected.selected.index(i)
+    vminus, vplus = poly_truncation_intervals(t, sigma, selected)
+    return _feature_interval(i, vminus[j], vplus[j])
 
 
 def poly_p(t_i: float, var_i: float, vminus: float, vplus: float) -> float:
@@ -245,11 +265,23 @@ def _top_k_fractions(draws: np.ndarray, k: int) -> np.ndarray:
     """Fraction of the rows of ``draws`` in which each column is among the k largest.
 
     Column i counts in a row exactly when `selection_indicator(i, k)` contains
-    that row: a stable descending sort ranks equal coordinates by index, the
-    tie rule of `select_top_k`.
+    that row.  A row's k-th largest value v comes from one partition; every
+    entry above v counts, and of the entries equal to v the lowest-index ones
+    fill the remaining places, the tie rule of `select_top_k`.
     """
-    top = np.argsort(-draws, axis=1, kind="stable")[:, :k]
-    return np.bincount(top.ravel(), minlength=draws.shape[1]) / draws.shape[0]
+    b, d = draws.shape
+    if k == d:
+        return np.ones(d)
+    v = np.partition(draws, d - k, axis=1)[:, d - k, None]
+    top = draws >= v
+    # Only rows with more than k entries at or above v have ties to break.
+    tied = np.flatnonzero(np.count_nonzero(top, axis=1) > k)
+    if tied.size:
+        rows, at = draws[tied], v[tied]
+        above, equal = rows > at, rows == at
+        places = k - np.count_nonzero(above, axis=1)
+        top[tied] = above | (equal & (np.cumsum(equal, axis=1) <= places[:, None]))
+    return np.count_nonzero(top, axis=0) / b
 
 
 def _selection_fractions(t: np.ndarray, chol: np.ndarray, k: int, scales, seed: int) -> np.ndarray:
@@ -325,10 +357,10 @@ def _multiscale_report(stat: MultiStat, n: int, config: RunConfig) -> SelectiveR
     return _report(stat, sel, tests, config)
 
 
-def _poly_feature_test(stat: MultiStat, sel: SelectionResult, i: int) -> tuple[float, dict]:
+def _poly_feature_test(stat: MultiStat, i: int, vminus: float, vplus: float) -> tuple[float, dict]:
     diag: dict = {"feature": i, "name": stat.feature_names[i]}
     try:
-        vminus, vplus = poly_truncation_interval(stat.t, stat.sigma, sel, i)
+        vminus, vplus = _feature_interval(i, vminus, vplus)
     except DegenerateFeatureError as exc:
         diag.update({"error": str(exc), "fallback": "degenerate-variance"})
         return 1.0, diag
@@ -346,7 +378,8 @@ def _poly_feature_test(stat: MultiStat, sel: SelectionResult, i: int) -> tuple[f
 
 def _poly_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
     sel = select_top_k(stat.t, config.k)
-    return _report(stat, sel, [_poly_feature_test(stat, sel, i) for i in sel.selected], config)
+    intervals = zip(sel.selected, *poly_truncation_intervals(stat.t, stat.sigma, sel))
+    return _report(stat, sel, [_poly_feature_test(stat, *interval) for interval in intervals], config)
 
 
 def selective_report(stat: MultiStat, n: int, config: RunConfig) -> SelectiveReport:

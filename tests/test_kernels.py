@@ -251,6 +251,20 @@ def test_median_bandwidths_match_pdist_large_column():
     assert np.array_equal(median_bandwidths(pooled), [_pdist_median_width(c) for c in pooled.T])
 
 
+def test_median_bandwidths_round_cap_raises():
+    # Counts that place every rank outside both brackets never narrow the
+    # band, so the search would redraw forever; the round cap turns that
+    # into an error.
+    def no_bracket(self, v):
+        ends = np.tile(self.first, (self.d, 1))
+        return ends, ends.copy()
+
+    pooled = np.random.default_rng(5).standard_normal((400, 2))
+    with mock.patch.object(kernels._Columns, "ends", no_bracket), \
+            pytest.raises(RuntimeError, match="not bracketed"):
+        median_bandwidths(pooled)
+
+
 def test_square_underflow_threshold_is_the_largest_zero_square():
     assert _SQUARE_UNDERFLOW ** 2 == 0.0
     assert np.nextafter(_SQUARE_UNDERFLOW, 1.0) ** 2 > 0.0

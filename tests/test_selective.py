@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import norm, truncnorm
 
 from selkern import (
+    DegenerateFeatureError,
     DegenerateSampleError,
     JointSample,
     MultiStat,
@@ -22,6 +23,7 @@ from selkern import (
     mmd_stat,
     poly_p,
     poly_truncation_interval,
+    poly_truncation_intervals,
     select_and_test,
     select_top_k,
     selection_indicator,
@@ -265,6 +267,28 @@ def test_constant_response_still_raises():
             select_and_test(JointSample(X, y), RunConfig(seed=1, k=2, method="multi-hsic"))
 
 
+def test_overflowing_column_raises_no_runtime_warning():
+    # Differences of -1e308 and 1e308 overflow to inf; the statistic forms
+    # them knowingly, so no numpy overflow warning may reach the caller.
+    rng = derive_rng(13)
+    huge = rng.choice([-1e308, 0.0, 1e308], (80, 2))
+    X = np.hstack([rng.standard_normal((80, 2)), huge[:, :1]])
+    Y = np.hstack([rng.standard_normal((80, 2)) + 1.0, huge[:, 1:]])
+    Z = JointSample(X, X[:, 0] + rng.standard_normal(80))
+    cases = [
+        ((X, Y), RunConfig(seed=43, k=2)),
+        ((X, Y), RunConfig(seed=43, k=2, method="poly-mmd", bandwidth=1.0)),
+        (Z, RunConfig(seed=43, k=2, method="multi-hsic", bandwidth=1.0)),
+        (Z, RunConfig(seed=43, k=2, method="poly-hsic", estimator="block", block_size=8)),
+    ]
+    for data, config in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", ScalesDroppedWarning)
+            report = select_and_test(data, config)
+        assert all(0.0 <= p <= 1.0 for p in report.p_values), config
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("config", [
     RunConfig(seed=3, k=2, method="multi-mmd"),
@@ -370,6 +394,101 @@ def test_top_k_fractions_match_selection_indicator(case):
     fractions = _top_k_fractions(draws, k)
     for i in range(draws.shape[1]):
         assert fractions[i] == selection_indicator(i, k).contains(draws).mean()
+
+
+@st.composite
+def _tied_draws(draw):
+    # Wide rows where several columns tie exactly at the k-th value (signed
+    # zeros among them), constant columns, and k from 1 to d.
+    d = draw(st.sampled_from([2, 5, 50, 300]))
+    k = draw(st.sampled_from(sorted({1, max(1, d // 3), max(1, d - 1), d})))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([-1.5, -0.0, 0.0, 0.25, 1.0])
+    draws = rng.choice(pool, (draw(st.integers(1, 30)), d)) if draw(st.booleans()) \
+        else rng.standard_normal((draw(st.integers(1, 30)), d))
+    for row in draws:
+        kth = np.sort(row)[d - k]
+        ties = rng.choice(d, int(rng.integers(1, d + 1)), replace=False)
+        row[ties] = np.where(rng.random(ties.size) < 0.5, kth, -kth if kth == 0 else kth)
+    constant = rng.random(d) < 0.2
+    draws[:, constant] = rng.choice(pool)
+    return draws, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tied_draws())
+def test_top_k_fractions_match_selection_indicator_wide_ties(case):
+    draws, k = case
+    fractions = _top_k_fractions(draws, k)
+    for i in range(draws.shape[1]):
+        assert fractions[i] == selection_indicator(i, k).contains(draws).mean()
+
+
+def _poly_interval_oracle(t, sigma, selected, i):
+    """The per-feature constraint loop the batched intervals replaced."""
+    d = t.shape[0]
+    sel = list(selected.selected)
+    if i not in sel:
+        raise ValueError(f"feature {i} is not in the selected set")
+    rest = [j for j in range(d) if j not in sel]
+    eta_var = float(sigma[i, i])
+    if eta_var <= 0:
+        raise DegenerateFeatureError(f"feature {i} has non-positive variance")
+    if not rest:
+        return -np.inf, np.inf
+    c = sigma[:, i] / eta_var
+    z = t - c * t[i]
+    vminus, vplus = -np.inf, np.inf
+    for a in sel:
+        ac = c[rest] - c[a]
+        az = z[rest] - z[a]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = -az / ac
+        neg = ac < 0
+        pos = ac > 0
+        if neg.any():
+            vminus = max(vminus, float(ratio[neg].max()))
+        if pos.any():
+            vplus = min(vplus, float(ratio[pos].min()))
+    return vminus, vplus
+
+
+@st.composite
+def _poly_problem(draw):
+    d = draw(st.integers(2, 9))
+    # A small value pool gives ties in t, signed zeros included.
+    values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0]) | st.floats(-3, 3)
+    t = draw(arrays(np.float64, d, elements=values))
+    # rank < d makes sigma singular; a zero row of A a zero-variance feature.
+    A = draw(arrays(np.float64, (d, draw(st.integers(1, d + 1))), elements=values))
+    A[draw(arrays(np.bool_, d)) & draw(st.booleans())] = 0.0
+    k = draw(st.sampled_from([1, d - 1, d]) | st.integers(1, d))
+    return t, A @ A.T, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_problem())
+# A subnormal covariance: a ratio overflows to inf.
+@example((np.array([-1.5, -0.0, -0.0]),
+          np.array([[0.0, -3.33761079e-309, 0.0], [-3.33761079e-309, 2.25, 0.0], [0.0, 0.0, 0.0]]), 2))
+# Not a covariance, but allowed: c overflows and a ratio is inf / inf = NaN.
+@example((np.array([2.0, 1.0, 0.5]),
+          np.array([[5e-324, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]), 2))
+def test_poly_intervals_match_per_feature_loop(case):
+    t, sigma, k = case
+    sel = select_top_k(t, k)
+    vminus, vplus = poly_truncation_intervals(t, sigma, sel)
+    for j, i in enumerate(sel.selected):
+        try:
+            with np.errstate(all="ignore"):
+                expected = _poly_interval_oracle(t, sigma, sel, i)
+        except DegenerateFeatureError:
+            assert np.isnan(vminus[j]) and np.isnan(vplus[j])
+            with pytest.raises(DegenerateFeatureError, match="non-positive variance"):
+                poly_truncation_interval(t, sigma, sel, i)
+            continue
+        assert (vminus[j], vplus[j]) == expected
+        assert poly_truncation_interval(t, sigma, sel, i) == expected
 
 
 @st.composite
