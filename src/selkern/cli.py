@@ -69,6 +69,9 @@ def load_csv(path: str) -> tuple[np.ndarray, list[str]]:
     Rows are numbered from 1 as they appear in the file; ragged,
     non-numeric or non-finite data rows are rejected by number.
     """
+    plain = _load_plain(path)
+    if plain is not None:
+        return plain
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [(num, row) for num, row in enumerate(csv.reader(fh), start=1) if row]
     if not rows:
@@ -94,6 +97,40 @@ def load_csv(path: str) -> tuple[np.ndarray, list[str]]:
                 raise DataFormatError(f"{path}: ragged row {num} has {len(row)} cells, expected {width}")
             values[out_idx] = [_parse_cell(c, num, path) for c in row]
     return values, names
+
+
+# Data-row bytes on which csv splitting plus float() and numpy's C reader
+# agree: no quotes, spaces, underscores, or letters but the exponent's.  Both
+# convert a cell with the same correctly rounded string-to-double routine.
+_PLAIN_BYTES = b"0123456789+-.eE,\r\n"
+
+
+def _load_plain(path: str) -> tuple[np.ndarray, list[str]] | None:
+    """`load_csv`'s result from one numpy read of the data rows, when they
+    hold only `_PLAIN_BYTES` and form a finite table as wide as the first row.
+    Otherwise None, and `load_csv` reads the file by its csv path, which names
+    the offending row."""
+    with open(path, "rb") as fh:
+        lines = [line for line in fh.read().splitlines() if line]
+    # A quoted first cell may run over a line break; fields past the csv
+    # module's size limit are an error there.
+    if not lines or b'"' in lines[0] or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        first = lines[0].decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        return None
+    has_header = any(not _is_number(c) for c in first)
+    body = lines[1:] if has_header else lines
+    if not body or b"".join(body).translate(None, _PLAIN_BYTES):
+        return None
+    try:
+        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != len(first) or not np.isfinite(values).all():
+        return None
+    return values, [c.strip() for c in first] if has_header else [f"f{i}" for i in range(len(first))]
 
 
 def _is_number(cell: str) -> bool:

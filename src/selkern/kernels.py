@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .core import DataShapeError, DegenerateSampleError
 
@@ -68,7 +67,19 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DataShapeError(f"column counts differ: {A.shape[1]} vs {B.shape[1]}")
-    return _apply(spec, cdist(A, B, "sqeuclidean"))
+    return _apply(spec, _squared_distances(A, B))
+
+
+def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(len(A), len(B)) squared Euclidean distances between rows.  Column terms
+    are added one at a time in column order, as scipy's "sqeuclidean" adds
+    them, so the sums are the same bit for bit.  As there, squares may overflow
+    to inf and inf - inf gives NaN, without a warning."""
+    out = np.zeros((A.shape[0], B.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(A.T, B.T):
+            out += (a[:, None] - b[None, :]) ** 2
+    return out
 
 
 def median_heuristic(pooled: np.ndarray) -> float:
@@ -92,13 +103,17 @@ def median_heuristic(pooled: np.ndarray) -> float:
         if np.isnan(width):
             raise DegenerateSampleError("no positive squared distance between rows")
     else:
-        sq = pdist(pooled, "sqeuclidean")
-        med = float(np.median(sq))
-        if med <= 0.0:
-            positive = sq[sq > 0]
-            if positive.size == 0:
-                raise DegenerateSampleError("all rows identical: median distance is 0")
-            med = float(np.median(positive))
+        # Each row against the later ones: the n(n-1)/2 pair values.
+        sq = np.concatenate([_squared_distances(pooled[i:i + 1], pooled[i + 1:])[0]
+                             for i in range(pooled.shape[0] - 1)])
+        # Two middle values may sum past the largest double: the width is inf.
+        with np.errstate(over="ignore"):
+            med = float(np.median(sq))
+            if med <= 0.0:
+                positive = sq[sq > 0]
+                if positive.size == 0:
+                    raise DegenerateSampleError("all rows identical: median distance is 0")
+                med = float(np.median(positive))
         width = float(np.sqrt(med / 2.0))
     if np.isinf(width):
         raise DegenerateSampleError("median squared distance overflows")

@@ -1,10 +1,19 @@
+import csv
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
+import selkern
 from selkern import DataFormatError, JointSample, RunConfig, derive_rng, select_and_test
 from selkern.cli import (
     RESULT_SCHEMA,
@@ -79,6 +88,116 @@ def test_csv_non_finite_rejected(tmp_path):
     path.write_text("a,b\n1,2\nnan,4\n")
     with pytest.raises(DataFormatError, match="row 3"):
         load_csv(str(path))
+
+
+def _csv_module_loader(path):
+    """Oracle: `load_csv` as it was when every file went through the csv module."""
+
+    def parse(cell, row_num):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise DataFormatError(f"{path}: non-numeric value {cell!r} in row {row_num}") from None
+        if not math.isfinite(value):
+            raise DataFormatError(f"{path}: non-finite value {cell!r} in row {row_num}")
+        return value
+
+    def is_number(cell):
+        try:
+            float(cell)
+            return True
+        except ValueError:
+            return False
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [(num, row) for num, row in enumerate(csv.reader(fh), start=1) if row]
+    if not rows:
+        raise DataFormatError(f"{path}: empty file")
+    width = len(rows[0][1])
+    first = rows[0][1]
+    has_header = any(not is_number(c) for c in first)
+    names = [c.strip() for c in first] if has_header else [f"f{i}" for i in range(width)]
+    data_rows = rows[1:] if has_header else rows
+    if not data_rows:
+        raise DataFormatError(f"{path}: no data rows")
+    try:
+        values = np.array([row for _, row in data_rows], dtype=float)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (len(data_rows), width) or not np.isfinite(values).all():
+        values = np.empty((len(data_rows), width))
+        for out_idx, (num, row) in enumerate(data_rows):
+            if len(row) != width:
+                raise DataFormatError(f"{path}: ragged row {num} has {len(row)} cells, expected {width}")
+            values[out_idx] = [parse(c, num) for c in row]
+    return values, names
+
+
+# Cells of three kinds of file: numbers as repr writes them; spellings made
+# only of digits, signs, ".", "e" and "E" (numpy's reader sees these rows);
+# and anything, for the csv-module path.
+_REPR_CELLS = st.floats(-1e6, 1e6).map(repr)
+_NUMERIC_BYTE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda v: f"{v:.17g}"),
+    st.sampled_from(["+1.5", "1.", ".5", "-.5e-3", "1E5", "-0", "0", "1e400", "-1e400", "", "e", "-", ".", "1e"]),
+)
+_ANY_CELLS = _NUMERIC_BYTE_CELLS | st.sampled_from(
+    ["nan", "Infinity", "-inf", "1_0", " 1.5", "1.5 ", '"1.5"', '"1,5"', "x", "\u00e9"])
+_NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.lists(st.sampled_from(["a", " b ", "c1", "1", '"q"']),
+                                            min_size=width, max_size=width))))
+    cells = draw(st.sampled_from([_REPR_CELLS, _NUMERIC_BYTE_CELLS, _ANY_CELLS]))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["empty", "blank", "ragged", "trailing"]))
+        if kind == "empty":
+            lines.append("")
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        else:
+            n = width + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+            row = ",".join(draw(st.lists(cells, min_size=max(n, 0), max_size=max(n, 0))))
+            lines.append(row + ("," if kind == "trailing" else ""))
+    newline = draw(_NEWLINES)
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_texts())
+def test_load_csv_matches_csv_module_oracle(tmp_path_factory, text):
+    path = str(tmp_path_factory.mktemp("csv") / "t.csv")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    try:
+        expected = _csv_module_loader(path)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as got:
+            load_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    values, names = load_csv(path)
+    assert names == expected[1]
+    assert values.shape == expected[0].shape
+    assert values.view(np.int64).tolist() == expected[0].view(np.int64).tolist()
+
+
+def test_cli_import_skips_scipy_spatial():
+    # The CLI needs no pairwise-distance routines; scipy.spatial (and the
+    # scipy.sparse it pulls in) would add to the start-up of every command.
+    src = str(Path(selkern.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import selkern.cli, sys; print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    loaded = out.stdout.split()
+    assert not [m for m in loaded if m.startswith(("scipy.spatial", "scipy.sparse"))]
+    assert "scipy.special" in loaded
 
 
 def test_split_response_missing_column(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from selkern import (
     DataShapeError,
@@ -23,7 +23,7 @@ from selkern import (
     mmd_multistat,
 )
 from selkern import kernels
-from selkern.kernels import _SQUARE_UNDERFLOW, median_bandwidths
+from selkern.kernels import _SQUARE_UNDERFLOW, _squared_distances, median_bandwidths
 from selkern.selective import _feature_specs
 
 
@@ -177,9 +177,10 @@ def test_median_heuristic_permutation_invariant():
 
 
 def _pdist_median_width(col):
-    """Oracle: the median heuristic of one column from all of its pairs, NaN
-    when no squared difference is positive."""
-    sq = pdist(np.asarray(col, dtype=float)[:, None], "sqeuclidean")
+    """Oracle: the median heuristic of one column, or of the rows of a 2-D
+    array, from all of its pairs, NaN when no squared distance is positive."""
+    col = np.asarray(col, dtype=float)
+    sq = pdist(col.reshape(len(col), -1), "sqeuclidean")
     med = np.median(sq)
     if med <= 0:
         sq = sq[sq > 0]
@@ -187,6 +188,60 @@ def _pdist_median_width(col):
             return np.nan
         med = np.median(sq)
     return np.sqrt(med / 2.0)
+
+
+def _coordinates(draw, shape):
+    """Values of magnitude 10^lo to 10^hi, from where squares underflow to
+    where sums of squares overflow to inf, with signed zeros and +-1e154."""
+    lo = draw(st.sampled_from([-160, -155, -10, 0, 150]) | st.integers(-160, 153))
+    hi = min(153, lo + draw(st.sampled_from([0, 3, 30, 313])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    x = rng.uniform(-9.9, 9.9, shape) * 10.0 ** rng.integers(lo, hi, shape, endpoint=True)
+    special = rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+    x[special] = rng.choice([0.0, -0.0, 0.0, -0.0, 1e154, -1e154], special.sum())
+    return x
+
+
+@st.composite
+def _point_sets(draw):
+    # numpy's pairwise summation changes at 8 terms; the distances must not.
+    p = draw(st.sampled_from([1, 2, 7, 8, 9, 40]))
+    return _coordinates(draw, (draw(st.integers(1, 12)), p)), _coordinates(draw, (draw(st.integers(1, 12)), p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_sets())
+def test_squared_distances_match_scipy_bit_for_bit(points):
+    A, B = points
+    got = _squared_distances(A, B)
+    assert got.view(np.int64).tolist() == cdist(A, B, "sqeuclidean").view(np.int64).tolist()
+    within = np.concatenate([_squared_distances(A[i:i + 1], A[i + 1:])[0] for i in range(len(A) - 1)] + [[]])
+    assert within.view(np.int64).tolist() == pdist(A, "sqeuclidean").view(np.int64).tolist()
+
+
+@st.composite
+def _rows_with_duplicates(draw):
+    # Rows drawn from a few distinct ones, so zero distances are common and
+    # often make the median 0 (the fall-back to the positive distances).
+    p = draw(st.sampled_from([2, 3, 8, 9, 40]))
+    distinct = _coordinates(draw, (draw(st.integers(1, 6)), p))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=2, max_size=30))
+    return distinct[picks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows_with_duplicates())
+def test_multi_column_median_heuristic_matches_pdist(pooled):
+    with np.errstate(over="ignore"):
+        expected = _pdist_median_width(pooled)
+    if np.isnan(expected):
+        with pytest.raises(DegenerateSampleError, match="all rows identical"):
+            median_heuristic(pooled)
+    elif np.isinf(expected):
+        with pytest.raises(DegenerateSampleError, match="overflows"):
+            median_heuristic(pooled)
+    else:
+        assert median_heuristic(pooled) == expected
 
 
 def test_univariate_specs_pool_columns():
