@@ -40,21 +40,16 @@ from .kernels import (
     kernel_eval,
     median_heuristic,
 )
-from .mmd import mmd_h, mmd_incomplete, mmd_linear, mmd_multistat, mmd_u
+from .mmd import mmd_h, mmd_incomplete, mmd_multistat, mmd_u
 from .multiscale import (
-    RegionIndicator,
     ScaleSet,
     ScalesDroppedWarning,
     ScalingFit,
-    bootstrap_probability,
     default_scales,
-    fit_region_scaling,
     fit_scaling_law,
     flat_hypothesis_distance,
-    half_space,
     psi_transform,
     psi_variance,
-    selective_p,
     selective_p_detail,
 )
 from .selective import (
@@ -67,7 +62,6 @@ from .selective import (
     poly_truncation_intervals,
     select_and_test,
     select_top_k,
-    selection_indicator,
     selective_report,
 )
 from .simulation import (
@@ -112,22 +106,16 @@ __all__ = [
     "median_heuristic",
     "mmd_h",
     "mmd_incomplete",
-    "mmd_linear",
     "mmd_multistat",
     "mmd_u",
-    "RegionIndicator",
     "ScaleSet",
     "ScalesDroppedWarning",
     "ScalingFit",
-    "bootstrap_probability",
     "default_scales",
-    "fit_region_scaling",
     "fit_scaling_law",
     "flat_hypothesis_distance",
-    "half_space",
     "psi_transform",
     "psi_variance",
-    "selective_p",
     "selective_p_detail",
     "SelectionResult",
     "SelectiveReport",
@@ -138,7 +126,6 @@ __all__ = [
     "poly_truncation_intervals",
     "select_and_test",
     "select_top_k",
-    "selection_indicator",
     "selective_report",
     "ProblemSpec",
     "TrialSummary",

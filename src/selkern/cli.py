@@ -83,19 +83,11 @@ def load_csv(path: str) -> tuple[np.ndarray, list[str]]:
     data_rows = rows[1:] if has_header else rows
     if not data_rows:
         raise DataFormatError(f"{path}: no data rows")
-    # One conversion of the whole table: numpy converts each string cell with
-    # float(), as `_parse_cell` does.  A table it rejects is read row by row,
-    # which names the first offending row.
-    try:
-        values = np.array([row for _, row in data_rows], dtype=float)
-    except ValueError:
-        values = None
-    if values is None or values.shape != (len(data_rows), width) or not np.isfinite(values).all():
-        values = np.empty((len(data_rows), width))
-        for out_idx, (num, row) in enumerate(data_rows):
-            if len(row) != width:
-                raise DataFormatError(f"{path}: ragged row {num} has {len(row)} cells, expected {width}")
-            values[out_idx] = [_parse_cell(c, num, path) for c in row]
+    values = np.empty((len(data_rows), width))
+    for out_idx, (num, row) in enumerate(data_rows):
+        if len(row) != width:
+            raise DataFormatError(f"{path}: ragged row {num} has {len(row)} cells, expected {width}")
+        values[out_idx] = [_parse_cell(c, num, path) for c in row]
     return values, names
 
 

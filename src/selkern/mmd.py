@@ -1,5 +1,5 @@
-"""Squared-MMD estimators: complete U-statistic, linear-time, incomplete,
-and the per-feature multivariate statistic with its covariance."""
+"""Squared-MMD estimators: complete U-statistic, incomplete, and the
+per-feature multivariate statistic with its covariance."""
 from __future__ import annotations
 
 import numpy as np
@@ -41,22 +41,6 @@ def mmd_u(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> float:
     kyy = gram_matrix(spec, Y, Y)
     kxy = gram_matrix(spec, X, Y)
     return (_offdiag_sum(kxx) + _offdiag_sum(kyy) - 2.0 * _offdiag_sum(kxy)) / (n * (n - 1))
-
-
-def mmd_linear(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> float:
-    """Linear-time estimator (2/n) sum_i h(z_{2i}, z_{2i-1}).
-
-    An odd trailing observation is dropped.
-    """
-    X, Y = _check_two_sample(X, Y)
-    n = X.shape[0]
-    if n < 2:
-        raise DataShapeError("need n >= 2")
-    m = n // 2
-    a = 2 * np.arange(m) + 1
-    b = 2 * np.arange(m)
-    vals = _pair_h(X[a], Y[a], X[b], Y[b], spec)
-    return float(vals.mean())
 
 
 def _pair_h(Xi, Yi, Xj, Yj, spec: KernelSpec | list[KernelSpec]) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import log_ndtr, ndtri
@@ -29,50 +29,19 @@ class ScalesDroppedWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class RegionIndicator:
-    """A region of R^d given by a membership predicate.
-
-    ``predicate`` must accept an (m, d) batch of points and return a boolean
-    array of length m; it must be deterministic and defined everywhere.
-    """
-
-    predicate: Callable[[np.ndarray], np.ndarray]
-    label: str = "region"
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.asarray(self.predicate(points), dtype=bool)
-        if out.shape != (points.shape[0],):
-            raise DataShapeError("region predicate must return one bool per point")
-        return out
-
-
-def half_space(coord: int = 0, threshold: float = 0.0, label: str | None = None) -> RegionIndicator:
-    """The half-space {y : y[coord] <= threshold}; handy as an analytic test region."""
-    return RegionIndicator(
-        predicate=lambda pts: pts[:, coord] <= threshold,
-        label=label or f"y[{coord}] <= {threshold}",
-    )
-
-
-def everything(label: str = "everything") -> RegionIndicator:
-    return RegionIndicator(predicate=lambda pts: np.ones(len(pts), dtype=bool), label=label)
-
-
-@dataclass(frozen=True)
 class ScaleSet:
-    """Resampling sizes n' with their variance scales gamma^2 = n / n'."""
+    """Variance scales gamma^2 of the bootstrap, in increasing order."""
 
-    scales: tuple[tuple[int, float], ...]
+    scales: tuple[float, ...]
     replicates_per_scale: int = 2000
 
     def __post_init__(self) -> None:
         if len(self.scales) < 3:
             raise InsufficientScalesError("need at least 3 scales")
-        gammas = [g for _, g in self.scales]
-        if any(g <= 0 for g in gammas):
+        # Phrased so that a NaN gamma^2 fails them.
+        if not all(g > 0 for g in self.scales):
             raise ValueError("gamma^2 must be positive")
-        if any(b <= a for a, b in zip(gammas, gammas[1:])):
+        if not all(b > a for a, b in zip(self.scales, self.scales[1:])):
             raise ValueError("scales must be strictly increasing in gamma^2")
         if self.replicates_per_scale < 1:
             raise ValueError("replicates_per_scale must be >= 1")
@@ -85,16 +54,17 @@ def default_scales(
     high: float = 2.0,
     replicates_per_scale: int = 2000,
 ) -> ScaleSet:
-    """``count`` resampling sizes log-spaced in [low * n, high * n].
+    """Variance scales gamma^2 = n / n' for ``count`` resampling sizes n'
+    log-spaced in [low * n, high * n].
 
-    Rounded to integers >= 2 and deduplicated; gamma^2 = n / n' so the grid
+    The sizes are rounded to integers >= 2 and deduplicated, so the grid
     runs from n/(high*n) up to n/(low*n).
     """
     if n < 4:
         raise DataShapeError("need n >= 4 to build a scale grid")
     raw = np.exp(np.linspace(np.log(low * n), np.log(high * n), count))
     nprimes = sorted({max(2, int(round(v))) for v in raw}, reverse=True)
-    scales = tuple((np_, n / np_) for np_ in nprimes)
+    scales = tuple(n / np_ for np_ in nprimes)
     if len(scales) < 3:
         raise InsufficientScalesError(f"n = {n} yields fewer than 3 distinct scales")
     return ScaleSet(scales=scales, replicates_per_scale=replicates_per_scale)
@@ -113,39 +83,6 @@ def _cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, bool]:
             return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0])), True
         except np.linalg.LinAlgError as exc:
             raise ValueError("covariance factorization failed after jitter") from exc
-
-
-def _sample_region_fraction(
-    mean: np.ndarray,
-    chol: np.ndarray,
-    gamma2: float,
-    region: RegionIndicator,
-    b_reps: int,
-    rng: np.random.Generator,
-) -> float:
-    z = rng.standard_normal((b_reps, mean.shape[0]))
-    draws = mean + np.sqrt(gamma2) * (z @ chol.T)
-    return float(region.contains(draws).mean())
-
-
-def bootstrap_probability(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    gamma2: float,
-    region: RegionIndicator,
-    b_reps: int,
-    rng: np.random.Generator,
-) -> float:
-    """Fraction of N(mean, gamma2 * cov) replicates that land in the region."""
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    if not np.isfinite(mean).all():
-        raise ValueError("mean contains non-finite entries")
-    if gamma2 <= 0:
-        raise ValueError("gamma2 must be positive")
-    if b_reps < 1:
-        raise ValueError("b_reps must be >= 1")
-    chol, _ = _cholesky_with_jitter(cov)
-    return _sample_region_fraction(mean, chol, gamma2, region, b_reps, rng)
 
 
 def psi_transform(bp: float, gamma2: float) -> float:
@@ -209,33 +146,6 @@ def fit_scaling_law(
     return ScalingFit(beta0=beta0, beta1=beta1, points_used=len(points), diagnostics=diagnostics)
 
 
-def fit_region_scaling(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    region: RegionIndicator,
-    scales: ScaleSet,
-    rng_for_scale: Callable[[int], np.random.Generator],
-    chol: np.ndarray | None = None,
-) -> tuple[ScalingFit | None, dict]:
-    """Run the bootstrap over all scales for one region and fit the line.
-
-    The fit and the returned report are those of `fit_bootstrap_probabilities`,
-    plus whether the covariance needed a jitter to factorize.
-    """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    jittered = False
-    if chol is None:
-        chol, jittered = _cholesky_with_jitter(cov)
-    b_reps = scales.replicates_per_scale
-    bps = [
-        _sample_region_fraction(mean, chol, gamma2, region, b_reps, rng_for_scale(idx))
-        for idx, (_, gamma2) in enumerate(scales.scales)
-    ]
-    fit, info = fit_bootstrap_probabilities(bps, scales)
-    info["jitter_applied"] = jittered
-    return fit, info
-
-
 def fit_bootstrap_probabilities(bps: Sequence[float], scales: ScaleSet) -> tuple[ScalingFit | None, dict]:
     """Fit the scaling law to one bootstrap probability per scale.
 
@@ -250,7 +160,7 @@ def fit_bootstrap_probabilities(bps: Sequence[float], scales: ScaleSet) -> tuple
     wts: list[float] = []
     psis: list[float] = []
     dropped: list[float] = []
-    for (_, gamma2), bp in zip(scales.scales, bps, strict=True):
+    for gamma2, bp in zip(scales.scales, bps, strict=True):
         if 0.0 < bp < 1.0:
             psi = psi_transform(bp, gamma2)
             pts.append((gamma2, psi))
@@ -270,23 +180,18 @@ def fit_bootstrap_probabilities(bps: Sequence[float], scales: ScaleSet) -> tuple
     return fit_scaling_law(pts, wts), info
 
 
-def selective_p(phi_h_at_minus1: float, phi_s_at_0: float) -> float:
-    """Selective p-value survival(phi_H(-1)) / survival(phi_H(-1) + phi_S(0)).
+def selective_p_detail(phi_h_at_minus1: float, phi_s_at_0: float) -> tuple[float, bool]:
+    """Selective p-value survival(phi_H(-1)) / survival(phi_H(-1) + phi_S(0)),
+    and whether its denominator degenerated.
 
     Computed in log space so deep tails divide out exactly; clamped to [0, 1].
     A vanishing denominator (possible only for degenerate +inf inputs) maps
-    to the conservative value 1.
+    to the conservative value 1 and is reported as degenerate.
     """
-    p, _ = selective_p_detail(phi_h_at_minus1, phi_s_at_0)
-    return p
-
-
-def selective_p_detail(phi_h_at_minus1: float, phi_s_at_0: float) -> tuple[float, bool]:
-    """As `selective_p`, also reporting whether the denominator degenerated."""
     a = float(phi_h_at_minus1)
     s = float(phi_s_at_0)
     if np.isnan(a) or np.isnan(s):
-        raise ValueError("selective_p inputs must not be NaN")
+        raise ValueError("selective p-value inputs must not be NaN")
     if not np.isfinite(a):
         raise ValueError("phi_H(-1) must be finite")
     log_num = log_ndtr(-a)

@@ -19,7 +19,6 @@ from .hsic import JointSample, hsic_multistat_block, hsic_multistat_incomplete
 from .kernels import IMQ, KernelSpec, median_bandwidths, median_heuristic
 from .mmd import mmd_multistat
 from .multiscale import (
-    RegionIndicator,
     _cholesky_with_jitter,
     default_scales,
     fit_bootstrap_probabilities,
@@ -71,23 +70,6 @@ def select_top_k(scores: np.ndarray, k: int) -> SelectionResult:
         raise ValueError(f"k must lie in [1, {d}], got {k}")
     order = np.argsort(-scores, kind="stable")
     return SelectionResult(selected=tuple(int(i) for i in order[:k]), scores=scores)
-
-
-def selection_indicator(i: int, k: int) -> RegionIndicator:
-    """Region of statistic vectors whose coordinate i is among the k largest.
-
-    Uses the same tie rule as `select_top_k`: coordinate i is beaten only by
-    strictly larger coordinates and by equal coordinates of lower index.
-    """
-
-    def contains(points: np.ndarray) -> np.ndarray:
-        col = points[:, i][:, None]
-        beaten = (points > col).sum(axis=1)
-        if i > 0:
-            beaten += (points[:, :i] == col).sum(axis=1)
-        return beaten < k
-
-    return RegionIndicator(predicate=contains, label=f"feature {i} in top-{k}")
 
 
 def _truncnorm_sf(t, var: float, vminus, vplus) -> np.ndarray:
@@ -264,8 +246,8 @@ def statistic(data, config: RunConfig,
 def _top_k_fractions(draws: np.ndarray, k: int) -> np.ndarray:
     """Fraction of the rows of ``draws`` in which each column is among the k largest.
 
-    Column i counts in a row exactly when `selection_indicator(i, k)` contains
-    that row.  A row's k-th largest value v comes from one partition; every
+    Column i counts in a row exactly when `select_top_k` on that row would
+    select i.  A row's k-th largest value v comes from one partition; every
     entry above v counts, and of the entries equal to v the lowest-index ones
     fill the remaining places, the tie rule of `select_top_k`.
     """
@@ -293,7 +275,7 @@ def _selection_fractions(t: np.ndarray, chol: np.ndarray, k: int, scales, seed: 
     """
     b_reps = scales.replicates_per_scale
     out = np.empty((len(scales.scales), t.shape[0]))
-    for s, (_, gamma2) in enumerate(scales.scales):
+    for s, gamma2 in enumerate(scales.scales):
         draws = derive_rng(seed, _STREAM_BOOT, s).standard_normal((b_reps, t.shape[0])) @ chol.T
         draws *= np.sqrt(gamma2)
         draws += t

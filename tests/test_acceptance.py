@@ -12,6 +12,7 @@ from scipy.stats import kstest, kurtosis, skew
 
 import selkern as sk
 from selkern.cli import cli_main, save_csv
+from selkern.multiscale import fit_bootstrap_probabilities
 from selkern.selective import _truncnorm_sf
 
 
@@ -139,13 +140,12 @@ def test_c4_scaling_law_recovery():
     details = []
     ok = True
     for s in (-1.0, 0.0, 1.0):
-        fit, _ = sk.fit_region_scaling(
-            np.array([s, 0.0]),
-            np.eye(2),
-            sk.half_space(0, 0.0),
-            scales,
-            rng_for_scale=lambda idx: sk.derive_rng(1006, int(10 * s) + 20, idx),
-        )
+        # Fraction of N((s, 0), gamma^2 I) draws in the half-space {y_0 <= 0}.
+        bps = []
+        for idx, gamma2 in enumerate(scales.scales):
+            z = sk.derive_rng(1006, int(10 * s) + 20, idx).standard_normal((scales.replicates_per_scale, 2))
+            bps.append(float(np.mean(s + np.sqrt(gamma2) * z[:, 0] <= 0)))
+        fit, _ = fit_bootstrap_probabilities(bps, scales)
         value = fit.predict(0.0)
         details.append(f"s={s:+.0f}: phi(0)={value:+.4f} slope={fit.beta1:+.4f}")
         ok = ok and abs(value - s) < 0.05 and abs(fit.beta1) < 0.05

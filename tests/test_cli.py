@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,16 @@ def test_cli_import_skips_scipy_spatial():
     loaded = out.stdout.split()
     assert not [m for m in loaded if m.startswith(("scipy.spatial", "scipy.sparse"))]
     assert "scipy.special" in loaded
+
+
+def test_all_lists_exactly_the_public_names():
+    # __init__ names each export twice, in its import and in __all__.
+    public = {name for name, value in vars(selkern).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(selkern.__all__) == sorted(public)
+    namespace: dict = {}
+    exec("from selkern import *", namespace)
+    assert set(namespace) - {"__builtins__"} == public
 
 
 def test_split_response_missing_column(tmp_path):

@@ -10,7 +10,6 @@ from selkern import (
     kernel_eval,
     mmd_h,
     mmd_incomplete,
-    mmd_linear,
     mmd_multistat,
     mmd_u,
     sample_pair_design,
@@ -86,36 +85,6 @@ def test_u_detects_large_shift():
 def test_u_needs_two_rows():
     with pytest.raises(DataShapeError):
         mmd_u(np.zeros((1, 1)), np.zeros((1, 1)), SPEC)
-
-
-def test_linear_identical_samples_zero():
-    rng = np.random.default_rng(5)
-    X = rng.standard_normal((8, 1))
-    assert mmd_linear(X, X, SPEC) == 0.0
-
-
-def test_linear_single_pair():
-    rng = np.random.default_rng(6)
-    X = rng.standard_normal((2, 1))
-    Y = rng.standard_normal((2, 1))
-    assert mmd_linear(X, Y, SPEC) == pytest.approx(mmd_h(X[1], X[0], Y[1], Y[0], SPEC), abs=1e-14)
-
-
-def test_linear_three_term_sum():
-    rng = np.random.default_rng(7)
-    X = rng.standard_normal((6, 1))
-    Y = rng.standard_normal((6, 1))
-    expected = np.mean(
-        [mmd_h(X[2 * i + 1], X[2 * i], Y[2 * i + 1], Y[2 * i], SPEC) for i in range(3)]
-    )
-    assert mmd_linear(X, Y, SPEC) == pytest.approx(expected, abs=1e-12)
-
-
-def test_linear_odd_n_drops_last_row():
-    rng = np.random.default_rng(8)
-    X = rng.standard_normal((7, 1))
-    Y = rng.standard_normal((7, 1))
-    assert mmd_linear(X, Y, SPEC) == mmd_linear(X[:6], Y[:6], SPEC)
 
 
 def test_incomplete_complete_design_reduces_to_u():
@@ -207,7 +176,6 @@ def test_translation_invariance():
     shift = 0.7
     design = sample_pair_design(12, 25, derive_rng(8))
     assert mmd_u(X + shift, Y + shift, SPEC) == pytest.approx(mmd_u(X, Y, SPEC), abs=1e-10)
-    assert mmd_linear(X + shift, Y + shift, SPEC) == pytest.approx(mmd_linear(X, Y, SPEC), abs=1e-10)
     assert mmd_incomplete(X + shift, Y + shift, SPEC, design) == pytest.approx(
         mmd_incomplete(X, Y, SPEC, design), abs=1e-10
     )

@@ -6,21 +6,16 @@ from selkern import (
     DegenerateFeatureError,
     InsufficientScalesError,
     MultiStat,
-    RegionIndicator,
     ScaleSet,
-    bootstrap_probability,
     default_scales,
-    derive_rng,
-    fit_region_scaling,
     fit_scaling_law,
     flat_hypothesis_distance,
-    half_space,
     psi_transform,
     psi_variance,
-    selective_p,
     selective_p_detail,
 )
-from selkern.multiscale import everything
+from selkern.multiscale import _cholesky_with_jitter, fit_bootstrap_probabilities
+from selkern.selective import _selection_fractions
 
 
 def test_psi_at_half_is_zero():
@@ -95,20 +90,17 @@ def test_fit_noisy_recovery():
 
 def test_default_scales_endpoints():
     scales = default_scales(1000)
-    nprimes = [np_ for np_, _ in scales.scales]
-    gammas = [g for _, g in scales.scales]
-    assert max(nprimes) == 2000 and min(nprimes) == 500
-    assert gammas[0] == pytest.approx(0.5) and gammas[-1] == pytest.approx(2.0)
+    # Resampling sizes n' = 2000 down to 500.
+    assert scales.scales[0] == 1000 / 2000 and scales.scales[-1] == 1000 / 500
     assert len(scales.scales) == 10
 
 
 def test_default_scales_monotone():
-    scales = default_scales(137)
-    nprimes = [np_ for np_, _ in scales.scales]
-    gammas = [g for _, g in scales.scales]
-    assert all(b < a for a, b in zip(nprimes, nprimes[1:]))
-    assert all(b > a for a, b in zip(gammas, gammas[1:]))
-    assert min(nprimes) >= 2
+    n = 137
+    scales = default_scales(n)
+    assert all(b > a for a, b in zip(scales.scales, scales.scales[1:]))
+    # gamma^2 = n / n' with n' >= 2.
+    assert max(scales.scales) <= n / 2
 
 
 def test_default_scales_too_few():
@@ -118,75 +110,102 @@ def test_default_scales_too_few():
 
 def test_scale_set_validation():
     with pytest.raises(InsufficientScalesError):
-        ScaleSet(scales=((4, 0.5), (2, 1.0)))
+        ScaleSet(scales=(0.5, 1.0))
     with pytest.raises(ValueError):
-        ScaleSet(scales=((4, 1.0), (3, 1.0), (2, 0.5)))
+        ScaleSet(scales=(1.0, 1.0, 0.5))
+    for gammas in ((np.nan,) * 3, (0.5, np.nan, 2.0), (-1.0, 0.5, 1.0)):
+        with pytest.raises(ValueError):
+            ScaleSet(scales=gammas)
+
+
+def _half_space_fractions(a, gamma2s, b_reps, seed):
+    """Bootstrap probabilities of feature 0 winning top-1 of d = 2 under
+    Sigma = I at mean (a, 0), one per scale, with their analytic targets:
+    y_0 - y_1 ~ N(a, 2 gamma^2), so the target is Phi(a / (gamma sqrt 2))."""
+    scales = ScaleSet(scales=tuple(gamma2s), replicates_per_scale=b_reps)
+    chol, _ = _cholesky_with_jitter(np.eye(2))
+    fractions = _selection_fractions(np.array([a, 0.0]), chol, 1, scales, seed)
+    # Every draw selects exactly one of the two features.
+    np.testing.assert_allclose(fractions.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    return fractions[:, 0], norm.cdf(a / np.sqrt(2.0 * np.array(gamma2s)))
+
+
+def _assert_within_3_sd(bp, target, b_reps):
+    assert abs(bp - target) <= 3 * np.sqrt(target * (1 - target) / b_reps)
 
 
 def test_bootstrap_probability_everything():
-    bp = bootstrap_probability(np.zeros(2), np.eye(2), 1.0, everything(), 500, derive_rng(0))
-    assert bp == 1.0
+    # Every draw selects exactly k features, so the fractions sum to k; with
+    # k = d every feature is selected in every draw.
+    scales = ScaleSet(scales=(0.5, 1.0, 2.0), replicates_per_scale=500)
+    chol, _ = _cholesky_with_jitter(np.eye(4))
+    t = np.array([0.3, 0.0, -0.2, 0.1])
+    for k in (1, 2, 3):
+        fractions = _selection_fractions(t, chol, k, scales, 0)
+        np.testing.assert_allclose(fractions.sum(axis=1), k, rtol=0, atol=1e-12)
+    assert (_selection_fractions(t, chol, 4, scales, 0) == 1.0).all()
 
 
 def test_bootstrap_probability_halfspace_through_mean():
     b = 10_000
-    bp = bootstrap_probability(np.zeros(2), np.eye(2), 1.0, half_space(0, 0.0), b, derive_rng(1))
-    sd = np.sqrt(0.25 / b)
-    assert abs(bp - 0.5) <= 3 * sd
+    bps, targets = _half_space_fractions(0.0, (0.5, 1.0, 2.0), b, 1)
+    assert (targets == 0.5).all()
+    for bp, target in zip(bps, targets):
+        _assert_within_3_sd(bp, target, b)
 
 
 def test_bootstrap_probability_analytic_tail():
     b = 10_000
-    bp = bootstrap_probability(
-        np.array([1.0, 0.0]), np.eye(2), 1.0, half_space(0, 0.0), b, derive_rng(2)
-    )
-    target = norm.sf(1.0)
-    sd = np.sqrt(target * (1 - target) / b)
-    assert abs(bp - target) <= 3 * sd
+    bps, targets = _half_space_fractions(-np.sqrt(2.0), (0.5, 1.0, 2.0), b, 2)
+    assert targets[1] == pytest.approx(norm.sf(1.0), rel=1e-12)
+    for bp, target in zip(bps, targets):
+        _assert_within_3_sd(bp, target, b)
 
 
 def test_bootstrap_probability_gamma_scaling():
     b = 20_000
-    bp = bootstrap_probability(
-        np.array([1.0]), np.eye(1), 4.0, half_space(0, 0.0), b, derive_rng(3)
-    )
-    target = norm.cdf(-0.5)
-    sd = np.sqrt(target * (1 - target) / b)
-    assert abs(bp - target) <= 3 * sd
+    bps, targets = _half_space_fractions(-np.sqrt(2.0), (1.0, 2.0, 4.0), b, 3)
+    assert targets[2] == pytest.approx(norm.cdf(-0.5), rel=1e-12)
+    for bp, target in zip(bps, targets):
+        _assert_within_3_sd(bp, target, b)
 
 
 def test_bootstrap_probability_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        bootstrap_probability(np.array([np.nan]), np.eye(1), 1.0, everything(), 10, derive_rng(0))
-    with pytest.raises(ValueError):
-        bootstrap_probability(np.zeros(1), np.eye(1), -1.0, everything(), 10, derive_rng(0))
-    # Indefinite covariance cannot be repaired by jitter.
-    with pytest.raises(ValueError):
-        bootstrap_probability(np.zeros(2), np.diag([1.0, -1.0]), 1.0, everything(), 10, derive_rng(0))
+    # The bootstrap factors Sigma first: a covariance that no jitter repairs
+    # and a non-finite one are both rejected there.
+    with pytest.raises(ValueError, match="after jitter"):
+        _cholesky_with_jitter(np.diag([1.0, -1.0]))
+    for bad in (np.nan, np.inf):
+        cov = np.eye(2)
+        cov[0, 1] = cov[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _cholesky_with_jitter(cov)
 
 
 def test_bootstrap_probability_singular_covariance_jitter():
     cov = np.ones((2, 2))  # rank 1
-    bp = bootstrap_probability(np.zeros(2), cov, 1.0, half_space(0, 0.0), 4000, derive_rng(4))
-    assert 0.4 < bp < 0.6
-
-
-def test_region_indicator_validates_shape():
-    bad = RegionIndicator(predicate=lambda pts: np.ones((len(pts), 2), dtype=bool))
-    with pytest.raises(Exception):
-        bad.contains(np.zeros((3, 2)))
+    chol, jittered = _cholesky_with_jitter(cov)
+    assert jittered
+    assert np.array_equal(np.tril(chol), chol)
+    # L L^T is Sigma up to the jitter 1e-10 * mean(diag(Sigma)) on the diagonal.
+    np.testing.assert_allclose(chol @ chol.T, cov + 1e-10 * np.eye(2), rtol=0, atol=1e-14)
+    # The two coordinates differ only by the jitter's noise, so each wins
+    # top-1 about half the time.
+    scales = ScaleSet(scales=(0.5, 1.0, 2.0), replicates_per_scale=4000)
+    fractions = _selection_fractions(np.zeros(2), chol, 1, scales, 4)
+    assert ((0.4 < fractions[:, 0]) & (fractions[:, 0] < 0.6)).all()
 
 
 def test_selective_p_unconstrained_selection():
-    assert selective_p(1.5, -np.inf) == pytest.approx(norm.sf(1.5), rel=1e-10)
+    assert selective_p_detail(1.5, -np.inf)[0] == pytest.approx(norm.sf(1.5), rel=1e-10)
 
 
 def test_selective_p_both_boundaries():
-    assert selective_p(0.0, 0.0) == 1.0
+    assert selective_p_detail(0.0, 0.0)[0] == 1.0
 
 
 def test_selective_p_gaussian_quantile():
-    assert selective_p(1.6449, -np.inf) == pytest.approx(0.05, abs=1e-4)
+    assert selective_p_detail(1.6449, -np.inf)[0] == pytest.approx(0.05, abs=1e-4)
 
 
 def test_selective_p_dominates_classical():
@@ -194,13 +213,13 @@ def test_selective_p_dominates_classical():
     for _ in range(200):
         a = rng.normal(scale=2.0)
         s = -abs(rng.normal(scale=2.0))
-        p = selective_p(a, s)
+        p = selective_p_detail(a, s)[0]
         assert norm.sf(a) - 1e-12 <= p <= 1.0
 
 
 def test_selective_p_deep_tail_stable():
     # Far beyond where survival functions underflow, the ratio still resolves.
-    p = selective_p(42.0, -1.0)
+    p = selective_p_detail(42.0, -1.0)[0]
     assert 0.0 < p < 1.0
     assert p == pytest.approx(np.exp(norm.logsf(42.0) - norm.logsf(41.0)), rel=1e-6)
 
@@ -228,46 +247,35 @@ def test_flat_hypothesis_distance_zero_variance():
         flat_hypothesis_distance(stat, 0)
 
 
+def _selection_fit(mean, cov, k, scales, seed):
+    """The pipeline's bootstrap for feature 0: fractions, then the scaling-law fit."""
+    chol, _ = _cholesky_with_jitter(cov)
+    fractions = _selection_fractions(np.asarray(mean, dtype=float), chol, k, scales, seed)
+    return fractions, *fit_bootstrap_probabilities(fractions[:, 0], scales)
+
+
 def test_region_scaling_halfspace_recovery():
-    # Boundary at c: fitted intercept estimates the signed distance mu1 - c.
-    mu1, c = 0.8, 0.3
+    # With Sigma = I / 2, y_0 - y_1 ~ N(a, gamma^2): BP = Phi(a / gamma), so
+    # psi = -a at every scale and the fit recovers beta0 = -a, beta1 = 0.
+    a = 0.5
     scales = default_scales(1000, replicates_per_scale=10_000)
-    fit, info = fit_region_scaling(
-        np.array([mu1, -0.2]),
-        np.eye(2),
-        half_space(0, c),
-        scales,
-        rng_for_scale=lambda s: derive_rng(11, s),
-    )
+    _, fit, info = _selection_fit([a, 0.0], np.eye(2) / 2, 1, scales, 11)
     assert fit is not None
-    assert fit.beta0 == pytest.approx(mu1 - c, abs=0.05)
+    assert fit.beta0 == pytest.approx(-a, abs=0.05)
     assert fit.beta1 == pytest.approx(0.0, abs=0.05)
     assert info["scales_dropped"] == 0
 
 
 def test_region_scaling_degenerate_region_returns_none():
+    # k = d: every feature is selected in every draw.
     scales = default_scales(100, replicates_per_scale=200)
-    fit, info = fit_region_scaling(
-        np.zeros(2),
-        np.eye(2),
-        everything(),
-        scales,
-        rng_for_scale=lambda s: derive_rng(12, s),
-    )
+    _, fit, info = _selection_fit(np.zeros(2), np.eye(2), 2, scales, 12)
     assert fit is None
     assert info["scales_dropped"] == len(scales.scales)
 
 
 def test_region_scaling_deterministic():
     scales = default_scales(200, replicates_per_scale=500)
-    runs = []
-    for _ in range(2):
-        fit, _ = fit_region_scaling(
-            np.array([0.5, 0.0]),
-            np.eye(2),
-            half_space(0, 0.0),
-            scales,
-            rng_for_scale=lambda s: derive_rng(13, s),
-        )
-        runs.append((fit.beta0, fit.beta1))
-    assert runs[0] == runs[1]
+    first, second = (_selection_fit([0.5, 0.0], np.eye(2), 1, scales, 13) for _ in range(2))
+    assert np.array_equal(first[0], second[0])
+    assert (first[1].beta0, first[1].beta1) == (second[1].beta0, second[1].beta1)

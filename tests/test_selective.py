@@ -26,7 +26,6 @@ from selkern import (
     poly_truncation_intervals,
     select_and_test,
     select_top_k,
-    selection_indicator,
     selective_report,
 )
 from selkern.selective import _top_k_fractions, statistic
@@ -54,19 +53,29 @@ def test_select_top_k_range_errors():
         select_top_k(np.array([1.0, 2.0]), 3)
 
 
+def selection_indicator(points, i, k):
+    """Which rows of ``points`` have coordinate i among their k largest.
+
+    The oracle of `_top_k_fractions`, with the tie rule of `select_top_k`:
+    coordinate i is beaten only by strictly larger coordinates and by equal
+    coordinates of lower index.
+    """
+    col = points[:, i][:, None]
+    beaten = (points > col).sum(axis=1) + (points[:, :i] == col).sum(axis=1)
+    return beaten < k
+
+
 def test_selection_indicator_k_equals_d():
-    region = selection_indicator(2, 3)
     pts = np.random.default_rng(0).standard_normal((100, 3))
-    assert region.contains(pts).all()
+    assert selection_indicator(pts, 2, 3).all()
 
 
 def test_selection_indicator_two_dims():
-    region = selection_indicator(0, 1)
-    assert region.contains(np.array([[2.0, 1.0]]))[0]
-    assert not region.contains(np.array([[1.0, 2.0]]))[0]
+    assert selection_indicator(np.array([[2.0, 1.0]]), 0, 1)[0]
+    assert not selection_indicator(np.array([[1.0, 2.0]]), 0, 1)[0]
     # Tie goes to the lower index.
-    assert region.contains(np.array([[1.0, 1.0]]))[0]
-    assert not selection_indicator(1, 1).contains(np.array([[1.0, 1.0]]))[0]
+    assert selection_indicator(np.array([[1.0, 1.0]]), 0, 1)[0]
+    assert not selection_indicator(np.array([[1.0, 1.0]]), 1, 1)[0]
 
 
 def test_selection_indicator_agrees_with_top_k():
@@ -79,7 +88,7 @@ def test_selection_indicator_agrees_with_top_k():
             scores[rng.integers(0, d)] = scores[rng.integers(0, d)]  # inject ties
         member = set(select_top_k(scores, k).selected)
         for i in range(d):
-            assert selection_indicator(i, k).contains(scores[None, :])[0] == (i in member)
+            assert selection_indicator(scores[None, :], i, k)[0] == (i in member)
 
 
 def test_poly_interval_two_dims():
@@ -393,7 +402,7 @@ def test_top_k_fractions_match_selection_indicator(case):
     draws, k = case
     fractions = _top_k_fractions(draws, k)
     for i in range(draws.shape[1]):
-        assert fractions[i] == selection_indicator(i, k).contains(draws).mean()
+        assert fractions[i] == selection_indicator(draws, i, k).mean()
 
 
 @st.composite
@@ -421,7 +430,7 @@ def test_top_k_fractions_match_selection_indicator_wide_ties(case):
     draws, k = case
     fractions = _top_k_fractions(draws, k)
     for i in range(draws.shape[1]):
-        assert fractions[i] == selection_indicator(i, k).contains(draws).mean()
+        assert fractions[i] == selection_indicator(draws, i, k).mean()
 
 
 def _poly_interval_oracle(t, sigma, selected, i):
