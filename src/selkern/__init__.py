@@ -58,7 +58,6 @@ from .selective import (
     hsic_stat,
     mmd_stat,
     poly_p,
-    poly_truncation_interval,
     poly_truncation_intervals,
     select_and_test,
     select_top_k,
@@ -122,7 +121,6 @@ __all__ = [
     "hsic_stat",
     "mmd_stat",
     "poly_p",
-    "poly_truncation_interval",
     "poly_truncation_intervals",
     "select_and_test",
     "select_top_k",

@@ -79,7 +79,7 @@ def load_csv(path: str) -> tuple[np.ndarray, list[str]]:
     width = len(rows[0][1])
     first = rows[0][1]
     has_header = any(not _is_number(c) for c in first)
-    names = [c.strip() for c in first] if has_header else [f"f{i}" for i in range(width)]
+    names = [c.strip() for c in first] if has_header else _positional_names(width)
     data_rows = rows[1:] if has_header else rows
     if not data_rows:
         raise DataFormatError(f"{path}: no data rows")
@@ -122,7 +122,12 @@ def _load_plain(path: str) -> tuple[np.ndarray, list[str]] | None:
         return None
     if values.shape[1] != len(first) or not np.isfinite(values).all():
         return None
-    return values, [c.strip() for c in first] if has_header else [f"f{i}" for i in range(len(first))]
+    return values, [c.strip() for c in first] if has_header else _positional_names(len(first))
+
+
+def _positional_names(width: int) -> list[str]:
+    """The column names of a file without a header row."""
+    return [f"f{i}" for i in range(width)]
 
 
 def _is_number(cell: str) -> bool:
@@ -326,7 +331,11 @@ def _cmd_test(args, parser) -> int:
     family = args.command.split("-")[0]
     if family == "mmd":
         x, names = load_csv(args.x)
-        y, _ = load_csv(args.y)
+        y, y_names = load_csv(args.y)
+        if all(ns != _positional_names(len(ns)) for ns in (names, y_names)):  # both have a header row
+            for a, b in zip(names, y_names):
+                if a != b:
+                    raise DataFormatError(f"column names differ: {args.x} has {a!r} where {args.y} has {b!r}")
         data, inputs = (x, y), {"x": args.x, "y": args.y}
     else:
         values, columns = load_csv(args.data)
@@ -340,23 +349,21 @@ def _cmd_test(args, parser) -> int:
     return 0
 
 
-def _summaries_document(command: str, inputs: dict, summaries, config: RunConfig) -> dict:
-    per_trial = []
-    for s in summaries:
-        for rec in s.records:
-            per_trial.append({"method": s.method, **rec})
-    return {
+def _emit_summaries(command: str, inputs: dict, summaries, out_path: str | None) -> int:
+    """Print the summary table and emit the document of a multi-trial command."""
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config": config.snapshot(),
+        "config": summaries[0].config,
         "inputs": inputs,
         "results": {
-            "summaries": [
-                {k: v for k, v in asdict(s).items() if k != "records"} for s in summaries
-            ],
-            "per_trial": per_trial,
+            "summaries": [{k: v for k, v in asdict(s).items() if k != "records"} for s in summaries],
+            "per_trial": [{"method": s.method, **rec} for s in summaries for rec in s.records],
         },
     }
+    _print_summary_table(summaries)
+    _emit(doc, out_path)
+    return 0
 
 
 def _cmd_simulate(args, parser) -> int:
@@ -366,14 +373,10 @@ def _cmd_simulate(args, parser) -> int:
     )
     default_methods = MMD_METHODS if args.problem == "mean-shift" else HSIC_METHODS
     methods = list(args.methods or default_methods)
-    k = args.k if args.k is not None else max(1, args.d // 2)
-    config = _config_from_args(args, parser, seed=seed, method=methods[0], k=k)
+    config = _config_from_args(args, parser, seed=seed, method=methods[0])
     summaries = run_trials(problem, methods, args.trials, seed, config)
     inputs = {key: getattr(args, key) for key in ("problem", "n", "d", "shift", "informative", "trials")}
-    doc = _summaries_document("simulate", inputs, summaries, config)
-    _print_summary_table(summaries)
-    _emit(doc, args.out)
-    return 0
+    return _emit_summaries("simulate", inputs, summaries, args.out)
 
 
 def _cmd_benchmark(args, parser) -> int:
@@ -386,17 +389,13 @@ def _cmd_benchmark(args, parser) -> int:
     features, _, split = split_response(values, names, column)
     default_methods = MMD_METHODS if args.mode == "mmd" else HSIC_METHODS
     methods = list(args.methods or default_methods)
-    k = args.k if args.k is not None else features.shape[1]
-    config = _config_from_args(args, parser, seed=seed, method=methods[0], k=k)
+    config = _config_from_args(args, parser, seed=seed, method=methods[0])
     summaries = benchmark_trials(
         features, split, args.mode, methods, args.trials, seed, config,
         n=args.n, n_fake=args.fakes,
     )
     inputs = {"data": args.data, "mode": args.mode, "column": column, "fakes": args.fakes, "trials": args.trials}
-    doc = _summaries_document("benchmark", inputs, summaries, config)
-    _print_summary_table(summaries)
-    _emit(doc, args.out)
-    return 0
+    return _emit_summaries("benchmark", inputs, summaries, args.out)
 
 
 _HANDLERS = {

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import DataShapeError, Design, MultiStat, derive_rng
 from .designs import complete_quad_design, sample_quad_design
-from .kernels import KernelSpec, _apply, flat_columns, gram_matrix
+from .kernels import KernelSpec, flat_columns, gram_matrix, pair_kernel
 
 # The 6 index pairs of a quadruple, ordered so that pair p's complement is 5 - p.
 _PAIRS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], dtype=np.intp)
@@ -126,11 +126,8 @@ def _quad_h_matrix(Z: JointSample, specs, specY, design: Design) -> np.ndarray:
     is set to 0 directly.
     """
     a, b = design.tuples[:, _PAIRS].transpose(2, 0, 1)
-    # Differences and squares may overflow to inf; the kernel takes its limit there.
-    with np.errstate(over="ignore"):
-        K = _apply(specs, (Z.X[a] - Z.X[b]) ** 2)
-        L = _apply(specY, ((Z.Y[a] - Z.Y[b]) ** 2).sum(axis=-1))
-    H = _h_from_pairs(K, L[..., None])
+    K = pair_kernel(specs, Z.X, a, Z.X, b)
+    H = _h_from_pairs(K, pair_kernel(specY, Z.Y, a, Z.Y, b)[..., None])
     H[:, _constant_kernel(Z.X, specs)] = 0.0
     return H
 
@@ -143,11 +140,10 @@ def _block_hsic(Z: JointSample, specs, specY, block_size: int) -> np.ndarray:
     A feature with a constant kernel gets exactly 0, as in `_quad_h_matrix`.
     """
     B, m = block_size, Z.n // block_size
-    Xb = Z.X[: m * B].reshape(m, B, 1, Z.d)
-    Yb = Z.Y[: m * B].reshape(m, B, 1, -1)
-    with np.errstate(over="ignore"):  # as in `_quad_h_matrix`
-        K = _apply(specs, (Xb - Xb.transpose(0, 2, 1, 3)) ** 2)
-        L = _apply(specY, ((Yb - Yb.transpose(0, 2, 1, 3)) ** 2).sum(axis=-1))
+    Xb, Yb = Z.X[: m * B].reshape(m, B, -1), Z.Y[: m * B].reshape(m, B, -1)
+    # Entry (b, s, u) pairs rows s and u of block b.
+    K = pair_kernel(specs, Xb, np.s_[:, :, None], Xb, np.s_[:, None])
+    L = pair_kernel(specY, Yb, np.s_[:, :, None], Yb, np.s_[:, None])
     K[:, range(B), range(B)] = 0.0
     L[:, range(B), range(B)] = 0.0
     K_rows, L_rows = K.sum(axis=2), L.sum(axis=2)[..., None]

@@ -33,22 +33,30 @@ class KernelSpec:
             raise ValueError("offset must be positive")
 
 
-def _apply(spec: KernelSpec | list[KernelSpec], sqdist: np.ndarray) -> np.ndarray:
-    """Kernel values from squared distances.  One spec applies to every entry;
-    a list of d specs of one family applies spec f's bandwidth or offset to
-    index f of the last axis, which must have length d.  Mixed families raise
-    `ValueError`."""
-    if isinstance(spec, KernelSpec):
-        return _apply([spec], np.asarray(sqdist)[..., None])[..., 0]
-    if len({s.family for s in spec}) != 1:
+def pair_kernel(spec: KernelSpec | list[KernelSpec], A: np.ndarray, i, B: np.ndarray, j) -> np.ndarray:
+    """K(A[i], B[j]) for index expressions i and j whose row blocks broadcast.
+
+    One spec works on whole rows, whose last axis `_squared_distances` sums in
+    column order; a list of d specs of one family works per column, spec f on
+    column f of the last axis, which stays.  Squares may overflow to inf,
+    where the kernel takes its limit."""
+    specs = [spec] if isinstance(spec, KernelSpec) else spec
+    if len({s.family for s in specs}) != 1:
         raise ValueError("kernel specs must share one family")
-    if len(spec) != np.shape(sqdist)[-1]:
-        raise DataShapeError("need one kernel spec per feature")
-    if spec[0].family == GAUSSIAN:
-        bandwidth = np.array([s.bandwidth for s in spec])
-        # An infinite bandwidth gives the kernel's limit 1, also where sqdist overflows.
-        return np.exp(-np.where(np.isinf(bandwidth), 0.0, sqdist) / (2.0 * bandwidth ** 2))
-    return (np.array([s.offset for s in spec]) ** 2 + sqdist) ** -0.5
+    with np.errstate(over="ignore"):
+        if isinstance(spec, KernelSpec):
+            sq = _squared_distances(A[i], B[j])[..., None]
+        elif len(specs) != np.shape(A)[-1]:
+            raise DataShapeError("need one kernel spec per feature")
+        else:
+            sq = (A[i] - B[j]) ** 2
+        if specs[0].family == GAUSSIAN:
+            bandwidth = np.array([s.bandwidth for s in specs])
+            # An infinite bandwidth gives the kernel's limit 1, also where sq overflows.
+            K = np.exp(-np.where(np.isinf(bandwidth), 0.0, sq) / (2.0 * bandwidth ** 2))
+        else:
+            K = (np.array([s.offset for s in specs]) ** 2 + sq) ** -0.5
+    return K[..., 0] if isinstance(spec, KernelSpec) else K
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
@@ -57,8 +65,7 @@ def kernel_eval(spec: KernelSpec, x, y) -> float:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != y.shape:
         raise DataShapeError(f"point dimensions differ: {x.shape} vs {y.shape}")
-    diff = x - y
-    return float(_apply(spec, diff @ diff))
+    return float(pair_kernel(spec, x, ..., y, ...))
 
 
 def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -67,19 +74,21 @@ def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise DataShapeError(f"column counts differ: {A.shape[1]} vs {B.shape[1]}")
-    return _apply(spec, _squared_distances(A, B))
+    return pair_kernel(spec, A, np.s_[:, None], B, np.s_[None])
 
 
 def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(len(A), len(B)) squared Euclidean distances between rows.  Column terms
-    are added one at a time in column order, as scipy's "sqeuclidean" adds
-    them, so the sums are the same bit for bit.  As there, squares may overflow
-    to inf and inf - inf gives NaN, without a warning."""
-    out = np.zeros((A.shape[0], B.shape[0]))
+    """Squared Euclidean distances between the rows (last axis) of A and B,
+    broadcast against each other.  Column terms are added one at a time in
+    column order, as scipy's "sqeuclidean" adds them, so the sums are the same
+    bit for bit.  As there, squares may overflow to inf and inf - inf gives
+    NaN, without a warning."""
+    out = np.zeros(np.broadcast_shapes(A.shape[:-1], B.shape[:-1]) + (1,))
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in zip(A.T, B.T):
-            out += (a[:, None] - b[None, :]) ** 2
-    return out
+        for c in range(A.shape[-1]):
+            # Slices keep single rows arrays: a numpy scalar's ** 2 calls pow, which may round differently.
+            out += (A[..., c:c + 1] - B[..., c:c + 1]) ** 2
+    return out[..., 0]
 
 
 def median_heuristic(pooled: np.ndarray) -> float:
@@ -104,8 +113,7 @@ def median_heuristic(pooled: np.ndarray) -> float:
             raise DegenerateSampleError("no positive squared distance between rows")
     else:
         # Each row against the later ones: the n(n-1)/2 pair values.
-        sq = np.concatenate([_squared_distances(pooled[i:i + 1], pooled[i + 1:])[0]
-                             for i in range(pooled.shape[0] - 1)])
+        sq = np.concatenate([_squared_distances(pooled[i], pooled[i + 1:]) for i in range(pooled.shape[0] - 1)])
         # Two middle values may sum past the largest double: the width is inf.
         with np.errstate(over="ignore"):
             med = float(np.median(sq))

@@ -9,7 +9,6 @@ the geometric quantities that drive selective p-values.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -212,11 +211,3 @@ def flat_hypothesis_distance(stat: MultiStat, i: int) -> float:
         raise DegenerateFeatureError(f"feature {i} has non-positive variance {var}")
     return float(stat.t[i] / np.sqrt(var))
 
-
-def warn_selection_unconstraining() -> None:
-    warnings.warn(
-        "selection bootstrap probability degenerate at nearly all scales; "
-        "treating the selection event as unconstraining",
-        ScalesDroppedWarning,
-        stacklevel=3,
-    )

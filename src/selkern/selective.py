@@ -8,6 +8,7 @@ linear constraints give a closed-form truncated-normal null.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,14 +18,14 @@ from .config import METHODS, RunConfig
 from .core import DegenerateFeatureError, MultiStat, derive_rng
 from .hsic import JointSample, hsic_multistat_block, hsic_multistat_incomplete
 from .kernels import IMQ, KernelSpec, median_bandwidths, median_heuristic
-from .mmd import mmd_multistat
+from .mmd import _check_two_sample, mmd_multistat
 from .multiscale import (
+    ScalesDroppedWarning,
     _cholesky_with_jitter,
     default_scales,
     fit_bootstrap_probabilities,
     flat_hypothesis_distance,
     selective_p_detail,
-    warn_selection_unconstraining,
 )
 
 _STREAM_STAT = 0
@@ -140,50 +141,24 @@ def poly_truncation_intervals(
     return vminus, vplus
 
 
-def _feature_interval(i: int, vminus: float, vplus: float) -> tuple[float, float]:
-    """Feature i's entry of `poly_truncation_intervals` as floats, or the error its NaN stands for."""
-    if np.isnan(vminus):
-        raise DegenerateFeatureError(f"feature {i} has non-positive variance")
-    return float(vminus), float(vplus)
-
-
-def poly_truncation_interval(
-    t: np.ndarray,
-    sigma: np.ndarray,
-    selected: SelectionResult,
-    i: int,
-) -> tuple[float, float]:
-    """Truncation interval for selected coordinate i: its entry of
-    `poly_truncation_intervals`.  Raises `DegenerateFeatureError` if
-    feature i has non-positive variance."""
-    if i not in selected.selected:
-        raise ValueError(f"feature {i} is not in the selected set")
-    j = selected.selected.index(i)
-    vminus, vplus = poly_truncation_intervals(t, sigma, selected)
-    return _feature_interval(i, vminus[j], vplus[j])
-
-
 def poly_p(t_i: float, var_i: float, vminus: float, vplus: float) -> float:
     """One-sided truncated-normal p-value for the coordinate statistic."""
     return float(_truncnorm_sf(t_i, var_i, vminus, vplus))
 
 
-def _scale_set(n: int, config: RunConfig):
-    return default_scales(
-        n,
-        count=config.scale_count,
-        low=config.scale_low,
-        high=config.scale_high,
-        replicates_per_scale=config.replicates_per_scale,
-    )
+def _fixed_spec(config: RunConfig) -> KernelSpec | None:
+    """The kernel `--kernel imq` or `--bandwidth` fixes for every column, else None."""
+    if config.kernel_family == IMQ:
+        return KernelSpec(IMQ, offset=config.imq_offset)
+    if config.bandwidth is not None:
+        return KernelSpec(bandwidth=config.bandwidth)
+    return None
 
 
 def _feature_specs(config: RunConfig, *column_sources: np.ndarray) -> list[KernelSpec]:
     d = np.atleast_2d(column_sources[0]).shape[1]
-    if config.kernel_family == IMQ:
-        return [KernelSpec(IMQ, offset=config.imq_offset)] * d
-    if config.bandwidth is not None:
-        return [KernelSpec(bandwidth=config.bandwidth)] * d
+    if (fixed := _fixed_spec(config)) is not None:
+        return [fixed] * d
     widths = median_bandwidths(np.concatenate([np.atleast_2d(m) for m in column_sources]))
     # A flat column (width NaN) has no positive squared difference, so its
     # h-values are 0 under any bandwidth: it gets 1.0 and falls back to p = 1.
@@ -195,14 +170,6 @@ def _feature_specs(config: RunConfig, *column_sources: np.ndarray) -> list[Kerne
     return [KernelSpec(bandwidth=1.0 if np.isnan(w) else float(w)) for w in widths]
 
 
-def _response_spec(Y: np.ndarray, config: RunConfig) -> KernelSpec:
-    if config.kernel_family == IMQ:
-        return KernelSpec(IMQ, offset=config.imq_offset)
-    if config.bandwidth is not None:
-        return KernelSpec(bandwidth=config.bandwidth)
-    return KernelSpec(bandwidth=median_heuristic(Y))
-
-
 def _check_finite(*arrays) -> None:
     """Reject NaN and inf: a NaN score would silently drop its feature from the selection."""
     if not all(np.isfinite(a).all() for a in arrays):
@@ -212,6 +179,8 @@ def _check_finite(*arrays) -> None:
 def mmd_stat(X: np.ndarray, Y: np.ndarray, config: RunConfig,
              feature_names: list[str] | None = None) -> MultiStat:
     """The shared per-feature two-sample statistic both MMD methods test."""
+    # Before the columns of X and Y are pooled for the bandwidths.
+    X, Y = _check_two_sample(X, Y)
     _check_finite(X, Y)
     specs = _feature_specs(config, X, Y)
     rng = derive_rng(config.seed, _STREAM_STAT)
@@ -223,7 +192,7 @@ def hsic_stat(Z: JointSample, config: RunConfig,
     """The shared per-feature dependence statistic both HSIC methods test."""
     _check_finite(Z.X, Z.Y)
     specs = _feature_specs(config, Z.X)
-    spec_y = _response_spec(Z.Y, config)
+    spec_y = _fixed_spec(config) or KernelSpec(bandwidth=median_heuristic(Z.Y))
     if config.estimator == "block":
         return hsic_multistat_block(Z, specs, spec_y, config.block_size, feature_names=feature_names)
     rng = derive_rng(config.seed, _STREAM_STAT)
@@ -294,7 +263,8 @@ def _multiscale_feature_test(stat: MultiStat, i: int, bps: np.ndarray, scales):
     fit, info = fit_bootstrap_probabilities(bps, scales)
     diag.update(info)
     if fit is None:
-        warn_selection_unconstraining()
+        warnings.warn("selection bootstrap probability degenerate at nearly all scales; "
+                      "treating the selection event as unconstraining", ScalesDroppedWarning, stacklevel=2)
         diag.update({"phi_s0": -np.inf, "fallback": "selection-unconstraining"})
         phi_s = -np.inf
     else:
@@ -331,7 +301,8 @@ def _report(stat: MultiStat, sel: SelectionResult, tests: list[tuple[float, dict
 def _multiscale_report(stat: MultiStat, n: int, config: RunConfig) -> SelectiveReport:
     sel = select_top_k(stat.t, config.k)
     chol, jittered = _cholesky_with_jitter(stat.sigma)
-    scales = _scale_set(n, config)
+    scales = default_scales(n, count=config.scale_count, low=config.scale_low, high=config.scale_high,
+                            replicates_per_scale=config.replicates_per_scale)
     fractions = _selection_fractions(stat.t, chol, sel.k, scales, config.seed)
     tests = [_multiscale_feature_test(stat, i, fractions[:, i], scales) for i in sel.selected]
     for _, diag in tests:
@@ -341,11 +312,10 @@ def _multiscale_report(stat: MultiStat, n: int, config: RunConfig) -> SelectiveR
 
 def _poly_feature_test(stat: MultiStat, i: int, vminus: float, vplus: float) -> tuple[float, dict]:
     diag: dict = {"feature": i, "name": stat.feature_names[i]}
-    try:
-        vminus, vplus = _feature_interval(i, vminus, vplus)
-    except DegenerateFeatureError as exc:
-        diag.update({"error": str(exc), "fallback": "degenerate-variance"})
+    if np.isnan(vminus):
+        diag.update({"error": f"feature {i} has non-positive variance", "fallback": "degenerate-variance"})
         return 1.0, diag
+    vminus, vplus = float(vminus), float(vplus)
     t_i = float(stat.t[i])
     # A tie at the selection boundary makes a constraint active, so t_i equals
     # an interval end up to rounding; pull a t_i that close back inside.

@@ -271,7 +271,7 @@ def test_c8_polyhedral_rejection_oracle():
 
     # Spot-check that the vectorized pivot matches the scalar operation.
     for row in acc[:5]:
-        vm, vp = sk.poly_truncation_interval(row, np.eye(3), sk.select_top_k(row, 1), 0)
+        vm, vp = (v[0] for v in sk.poly_truncation_intervals(row, np.eye(3), sk.select_top_k(row, 1)))
         assert vm == pytest.approx(max(row[1], row[2]), abs=1e-12) and vp == np.inf
         assert sk.poly_p(row[0], 1.0, vm, vp) == pytest.approx(
             float(_truncnorm_sf(row[0], 1.0, vm, np.inf)), abs=1e-14

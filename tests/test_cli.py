@@ -411,6 +411,31 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_mmd_test_different_widths_is_shape_error(tmp_path, capsys):
+    rng = derive_rng(102)
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    save_csv(xp, rng.standard_normal((5, 3)), ["a", "b", "c"])
+    save_csv(yp, rng.standard_normal((5, 2)), ["a", "b"])
+    code = cli_main(["mmd-test", "--x", str(xp), "--y", str(yp), "--k", "1", "--seed", "1"])
+    assert code == 1
+    assert "samples must have equal shape, got (5, 3) vs (5, 2)" in capsys.readouterr().err
+
+
+def test_mmd_test_pairs_headed_columns_by_name(tmp_path, capsys):
+    rng = derive_rng(103)
+    x, y = rng.standard_normal((30, 3)), rng.standard_normal((30, 3))
+    xp, yp, plain = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "plain.csv"
+    save_csv(xp, x, ["a", "b", "c"])
+    save_csv(yp, y, ["c", "b", "a"])
+    plain.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in y))
+    argv = ["--k", "1", "--seed", "1"]
+    assert cli_main(["mmd-test", "--x", str(xp), "--y", str(yp)] + argv) == 1
+    err = capsys.readouterr().err
+    assert "column names differ" in err and "'a'" in err and "'c'" in err
+    # A file without a header row pairs its columns by position.
+    assert cli_main(["mmd-test", "--x", str(xp), "--y", str(plain)] + argv) == 0
+
+
 def test_bad_csv_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n3\n")

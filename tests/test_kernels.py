@@ -23,7 +23,7 @@ from selkern import (
     mmd_multistat,
 )
 from selkern import kernels
-from selkern.kernels import _SQUARE_UNDERFLOW, _squared_distances, median_bandwidths
+from selkern.kernels import _SQUARE_UNDERFLOW, _squared_distances, median_bandwidths, pair_kernel
 from selkern.selective import _feature_specs
 
 
@@ -213,9 +213,9 @@ def _point_sets(draw):
 @given(_point_sets())
 def test_squared_distances_match_scipy_bit_for_bit(points):
     A, B = points
-    got = _squared_distances(A, B)
+    got = _squared_distances(A[:, None], B[None])
     assert got.view(np.int64).tolist() == cdist(A, B, "sqeuclidean").view(np.int64).tolist()
-    within = np.concatenate([_squared_distances(A[i:i + 1], A[i + 1:])[0] for i in range(len(A) - 1)] + [[]])
+    within = np.concatenate([_squared_distances(A[i], A[i + 1:]) for i in range(len(A) - 1)] + [[]])
     assert within.view(np.int64).tolist() == pdist(A, "sqeuclidean").view(np.int64).tolist()
 
 
@@ -323,3 +323,56 @@ def test_median_bandwidths_round_cap_raises():
 def test_square_underflow_threshold_is_the_largest_zero_square():
     assert _SQUARE_UNDERFLOW ** 2 == 0.0
     assert np.nextafter(_SQUARE_UNDERFLOW, 1.0) ** 2 > 0.0
+
+
+@st.composite
+def _per_column_case(draw):
+    d = draw(st.integers(1, 6))
+    A = _coordinates(draw, (draw(st.integers(1, 8)), d))
+    B = _coordinates(draw, (draw(st.integers(1, 8)), d))
+    if draw(st.booleans()):
+        params = draw(st.lists(st.floats(0.01, 100.0) | st.just(np.inf), min_size=d, max_size=d))
+        specs = [KernelSpec(bandwidth=w) for w in params]
+    else:
+        specs = [KernelSpec("imq", offset=o) for o in draw(st.lists(st.floats(0.01, 100.0), min_size=d, max_size=d))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    # Index arrays of shapes (r, 1) and (s,) broadcast to (r, s).
+    i = rng.integers(0, len(A), (draw(st.integers(1, 5)), 1))
+    j = rng.integers(0, len(B), draw(st.integers(1, 5)))
+    return specs, A, i, B, j
+
+
+@settings(max_examples=200, deadline=None)
+@given(_per_column_case())
+def test_pair_kernel_per_column_matches_single_spec(case):
+    specs, A, i, B, j = case
+    K = pair_kernel(specs, A, i, B, j)
+    assert K.shape == np.broadcast_shapes(i.shape, j.shape) + (len(specs),)
+    for f, spec in enumerate(specs):
+        alone = pair_kernel(spec, A[:, [f]], i, B[:, [f]], j)
+        assert K[..., f].view(np.int64).tolist() == alone.view(np.int64).tolist()
+
+
+@st.composite
+def _normal_point_sets(draw):
+    p = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    return rng.standard_normal((draw(st.integers(1, 6)), p)), rng.standard_normal((draw(st.integers(1, 6)), p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_normal_point_sets(), st.sampled_from([KernelSpec(bandwidth=0.9), KernelSpec(bandwidth=4.0),
+                                              KernelSpec("imq", offset=0.5)]))
+def test_gram_entries_are_kernel_eval_bit_for_bit(points, spec):
+    A, B = points
+    g = gram_matrix(spec, A, B)
+    expected = np.array([[kernel_eval(spec, a, b) for b in B] for a in A])
+    assert g.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+def test_pair_kernel_rejects_mixed_families_and_wrong_spec_count():
+    A = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="one family"):
+        pair_kernel([KernelSpec(), KernelSpec("imq")], A, ..., A, ...)
+    with pytest.raises(DataShapeError, match="one kernel spec per feature"):
+        pair_kernel([KernelSpec()] * 3, A, ..., A, ...)

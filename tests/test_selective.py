@@ -22,13 +22,12 @@ from selkern import (
     hsic_stat,
     mmd_stat,
     poly_p,
-    poly_truncation_interval,
     poly_truncation_intervals,
     select_and_test,
     select_top_k,
     selective_report,
 )
-from selkern.selective import _top_k_fractions, statistic
+from selkern.selective import _poly_feature_test, _top_k_fractions, statistic
 
 
 def test_select_top_k_basic():
@@ -94,15 +93,17 @@ def test_selection_indicator_agrees_with_top_k():
 def test_poly_interval_two_dims():
     t = np.array([2.0, 0.7])
     res = select_top_k(t, 1)
-    vminus, vplus = poly_truncation_interval(t, np.eye(2), res, 0)
-    assert vminus == pytest.approx(0.7, abs=1e-12)
-    assert vplus == np.inf
+    vminus, vplus = poly_truncation_intervals(t, np.eye(2), res)
+    assert vminus[0] == pytest.approx(0.7, abs=1e-12)
+    assert vplus[0] == np.inf
 
 
 def test_poly_interval_no_constraints_when_k_is_d():
     t = np.array([1.0, -0.5, 0.3])
     res = select_top_k(t, 3)
-    assert poly_truncation_interval(t, np.eye(3), res, 1) == (-np.inf, np.inf)
+    vminus, vplus = poly_truncation_intervals(t, np.eye(3), res)
+    j = res.selected.index(1)
+    assert (vminus[j], vplus[j]) == (-np.inf, np.inf)
 
 
 def test_poly_interval_contains_observation():
@@ -114,15 +115,9 @@ def test_poly_interval_contains_observation():
         A = rng.standard_normal((d, d)) / np.sqrt(d)
         sigma = A @ A.T + 0.1 * np.eye(d)
         res = select_top_k(t, k)
-        for i in res.selected:
-            vminus, vplus = poly_truncation_interval(t, sigma, res, i)
-            assert vminus <= t[i] <= vplus
-
-
-def test_poly_interval_rejects_unselected_feature():
-    t = np.array([2.0, 0.7])
-    with pytest.raises(ValueError):
-        poly_truncation_interval(t, np.eye(2), select_top_k(t, 1), 1)
+        vminus, vplus = poly_truncation_intervals(t, sigma, res)
+        for j, i in enumerate(res.selected):
+            assert vminus[j] <= t[i] <= vplus[j]
 
 
 def test_poly_p_unbounded_interval_is_classical():
@@ -493,11 +488,11 @@ def test_poly_intervals_match_per_feature_loop(case):
                 expected = _poly_interval_oracle(t, sigma, sel, i)
         except DegenerateFeatureError:
             assert np.isnan(vminus[j]) and np.isnan(vplus[j])
-            with pytest.raises(DegenerateFeatureError, match="non-positive variance"):
-                poly_truncation_interval(t, sigma, sel, i)
+            # The Poly report's per-feature test reads the NaN as this error.
+            p, diag = _poly_feature_test(MultiStat(t, sigma, l=2), i, vminus[j], vplus[j])
+            assert p == 1.0 and diag["error"] == f"feature {i} has non-positive variance"
             continue
         assert (vminus[j], vplus[j]) == expected
-        assert poly_truncation_interval(t, sigma, sel, i) == expected
 
 
 @st.composite
