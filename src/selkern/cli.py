@@ -63,8 +63,9 @@ def _parse_cell(cell: str, row_num: int, path: str) -> float:
     return value
 
 
-def load_csv(path: str) -> tuple[np.ndarray, list[str]]:
-    """Read a rectangular numeric CSV; a non-numeric first row is a header.
+def load_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
+    """Read a rectangular numeric CSV and the names of its header row, None
+    when it has none; a non-numeric first row is a header.
 
     Rows are numbered from 1 as they appear in the file; ragged,
     non-numeric or non-finite data rows are rejected by number.
@@ -79,7 +80,7 @@ def load_csv(path: str) -> tuple[np.ndarray, list[str]]:
     width = len(rows[0][1])
     first = rows[0][1]
     has_header = any(not _is_number(c) for c in first)
-    names = [c.strip() for c in first] if has_header else _positional_names(width)
+    names = [c.strip() for c in first] if has_header else None
     data_rows = rows[1:] if has_header else rows
     if not data_rows:
         raise DataFormatError(f"{path}: no data rows")
@@ -97,7 +98,7 @@ def load_csv(path: str) -> tuple[np.ndarray, list[str]]:
 _PLAIN_BYTES = b"0123456789+-.eE,\r\n"
 
 
-def _load_plain(path: str) -> tuple[np.ndarray, list[str]] | None:
+def _load_plain(path: str) -> tuple[np.ndarray, list[str] | None] | None:
     """`load_csv`'s result from one numpy read of the data rows, when they
     hold only `_PLAIN_BYTES` and form a finite table as wide as the first row.
     Otherwise None, and `load_csv` reads the file by its csv path, which names
@@ -122,12 +123,7 @@ def _load_plain(path: str) -> tuple[np.ndarray, list[str]] | None:
         return None
     if values.shape[1] != len(first) or not np.isfinite(values).all():
         return None
-    return values, [c.strip() for c in first] if has_header else _positional_names(len(first))
-
-
-def _positional_names(width: int) -> list[str]:
-    """The column names of a file without a header row."""
-    return [f"f{i}" for i in range(width)]
+    return values, [c.strip() for c in first] if has_header else None
 
 
 def _is_number(cell: str) -> bool:
@@ -150,8 +146,12 @@ def save_csv(path: str, values: np.ndarray, names: list[str]) -> None:
             writer.writerow([f"{v:.17g}" for v in row])
 
 
-def split_response(values: np.ndarray, names: list[str], response: str):
-    """Split a table into covariates and the named response column."""
+def split_response(values: np.ndarray, names: list[str] | None, response: str):
+    """Split a table into covariates and the named response column.
+
+    ``names`` None (a file without a header row) names the columns f0, f1, ...
+    """
+    names = [f"f{i}" for i in range(values.shape[1])] if names is None else names
     if response not in names:
         raise DataFormatError(f"response column {response!r} not found (have {names})")
     idx = names.index(response)
@@ -332,7 +332,7 @@ def _cmd_test(args, parser) -> int:
     if family == "mmd":
         x, names = load_csv(args.x)
         y, y_names = load_csv(args.y)
-        if all(ns != _positional_names(len(ns)) for ns in (names, y_names)):  # both have a header row
+        if names is not None and y_names is not None:
             for a, b in zip(names, y_names):
                 if a != b:
                     raise DataFormatError(f"column names differ: {args.x} has {a!r} where {args.y} has {b!r}")

@@ -81,13 +81,16 @@ class MultiStat:
 
     ``t[i]`` is the scaled estimate for feature i and ``sigma`` the sample
     covariance of the per-tuple kernel evaluations across features, which
-    estimates the covariance of ``t`` itself.
+    estimates the covariance of ``t`` itself.  ``factor``, set by
+    `from_rows`, is an upper-triangular R with RᵀR = sigma of any rank; the
+    multiscale bootstrap draws from it.
     """
 
     t: np.ndarray
     sigma: np.ndarray
     l: int
     feature_names: list[str] = field(default_factory=list)
+    factor: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.t = np.asarray(self.t, dtype=float)
@@ -103,12 +106,20 @@ class MultiStat:
     @classmethod
     def from_rows(cls, rows: np.ndarray, ddof: int,
                   feature_names: list[str] | None = None) -> "MultiStat":
-        """sqrt(m) * mean of (m, d) per-feature ``rows``; sigma: their covariance, divisor m - ddof."""
+        """sqrt(m) * mean of (m, d) per-feature ``rows``; sigma: their covariance, divisor m - ddof.
+
+        The factor is the R of the QR of the centred rows over sqrt(m - ddof),
+        shape (min(m, d), d), its rows signed so the diagonal is >= 0.
+        """
+        if not np.isfinite(rows).all():
+            raise ValueError("statistic rows contain non-finite values")
         m = rows.shape[0]
         centered = rows - rows.mean(axis=0)
         sigma = centered.T @ centered / (m - ddof)
+        factor = np.linalg.qr(centered / np.sqrt(m - ddof), mode="r")
+        factor *= np.where(np.diag(factor) < 0, -1.0, 1.0)[:, None]
         return cls(t=np.sqrt(m) * rows.mean(axis=0), sigma=(sigma + sigma.T) / 2.0, l=m,
-                   feature_names=list(feature_names or []))
+                   feature_names=list(feature_names or []), factor=factor)
 
     @property
     def dim(self) -> int:

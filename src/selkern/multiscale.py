@@ -69,21 +69,6 @@ def default_scales(
     return ScaleSet(scales=scales, replicates_per_scale=replicates_per_scale)
 
 
-def _cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Lower Cholesky factor, retrying once with a small diagonal jitter."""
-    cov = np.asarray(cov, dtype=float)
-    if not np.isfinite(cov).all():
-        raise ValueError("covariance contains non-finite entries")
-    try:
-        return np.linalg.cholesky(cov), False
-    except np.linalg.LinAlgError:
-        jitter = 1e-10 * float(np.mean(np.diag(cov))) + 1e-300
-        try:
-            return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0])), True
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariance factorization failed after jitter") from exc
-
-
 def psi_transform(bp: float, gamma2: float) -> float:
     """Normalized bootstrap z-value gamma * inverse-survival(BP)."""
     if not 0.0 < bp < 1.0:

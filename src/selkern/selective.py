@@ -21,7 +21,6 @@ from .kernels import IMQ, KernelSpec, median_bandwidths, median_heuristic
 from .mmd import _check_two_sample, mmd_multistat
 from .multiscale import (
     ScalesDroppedWarning,
-    _cholesky_with_jitter,
     default_scales,
     fit_bootstrap_probabilities,
     flat_hypothesis_distance,
@@ -235,17 +234,18 @@ def _top_k_fractions(draws: np.ndarray, k: int) -> np.ndarray:
     return np.count_nonzero(top, axis=0) / b
 
 
-def _selection_fractions(t: np.ndarray, chol: np.ndarray, k: int, scales, seed: int) -> np.ndarray:
+def _selection_fractions(t: np.ndarray, factor: np.ndarray, k: int, scales, seed: int) -> np.ndarray:
     """Per-scale top-k fractions of every feature, shape (scales, d).
 
-    Scale s draws one N(t, gamma^2 Sigma) sample from stream (seed, BOOT, s)
-    and every feature's selection event is counted on it, so each feature's
-    bootstrap probability has the same law as with a draw of its own.
+    Scale s draws one N(t, gamma^2 Sigma) sample, t + gamma * z @ factor with
+    factorᵀ factor = Sigma and z from stream (seed, BOOT, s), and every
+    feature's selection event is counted on it, so each feature's bootstrap
+    probability has the same law as with a draw of its own.
     """
     b_reps = scales.replicates_per_scale
     out = np.empty((len(scales.scales), t.shape[0]))
     for s, gamma2 in enumerate(scales.scales):
-        draws = derive_rng(seed, _STREAM_BOOT, s).standard_normal((b_reps, t.shape[0])) @ chol.T
+        draws = derive_rng(seed, _STREAM_BOOT, s).standard_normal((b_reps, factor.shape[0])) @ factor
         draws *= np.sqrt(gamma2)
         draws += t
         out[s] = _top_k_fractions(draws, k)
@@ -299,14 +299,13 @@ def _report(stat: MultiStat, sel: SelectionResult, tests: list[tuple[float, dict
 
 
 def _multiscale_report(stat: MultiStat, n: int, config: RunConfig) -> SelectiveReport:
+    if stat.factor is None:
+        raise ValueError("the multiscale bootstrap needs the factor of a statistic built by MultiStat.from_rows")
     sel = select_top_k(stat.t, config.k)
-    chol, jittered = _cholesky_with_jitter(stat.sigma)
     scales = default_scales(n, count=config.scale_count, low=config.scale_low, high=config.scale_high,
                             replicates_per_scale=config.replicates_per_scale)
-    fractions = _selection_fractions(stat.t, chol, sel.k, scales, config.seed)
+    fractions = _selection_fractions(stat.t, stat.factor, sel.k, scales, config.seed)
     tests = [_multiscale_feature_test(stat, i, fractions[:, i], scales) for i in sel.selected]
-    for _, diag in tests:
-        diag["jitter_applied"] = jittered
     return _report(stat, sel, tests, config)
 
 

@@ -59,7 +59,7 @@ def test_csv_without_header(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("1.0,2.0\n3.0,4.0\n")
     values, names = load_csv(str(path))
-    assert names == ["f0", "f1"]
+    assert names is None  # no header row was read
     assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
@@ -117,7 +117,7 @@ def _csv_module_loader(path):
     width = len(rows[0][1])
     first = rows[0][1]
     has_header = any(not is_number(c) for c in first)
-    names = [c.strip() for c in first] if has_header else [f"f{i}" for i in range(width)]
+    names = [c.strip() for c in first] if has_header else None
     data_rows = rows[1:] if has_header else rows
     if not data_rows:
         raise DataFormatError(f"{path}: no data rows")
@@ -434,6 +434,27 @@ def test_mmd_test_pairs_headed_columns_by_name(tmp_path, capsys):
     assert "column names differ" in err and "'a'" in err and "'c'" in err
     # A file without a header row pairs its columns by position.
     assert cli_main(["mmd-test", "--x", str(xp), "--y", str(plain)] + argv) == 0
+
+
+def test_mmd_test_pairs_positional_spelled_headers_by_name(tmp_path, capsys):
+    # Header rows spelled like the names of headerless columns are still
+    # header rows, and must match in order too.
+    rng = derive_rng(104)
+    x, y = rng.standard_normal((30, 3)), rng.standard_normal((30, 3))
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    save_csv(xp, x, ["f0", "f1", "f2"])
+    save_csv(yp, y, ["f1", "f0", "f2"])
+    argv = ["--k", "1", "--seed", "1", "--method", "poly"]
+    assert cli_main(["mmd-test", "--x", str(xp), "--y", str(yp)] + argv) == 1
+    err = capsys.readouterr().err
+    assert "column names differ" in err and "'f0'" in err and "'f1'" in err
+    # Headerless files pair by position, with each other and with a headed file.
+    xplain, yplain = tmp_path / "xplain.csv", tmp_path / "yplain.csv"
+    for path, values in ((xplain, x), (yplain, y)):
+        path.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values))
+    for pair in ((xplain, yplain), (xp, yplain), (xplain, yp)):
+        assert cli_main(["mmd-test", "--x", str(pair[0]), "--y", str(pair[1])] + argv) == 0
+    assert "column names differ" not in capsys.readouterr().err
 
 
 def test_bad_csv_is_data_error(tmp_path, capsys):

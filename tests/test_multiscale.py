@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from selkern import (
@@ -14,7 +16,7 @@ from selkern import (
     psi_variance,
     selective_p_detail,
 )
-from selkern.multiscale import _cholesky_with_jitter, fit_bootstrap_probabilities
+from selkern.multiscale import fit_bootstrap_probabilities
 from selkern.selective import _selection_fractions
 
 
@@ -123,8 +125,7 @@ def _half_space_fractions(a, gamma2s, b_reps, seed):
     Sigma = I at mean (a, 0), one per scale, with their analytic targets:
     y_0 - y_1 ~ N(a, 2 gamma^2), so the target is Phi(a / (gamma sqrt 2))."""
     scales = ScaleSet(scales=tuple(gamma2s), replicates_per_scale=b_reps)
-    chol, _ = _cholesky_with_jitter(np.eye(2))
-    fractions = _selection_fractions(np.array([a, 0.0]), chol, 1, scales, seed)
+    fractions = _selection_fractions(np.array([a, 0.0]), np.eye(2), 1, scales, seed)
     # Every draw selects exactly one of the two features.
     np.testing.assert_allclose(fractions.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     return fractions[:, 0], norm.cdf(a / np.sqrt(2.0 * np.array(gamma2s)))
@@ -138,12 +139,11 @@ def test_bootstrap_probability_everything():
     # Every draw selects exactly k features, so the fractions sum to k; with
     # k = d every feature is selected in every draw.
     scales = ScaleSet(scales=(0.5, 1.0, 2.0), replicates_per_scale=500)
-    chol, _ = _cholesky_with_jitter(np.eye(4))
     t = np.array([0.3, 0.0, -0.2, 0.1])
     for k in (1, 2, 3):
-        fractions = _selection_fractions(t, chol, k, scales, 0)
+        fractions = _selection_fractions(t, np.eye(4), k, scales, 0)
         np.testing.assert_allclose(fractions.sum(axis=1), k, rtol=0, atol=1e-12)
-    assert (_selection_fractions(t, chol, 4, scales, 0) == 1.0).all()
+    assert (_selection_fractions(t, np.eye(4), 4, scales, 0) == 1.0).all()
 
 
 def test_bootstrap_probability_halfspace_through_mean():
@@ -171,29 +171,69 @@ def test_bootstrap_probability_gamma_scaling():
 
 
 def test_bootstrap_probability_rejects_bad_inputs():
-    # The bootstrap factors Sigma first: a covariance that no jitter repairs
-    # and a non-finite one are both rejected there.
-    with pytest.raises(ValueError, match="after jitter"):
-        _cholesky_with_jitter(np.diag([1.0, -1.0]))
-    for bad in (np.nan, np.inf):
-        cov = np.eye(2)
-        cov[0, 1] = cov[1, 0] = bad
+    # The bootstrap's factor comes from the statistic's rows, so non-finite
+    # rows are rejected where the statistic is built.
+    for bad in (np.nan, np.inf, -np.inf):
+        rows = np.ones((5, 2))
+        rows[3, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            _cholesky_with_jitter(cov)
+            MultiStat.from_rows(rows, ddof=1)
 
 
-def test_bootstrap_probability_singular_covariance_jitter():
-    cov = np.ones((2, 2))  # rank 1
-    chol, jittered = _cholesky_with_jitter(cov)
-    assert jittered
-    assert np.array_equal(np.tril(chol), chol)
-    # L L^T is Sigma up to the jitter 1e-10 * mean(diag(Sigma)) on the diagonal.
-    np.testing.assert_allclose(chol @ chol.T, cov + 1e-10 * np.eye(2), rtol=0, atol=1e-14)
-    # The two coordinates differ only by the jitter's noise, so each wins
-    # top-1 about half the time.
+@st.composite
+def _h_rows(draw):
+    """(l, d) h-rows with l < d, l = d or l > d, some columns all zero and
+    some duplicates of others."""
+    l, d = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = np.random.default_rng(seed).standard_normal((l, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    for j in range(d):
+        kind = draw(st.sampled_from(["free", "free", "zero", "copy"]))
+        if kind == "zero":
+            rows[:, j] = 0.0
+        elif kind == "copy":
+            rows[:, j] = rows[:, draw(st.integers(0, d - 1))]
+    return rows, draw(st.sampled_from([0, 1] if l > 1 else [0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_h_rows())
+def test_factor_is_exact_for_every_rank(case):
+    rows, ddof = case
+    l, d = rows.shape
+    stat = MultiStat.from_rows(rows, ddof=ddof)
+    factor = stat.factor
+    assert factor.shape == (min(l, d), d)
+    assert np.array_equal(np.triu(factor), factor)
+    assert (np.diag(factor) >= 0).all()
+    scale = max(float(np.max(np.diag(stat.sigma))), np.finfo(float).tiny)
+    np.testing.assert_allclose(factor.T @ factor, stat.sigma, rtol=0, atol=1e-12 * scale)
+    # An all-zero h column has an exactly zero factor column, so that
+    # feature's draws are its t at every scale.
+    zero = ~rows.any(axis=0)
+    assert (factor[:, zero] == 0.0).all()
+    normals = np.random.default_rng(0).standard_normal((50, factor.shape[0]))
+    assert ((normals @ factor * np.sqrt(2.0) + stat.t)[:, zero] == stat.t[zero]).all()
+
+
+def test_bootstrap_probability_rank_deficient_exact():
+    # h2 = h0 + h1 and h3 = h0 make Sigma rank 2 of 4; the draws must keep
+    # both relations exactly (a 1e-10 diagonal jitter breaks them at 1e-5).
+    rng = np.random.default_rng(7)
+    h = rng.standard_normal((50, 2))
+    rows = np.column_stack([h[:, 0], h[:, 1], h[:, 0] + h[:, 1], h[:, 0]])
+    stat = MultiStat.from_rows(rows, ddof=1)
+    assert stat.factor.shape == (4, 4)
+    draws = rng.standard_normal((4000, 4)) @ stat.factor
+    np.testing.assert_allclose(draws[:, 2], draws[:, 0] + draws[:, 1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(draws[:, 3], draws[:, 0], rtol=0, atol=1e-12)
+    # Feature 3 sits 1e-9 above its duplicate, feature 0, so it beats it in
+    # every replicate and feature 0 is never the top one.
+    t = np.array([0.0, 0.0, 0.0, 1e-9])
     scales = ScaleSet(scales=(0.5, 1.0, 2.0), replicates_per_scale=4000)
-    fractions = _selection_fractions(np.zeros(2), chol, 1, scales, 4)
-    assert ((0.4 < fractions[:, 0]) & (fractions[:, 0] < 0.6)).all()
+    fractions = _selection_fractions(t, stat.factor, 1, scales, 4)
+    assert (fractions[:, 0] == 0.0).all()
+    assert (fractions[:, 3] > 0.2).all()
 
 
 def test_selective_p_unconstrained_selection():
@@ -247,10 +287,9 @@ def test_flat_hypothesis_distance_zero_variance():
         flat_hypothesis_distance(stat, 0)
 
 
-def _selection_fit(mean, cov, k, scales, seed):
+def _selection_fit(mean, factor, k, scales, seed):
     """The pipeline's bootstrap for feature 0: fractions, then the scaling-law fit."""
-    chol, _ = _cholesky_with_jitter(cov)
-    fractions = _selection_fractions(np.asarray(mean, dtype=float), chol, k, scales, seed)
+    fractions = _selection_fractions(np.asarray(mean, dtype=float), factor, k, scales, seed)
     return fractions, *fit_bootstrap_probabilities(fractions[:, 0], scales)
 
 
@@ -259,7 +298,7 @@ def test_region_scaling_halfspace_recovery():
     # psi = -a at every scale and the fit recovers beta0 = -a, beta1 = 0.
     a = 0.5
     scales = default_scales(1000, replicates_per_scale=10_000)
-    _, fit, info = _selection_fit([a, 0.0], np.eye(2) / 2, 1, scales, 11)
+    _, fit, info = _selection_fit([a, 0.0], np.eye(2) / np.sqrt(2.0), 1, scales, 11)
     assert fit is not None
     assert fit.beta0 == pytest.approx(-a, abs=0.05)
     assert fit.beta1 == pytest.approx(0.0, abs=0.05)

@@ -345,6 +345,15 @@ def test_poly_near_tie_is_clamped_into_interval():
     assert clamped > 0
 
 
+def test_multi_needs_the_factor_of_from_rows():
+    # A statistic given by (t, sigma) alone serves Poly, but has no factor
+    # for the Multi bootstrap to draw from.
+    stat = MultiStat(t=np.array([1.0, 0.5, 0.0]), sigma=np.eye(3), l=50)
+    assert selective_report(stat, 50, RunConfig(seed=1, k=2, method="poly-mmd")).p_values
+    with pytest.raises(ValueError, match="MultiStat.from_rows"):
+        selective_report(stat, 50, RunConfig(seed=1, k=2, method="multi-mmd"))
+
+
 def test_multi_not_less_powerful_than_poly_on_true_features():
     # Shared data and seeds; average p-values on the truly shifted features.
     trials = 12

@@ -14,6 +14,7 @@ from selkern import (
     gen_logistic,
     gen_mean_shift,
     run_trials,
+    selective_report,
     tpr_fpr,
 )
 
@@ -176,6 +177,26 @@ def test_run_trials_null_calibration_smoke():
     band = 3 * math.sqrt(0.05 * 0.95 / (60 * 4))
     for s in summaries:
         assert abs(s.fpr - 0.05) <= band + 1e-9, (s.method, s.fpr)
+
+
+def test_run_trials_high_dimensional_null_calibration(monkeypatch):
+    # d = 500 features from l = 100 tuples: Sigma has rank below d, and the
+    # Multi bootstrap must still draw from it exactly.  A fixed bandwidth
+    # keeps the 40 trials to a few seconds.
+    reports = []
+
+    def recording_report(*args, **kwargs):
+        reports.append(selective_report(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr("selkern.simulation.selective_report", recording_report)
+    problem = ProblemSpec(kind="mean-shift", n=100, d=500, shift=0.0, informative=0)
+    config = RunConfig(seed=0, k=10, bandwidth=1.0, replicates_per_scale=1000)
+    (summary,) = run_trials(problem, ["multi-mmd"], 40, master_seed=1, config=config)
+    assert len(reports) == 40
+    assert all(0.0 <= p <= 1.0 for r in reports for p in r.p_values)
+    assert summary.fallbacks == {}
+    assert summary.fpr <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / (40 * 10)), summary.fpr
 
 
 def test_run_trials_rejects_mismatched_method():
