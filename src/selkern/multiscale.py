@@ -9,11 +9,12 @@ the geometric quantities that drive selective p-values.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri
 
 from .core import (
     DataShapeError,
@@ -21,6 +22,42 @@ from .core import (
     InsufficientScalesError,
     MultiStat,
 )
+
+
+#: Inverse of the standard normal CDF, by Wichura's AS241 (as scipy's ndtri).
+ndtri = NormalDist().inv_cdf
+
+_SQRT1_2 = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_ndtr_scalar(x: float) -> float:
+    if x > 0.0:
+        # log1p keeps the digits of log(1 - tiny) that log would round away.
+        return math.log1p(-0.5 * math.erfc(x * _SQRT1_2))
+    if x > -20.0:
+        return math.log(0.5 * math.erfc(-x * _SQRT1_2))
+    if math.isnan(x) or x == -math.inf:
+        return x
+    # Far left tail: Phi(x) ~ phi(x) / -x * (1 - 1/x^2 + 3/x^4 - 15/x^6 + ...),
+    # taken in logs; at x = -20 the tenth term is below 1e-17.
+    z = 1.0 / (x * x)
+    term, series = 1.0, 0.0
+    for k in range(1, 11):
+        term *= -(2 * k - 1) * z
+        series += term
+    return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log1p(series)
+
+
+def log_ndtr(x):
+    """Log of the standard normal CDF, tail-stable, for a scalar or an array.
+
+    A scalar gives a float; an array gives a float array of its shape.
+    """
+    if np.ndim(x) == 0:
+        return _log_ndtr_scalar(float(x))
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(_log_ndtr_scalar, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 class ScalesDroppedWarning(UserWarning):
@@ -78,7 +115,9 @@ def psi_transform(bp: float, gamma2: float) -> float:
 
 def psi_variance(bp: float, gamma2: float, b_reps: int) -> float:
     """Delta-method variance of psi given the binomial noise of BP."""
-    z = -ndtri(bp)
+    if b_reps < 1:
+        raise ValueError("b_reps must be >= 1")
+    z = psi_transform(bp, 1.0)  # rejects bp outside (0, 1)
     density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
     return float(gamma2 * bp * (1.0 - bp) / (b_reps * density**2))
 

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .config import METHODS, RunConfig
 from .core import DegenerateFeatureError, MultiStat, derive_rng
@@ -24,6 +23,7 @@ from .multiscale import (
     default_scales,
     fit_bootstrap_probabilities,
     flat_hypothesis_distance,
+    log_ndtr,
     selective_p_detail,
 )
 

@@ -189,16 +189,29 @@ def test_load_csv_matches_csv_module_oracle(tmp_path_factory, text):
     assert values.view(np.int64).tolist() == expected[0].view(np.int64).tolist()
 
 
-def test_cli_import_skips_scipy_spatial():
-    # The CLI needs no pairwise-distance routines; scipy.spatial (and the
-    # scipy.sparse it pulls in) would add to the start-up of every command.
+def test_cli_loads_no_scipy(sample_csvs, tmp_path):
+    # The runtime needs numpy alone; importing scipy.special took most of
+    # every command's start-up.  Checked after the import and again after a
+    # Multi and a Poly test, so a function-local import fails too.
+    xp, yp, _, _ = sample_csvs
     src = str(Path(selkern.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import selkern.cli, sys; print(*sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
-    loaded = out.stdout.split()
-    assert not [m for m in loaded if m.startswith(("scipy.spatial", "scipy.sparse"))]
-    assert "scipy.special" in loaded
+    code = (
+        "import json, sys, selkern.cli\n"
+        "loaded = [list(sys.modules)]\n"
+        "for method in ('multi', 'poly'):\n"
+        "    argv = ['mmd-test', '--x', sys.argv[1], '--y', sys.argv[2], '--k', '2', '--seed', '1',\n"
+        "            '--replicates', '200', '--method', method, '--out', sys.argv[3]]\n"
+        "    assert selkern.cli.cli_main(argv) == 0\n"
+        "    loaded.append(list(sys.modules))\n"
+        "print(json.dumps(loaded))\n"
+    )
+    argv = [sys.executable, "-c", code, xp, yp, str(tmp_path / "out.json")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=120)
+    snapshots = json.loads(out.stdout.splitlines()[-1])
+    assert len(snapshots) == 3
+    for loaded in snapshots:
+        assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
 
 
 def test_all_lists_exactly_the_public_names():

@@ -1,6 +1,6 @@
 """Source hygiene checks on `src/selkern`, by the standard library's `ast`:
-no module imports a name it never uses, and every private top-level
-function or class is referenced somewhere in `src/`."""
+no module imports a name it never uses or imports scipy, and every private
+top-level function or class is referenced somewhere in `src/`."""
 import ast
 from pathlib import Path
 
@@ -36,6 +36,22 @@ def test_no_unused_imports():
                     if bound not in used:
                         unused.append(f"{name}: {bound}")
     assert not unused
+
+
+def test_no_scipy_imports():
+    # scipy is a test-only dependency: importing scipy.special alone took most
+    # of every command's start-up.
+    found = []
+    for name, tree in _SOURCES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{name}: {m}" for m in modules if m == "scipy" or m.startswith("scipy.")]
+    assert not found
 
 
 def test_no_unreferenced_private_definitions():

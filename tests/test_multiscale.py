@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.stats import norm
 
 from selkern import (
@@ -16,7 +17,7 @@ from selkern import (
     psi_variance,
     selective_p_detail,
 )
-from selkern.multiscale import fit_bootstrap_probabilities
+from selkern.multiscale import fit_bootstrap_probabilities, log_ndtr, ndtri
 from selkern.selective import _selection_fractions
 
 
@@ -44,6 +45,64 @@ def test_psi_variance_delta_method():
     z = norm.isf(bp)
     expected = gamma2 * bp * (1 - bp) / (b * norm.pdf(z) ** 2)
     assert psi_variance(bp, gamma2, b) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("bp, b_reps", [(0.0, 2000), (1.0, 2000), (-0.1, 2000), (1.5, 2000),
+                                         (float("nan"), 2000), (0.3, 0)])
+def test_psi_variance_rejects_degenerate_inputs(bp, b_reps):
+    with pytest.raises(ValueError):
+        psi_variance(bp, 1.0, b_reps)
+
+
+def _assert_log_ndtr_close(got, x):
+    # scipy flushes the far right tail (|value| < 1e-300) to -0.0.
+    want = special.log_ndtr(x)
+    if abs(want) >= 1e-300:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), x
+    else:
+        assert abs(got - want) <= 1e-300, x
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-1e3, 40.0))
+def test_log_ndtr_matches_scipy(x):
+    _assert_log_ndtr_close(log_ndtr(x), x)
+
+
+def test_log_ndtr_array_matches_scipy_and_scalar_calls():
+    # Dense across the branch points x = -20 and x = 0 and the right tail.
+    x = np.concatenate([np.linspace(-1e3, 40.0, 20800), np.linspace(-25.0, 10.0, 7000)]).reshape(2, 100, 139)
+    got = log_ndtr(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    for xi, gi in zip(x.ravel().tolist(), got.ravel().tolist()):
+        assert gi == log_ndtr(xi)
+        _assert_log_ndtr_close(gi, xi)
+    assert log_ndtr(np.array([])).shape == (0,)
+
+
+def test_log_ndtr_special_values_are_exact():
+    for x in (np.inf, -np.inf, 0.0, -0.0):
+        for got in (log_ndtr(x), log_ndtr(np.array([x]))[0]):
+            want = special.log_ndtr(x)
+            assert got == want and np.signbit(got) == np.signbit(want), x
+    assert np.isnan(log_ndtr(np.nan)) and np.isnan(log_ndtr(np.array([np.nan]))).all()
+    assert type(log_ndtr(1.0)) is float and type(log_ndtr(np.float64(-30.0))) is float
+
+
+def _assert_ndtri_close(p):
+    want = special.ndtri(p)
+    assert abs(ndtri(p) - want) <= 8 * np.spacing(abs(want)), p
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_ndtri_within_8_ulp_of_scipy(p):
+    _assert_ndtri_close(p)
+
+
+def test_ndtri_on_bootstrap_fractions_and_extremes():
+    for p in [j / 2000 for j in range(1, 2000)] + [1e-300, 5e-324, 1e-10, 0.5, 1 - 2**-53]:
+        _assert_ndtri_close(p)
 
 
 def test_fit_exact_line():
