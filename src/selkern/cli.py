@@ -152,13 +152,11 @@ def split_response(values: np.ndarray, names: list[str] | None, response: str):
     ``names`` None (a file without a header row) names the columns f0, f1, ...
     """
     names = [f"f{i}" for i in range(values.shape[1])] if names is None else names
-    if response not in names:
-        raise DataFormatError(f"response column {response!r} not found (have {names})")
+    if names.count(response) != 1:
+        raise DataFormatError(f"response column {response!r} must name exactly one column (have {names})")
     idx = names.index(response)
     keep = [j for j in range(values.shape[1]) if j != idx]
-    X = values[:, keep]
-    xnames = [names[j] for j in keep]
-    return X, xnames, values[:, idx]
+    return values[:, keep], [names[j] for j in keep], values[:, idx]
 
 
 def _sanitize(obj):

@@ -77,36 +77,38 @@ class Design:
 
 @dataclass
 class MultiStat:
-    """Scaled per-feature statistic vector with its estimated covariance.
+    """Scaled per-feature statistic vector with a factor of its estimated covariance.
 
-    ``t[i]`` is the scaled estimate for feature i and ``sigma`` the sample
-    covariance of the per-tuple kernel evaluations across features, which
-    estimates the covariance of ``t`` itself.  ``factor``, set by
-    `from_rows`, is an upper-triangular R with RᵀR = sigma of any rank; the
-    multiscale bootstrap draws from it.
+    ``t[i]`` is the scaled estimate for feature i.  The sample covariance Σ of
+    the per-tuple kernel evaluations across features estimates the covariance
+    of ``t``; it is held only as ``factor``, any R of shape (r, d) with
+    RᵀR = Σ, and never formed.  ``variances`` is diag(Σ), the squared column
+    norms of R.  ``l`` counts the tuples (or blocks) and ``n`` the sample size.
     """
 
     t: np.ndarray
-    sigma: np.ndarray
+    factor: np.ndarray
     l: int
+    n: int
     feature_names: list[str] = field(default_factory=list)
-    factor: np.ndarray | None = None
+    variances: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.t = np.asarray(self.t, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
+        self.factor = np.asarray(self.factor, dtype=float)
         d = self.t.shape[0]
-        if self.sigma.shape != (d, d):
-            raise DataShapeError("sigma must be d x d for a d-vector t")
+        if self.factor.ndim != 2 or self.factor.shape[1] != d:
+            raise DataShapeError("factor must be 2-D with one column per entry of t")
+        self.variances = np.einsum("ij,ij->j", self.factor, self.factor)
         if not self.feature_names:
             self.feature_names = [f"f{i}" for i in range(d)]
         if len(self.feature_names) != d:
             raise DataShapeError("feature_names length must match t")
 
     @classmethod
-    def from_rows(cls, rows: np.ndarray, ddof: int,
+    def from_rows(cls, rows: np.ndarray, ddof: int, n: int,
                   feature_names: list[str] | None = None) -> "MultiStat":
-        """sqrt(m) * mean of (m, d) per-feature ``rows``; sigma: their covariance, divisor m - ddof.
+        """sqrt(m) * mean of (m, d) per-feature ``rows``, whose covariance (divisor m - ddof) is Σ.
 
         The factor is the R of the QR of the centred rows over sqrt(m - ddof),
         shape (min(m, d), d), its rows signed so the diagonal is >= 0.
@@ -115,11 +117,10 @@ class MultiStat:
             raise ValueError("statistic rows contain non-finite values")
         m = rows.shape[0]
         centered = rows - rows.mean(axis=0)
-        sigma = centered.T @ centered / (m - ddof)
         factor = np.linalg.qr(centered / np.sqrt(m - ddof), mode="r")
         factor *= np.where(np.diag(factor) < 0, -1.0, 1.0)[:, None]
-        return cls(t=np.sqrt(m) * rows.mean(axis=0), sigma=(sigma + sigma.T) / 2.0, l=m,
-                   feature_names=list(feature_names or []), factor=factor)
+        return cls(t=np.sqrt(m) * rows.mean(axis=0), factor=factor, l=m, n=n,
+                   feature_names=list(feature_names or []))
 
     @property
     def dim(self) -> int:

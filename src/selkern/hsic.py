@@ -162,10 +162,10 @@ def hsic_multistat_incomplete(
     rng: np.random.Generator | None = None,
     feature_names: list[str] | None = None,
 ) -> MultiStat:
-    """Per-feature scaled statistic sqrt(l) * HSIC_inc with its covariance.
+    """Per-feature scaled statistic sqrt(l) * HSIC_inc with its covariance factor.
 
     One quadruple design of size l = round(r * n) is shared across features;
-    sigma is the sample covariance (divisor l - 1) of per-tuple h vectors.
+    Σ is the sample covariance (divisor l - 1) of per-tuple h vectors.
     """
     l = int(round(r * Z.n))
     if l < 2:
@@ -173,7 +173,7 @@ def hsic_multistat_incomplete(
     if rng is None:
         rng = derive_rng(0)
     design = sample_quad_design(Z.n, l, rng)
-    return MultiStat.from_rows(_quad_h_matrix(Z, specs, specY, design), ddof=1,
+    return MultiStat.from_rows(_quad_h_matrix(Z, specs, specY, design), ddof=1, n=Z.n,
                                feature_names=feature_names)
 
 
@@ -186,12 +186,12 @@ def hsic_multistat_block(
 ) -> MultiStat:
     """Per-feature scaled statistic sqrt(m) * HSIC_blo over m = floor(n/B) blocks.
 
-    sigma is the population-style covariance (divisor m) of the per-block
-    vectors of feature-wise complete U-statistics.
+    Σ is the population-style covariance (divisor m) of the per-block
+    vectors of feature-wise complete U-statistics; it is held as its factor.
     """
     if block_size < 4:
         raise DataShapeError("block size must be >= 4")
     if Z.n // block_size < 2:
         raise DataShapeError("need at least 2 full blocks")
-    return MultiStat.from_rows(_block_hsic(Z, specs, specY, block_size), ddof=0,
+    return MultiStat.from_rows(_block_hsic(Z, specs, specY, block_size), ddof=0, n=Z.n,
                                feature_names=feature_names)

@@ -69,11 +69,11 @@ def mmd_multistat(
     rng: np.random.Generator | None = None,
     feature_names: list[str] | None = None,
 ) -> MultiStat:
-    """Per-feature scaled statistic sqrt(l) * MMD^2_inc with its covariance.
+    """Per-feature scaled statistic sqrt(l) * MMD^2_inc with its covariance factor.
 
     A single pair design of size l = round(r * n) is shared across features;
-    sigma is the sample covariance (divisor l - 1) of the per-tuple vectors
-    of feature-wise h values.
+    Σ is the sample covariance (divisor l - 1) of the per-tuple vectors of
+    feature-wise h values.
     """
     X, Y = _check_two_sample(X, Y)
     n = X.shape[0]
@@ -85,5 +85,5 @@ def mmd_multistat(
     # Looked up on the module at call time, so a wrapper installed there (the
     # benchmark's tracer) sees the call.
     i, j = designs.sample_pair_design(n, l, rng).tuples.T
-    return MultiStat.from_rows(_pair_h(X, Y, i, j, specs), ddof=1,
+    return MultiStat.from_rows(_pair_h(X, Y, i, j, specs), ddof=1, n=n,
                                feature_names=feature_names)

@@ -225,12 +225,12 @@ def selective_p_detail(phi_h_at_minus1: float, phi_s_at_0: float) -> tuple[float
 
 
 def flat_hypothesis_distance(stat: MultiStat, i: int) -> float:
-    """Signed distance t[i] / sqrt(sigma[i, i]) to the flat boundary {y_i = 0}.
+    """Signed distance t[i] / sqrt(Sigma[i, i]) to the flat boundary {y_i = 0}.
 
     For a flat hypothesis boundary the curvature vanishes, so this constant
     already equals the extrapolated phi_H(-1).
     """
-    var = float(stat.sigma[i, i])
+    var = float(stat.variances[i])
     if var <= 0.0:
         raise DegenerateFeatureError(f"feature {i} has non-positive variance {var}")
     return float(stat.t[i] / np.sqrt(var))

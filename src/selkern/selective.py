@@ -102,7 +102,7 @@ def _truncnorm_sf(t, var: float, vminus, vplus) -> np.ndarray:
 
 def poly_truncation_intervals(
     t: np.ndarray,
-    sigma: np.ndarray,
+    factor: np.ndarray,
     selected: SelectionResult,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Truncation intervals of every selected coordinate under the top-k selection.
@@ -111,20 +111,23 @@ def poly_truncation_intervals(
     constraint set {t_b - t_a <= 0 : a selected, b not}.  Decomposing t along
     eta = e_i gives the data-dependent interval of the standard polyhedral
     lemma; with k = d there are no constraints and the interval is the line.
-    Entry j of both arrays belongs to ``selected.selected[j]``; a feature
-    with non-positive variance gets NaN at both ends.  The constraints are
-    visited one selected a at a time, on (d - k, k) blocks.
+    Of the covariance Sigma = factorᵀ factor of t, only the (d, k) columns
+    of the selected set are formed.  Entry j of both arrays belongs to
+    ``selected.selected[j]``; a feature with non-positive variance gets NaN
+    at both ends.  The constraints are visited one selected a at a time, on
+    (d - k, k) blocks.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    sigma = np.asarray(sigma, dtype=float)
+    factor = np.asarray(factor, dtype=float)
     sel = np.array(selected.selected, dtype=np.intp)
-    var = sigma[sel, sel]
+    columns = factor.T @ factor[:, sel]
+    var = columns[sel, np.arange(sel.size)]
     rest = np.ones(t.shape[0], dtype=bool)
     rest[sel] = False
     # A nearly parallel constraint gives an infinite ratio, a valid bound.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # Column j holds feature sel[j]'s c = Sigma e_i / var_i and z = t - c t_i.
-        c = sigma[:, sel] / var
+        c = columns / var
         z = t[:, None] - c * t[sel]
         c_rest, z_rest = c[rest], z[rest]
         vminus, vplus = np.full(sel.size, -np.inf), np.full(sel.size, np.inf)
@@ -199,16 +202,15 @@ def hsic_stat(Z: JointSample, config: RunConfig,
 
 
 def statistic(data, config: RunConfig,
-              feature_names: list[str] | None = None) -> tuple[MultiStat, int]:
-    """The per-feature statistic of ``config.method``'s family and the sample size.
+              feature_names: list[str] | None = None) -> MultiStat:
+    """The per-feature statistic of ``config.method``'s family.
 
     ``data`` is an ``(X, Y)`` pair of samples for the MMD methods and a
     `JointSample` for the HSIC methods.  Non-finite values are rejected.
     """
     if config.family == "hsic":
-        return hsic_stat(data, config, feature_names), data.n
-    X, Y = data
-    return mmd_stat(X, Y, config, feature_names), np.atleast_2d(X).shape[0]
+        return hsic_stat(data, config, feature_names)
+    return mmd_stat(*data, config, feature_names)
 
 
 def _top_k_fractions(draws: np.ndarray, k: int) -> np.ndarray:
@@ -298,11 +300,9 @@ def _report(stat: MultiStat, sel: SelectionResult, tests: list[tuple[float, dict
     )
 
 
-def _multiscale_report(stat: MultiStat, n: int, config: RunConfig) -> SelectiveReport:
-    if stat.factor is None:
-        raise ValueError("the multiscale bootstrap needs the factor of a statistic built by MultiStat.from_rows")
+def _multiscale_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
     sel = select_top_k(stat.t, config.k)
-    scales = default_scales(n, count=config.scale_count, low=config.scale_low, high=config.scale_high,
+    scales = default_scales(stat.n, count=config.scale_count, low=config.scale_low, high=config.scale_high,
                             replicates_per_scale=config.replicates_per_scale)
     fractions = _selection_fractions(stat.t, stat.factor, sel.k, scales, config.seed)
     tests = [_multiscale_feature_test(stat, i, fractions[:, i], scales) for i in sel.selected]
@@ -322,18 +322,18 @@ def _poly_feature_test(stat: MultiStat, i: int, vminus: float, vplus: float) -> 
     if inside != t_i and abs(inside - t_i) <= 1e-9 * max(1.0, abs(t_i)):
         t_i = inside
         diag["clamped"] = True
-    p = poly_p(t_i, float(stat.sigma[i, i]), vminus, vplus)
+    p = poly_p(t_i, float(stat.variances[i]), vminus, vplus)
     diag.update({"vminus": vminus, "vplus": vplus, "beta0": flat_hypothesis_distance(stat, i)})
     return p, diag
 
 
 def _poly_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
     sel = select_top_k(stat.t, config.k)
-    intervals = zip(sel.selected, *poly_truncation_intervals(stat.t, stat.sigma, sel))
+    intervals = zip(sel.selected, *poly_truncation_intervals(stat.t, stat.factor, sel))
     return _report(stat, sel, [_poly_feature_test(stat, *interval) for interval in intervals], config)
 
 
-def selective_report(stat: MultiStat, n: int, config: RunConfig) -> SelectiveReport:
+def selective_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
     """Run ``config.method``'s per-feature tests on an already-computed statistic.
 
     Lets harnesses that compare methods on identical data compute the shared
@@ -342,7 +342,7 @@ def selective_report(stat: MultiStat, n: int, config: RunConfig) -> SelectiveRep
     if config.k is None:
         raise ValueError("config.k must be set to select features")
     if config.method.startswith("multi-"):
-        return _multiscale_report(stat, n, config)
+        return _multiscale_report(stat, config)
     return _poly_report(stat, config)
 
 
@@ -353,5 +353,4 @@ def select_and_test(data, config: RunConfig,
     ``data`` is an ``(X, Y)`` pair of samples for the MMD methods (two-sample
     tests) and a `JointSample` for the HSIC methods (dependence tests).
     """
-    stat, n = statistic(data, config, feature_names)
-    return selective_report(stat, n, config)
+    return selective_report(statistic(data, config, feature_names), config)

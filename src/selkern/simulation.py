@@ -119,8 +119,8 @@ class TrialSummary:
 
 def _trial_reports(methods: list[str], data, config: RunConfig) -> dict[str, SelectiveReport]:
     """One report per method, computing the shared statistic only once."""
-    stat, n = statistic(data, replace(config, method=methods[0]))
-    return {m: selective_report(stat, n, replace(config, method=m)) for m in methods}
+    stat = statistic(data, replace(config, method=methods[0]))
+    return {m: selective_report(stat, replace(config, method=m)) for m in methods}
 
 
 def _nan_mean_se(values: list[float]) -> tuple[float, float, int]:
@@ -227,7 +227,7 @@ def run_trials(
 
 
 def _subsample(rows: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    if size > rows.shape[0]:
+    if not 1 <= size <= rows.shape[0]:
         raise DataShapeError(f"cannot draw {size} rows from {rows.shape[0]}")
     idx = rng.choice(rows.shape[0], size=size, replace=False)
     return rows[idx]
@@ -278,7 +278,7 @@ def benchmark_trials(
         n = n if n is not None else features.shape[0]
 
         def make_data(rng: np.random.Generator):
-            idx = rng.choice(features.shape[0], size=n, replace=False)
+            idx = _subsample(np.arange(features.shape[0]), n, rng)
             return JointSample(augment_fake_features(features[idx], n_fake, rng), split[idx][:, None])
 
     return _run_trial_pool(make_data, methods, trials, master_seed, config, set(range(d_true)))

@@ -230,6 +230,19 @@ def test_split_response_missing_column(tmp_path):
         split_response(values, ["a", "b"], "y")
 
 
+def test_duplicated_response_name_is_data_error(tmp_path, capsys):
+    rng = derive_rng(106)
+    labels = (np.arange(40) % 2).astype(float)
+    table = np.column_stack([rng.standard_normal((40, 2)), labels, rng.standard_normal(40)])
+    path = tmp_path / "dup.csv"
+    save_csv(path, table, ["a", "b", "y", "y"])
+    for argv in (["hsic-test", "--data", str(path), "--response", "y", "--k", "1"],
+                 ["benchmark", "--data", str(path), "--mode", "mmd", "--label", "y", "--trials", "1"]):
+        assert cli_main(argv + ["--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: response column 'y' must name exactly one column (have ['a', 'b', 'y', 'y'])" in err
+
+
 def test_mmd_test_contract(sample_csvs, tmp_path, capsys):
     xp, yp, x, _ = sample_csvs
     out = tmp_path / "doc.json"
@@ -370,6 +383,20 @@ def test_benchmark_document(tmp_path, capsys):
     jsonschema.validate(doc, RESULT_SCHEMA)
     assert doc["inputs"]["fakes"] == 3
     capsys.readouterr()
+
+
+def test_benchmark_rows_per_trial_out_of_range_is_data_error(tmp_path, capsys):
+    rng = derive_rng(105)
+    labels = (np.arange(30) % 2).astype(float)
+    path = tmp_path / "bench.csv"
+    save_csv(path, np.column_stack([rng.standard_normal((30, 3)), labels]), ["a", "b", "c", "cls"])
+    # mmd mode draws --n rows from each class of 15, hsic mode from all 30.
+    for mode, flag, n, rows in (("mmd", "--label", 100, 15), ("hsic", "--response", 100, 30),
+                                ("mmd", "--label", 0, 15), ("hsic", "--response", 0, 30)):
+        argv = ["benchmark", "--data", str(path), "--mode", mode, flag, "cls", "--n", str(n),
+                "--trials", "1", "--k", "2", "--seed", "1"]
+        assert cli_main(argv) == 1, (mode, n)
+        assert f"error: cannot draw {n} rows from {rows}\n" in capsys.readouterr().err, (mode, n)
 
 
 def test_env_seed_fallback(sample_csvs, tmp_path, monkeypatch, capsys):

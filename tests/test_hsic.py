@@ -162,7 +162,7 @@ def test_multistat_incomplete_univariate_sigma():
     L = gram_matrix(SPEC_Y, Z.Y, Z.Y)
     design = sample_quad_design(16, 16, derive_rng(7))
     h_vals = np.array([loop_h(K, L, tuple(q)) for q in design.tuples.tolist()])
-    assert stat.sigma[0, 0] == pytest.approx(h_vals.var(ddof=1), abs=1e-12)
+    assert stat.variances[0] == pytest.approx(h_vals.var(ddof=1), abs=1e-12)
     assert stat.t[0] == pytest.approx(np.sqrt(16) * h_vals.mean(), abs=1e-12)
 
 
@@ -171,7 +171,8 @@ def test_multistat_incomplete_duplicate_features():
     x = rng.standard_normal((14, 1))
     Z = JointSample(np.hstack([x, x]), rng.standard_normal(14))
     stat = hsic_multistat_incomplete(Z, [SPEC_X, SPEC_X], SPEC_Y, rng=derive_rng(8))
-    assert np.allclose(stat.sigma[0], stat.sigma[1], atol=1e-14)
+    sigma = stat.factor.T @ stat.factor
+    assert np.allclose(sigma[0], sigma[1], atol=1e-14)
     assert stat.t[0] == stat.t[1]
 
 
@@ -199,7 +200,7 @@ def test_multistat_incomplete_matches_loop_oracle():
         centered = H - H.mean(axis=0)
         sigma_expected = centered.T @ centered / (n - 1)
         assert np.allclose(stat.t, t_expected, atol=1e-10)
-        assert np.allclose(stat.sigma, sigma_expected, atol=1e-10)
+        assert np.allclose(stat.factor.T @ stat.factor, sigma_expected, atol=1e-10)
 
 
 def test_multistat_block_two_blocks_sigma():
@@ -209,7 +210,7 @@ def test_multistat_block_two_blocks_sigma():
     stat = hsic_multistat_block(Z, [SPEC_X], SPEC_Y, block_size=4)
     eta1 = hsic_u(JointSample(Z.X[:4], Z.Y[:4]), SPEC_X, SPEC_Y)
     eta2 = hsic_u(JointSample(Z.X[4:], Z.Y[4:]), SPEC_X, SPEC_Y)
-    assert stat.sigma[0, 0] == pytest.approx((eta1 - eta2) ** 2 / 4.0, abs=1e-12)
+    assert stat.variances[0] == pytest.approx((eta1 - eta2) ** 2 / 4.0, abs=1e-12)
     assert stat.t[0] == pytest.approx(np.sqrt(2) * (eta1 + eta2) / 2.0, abs=1e-12)
 
 
@@ -218,7 +219,8 @@ def test_multistat_block_duplicate_features():
     x = rng.standard_normal((12, 1))
     Z = JointSample(np.hstack([x, x]), rng.standard_normal(12))
     stat = hsic_multistat_block(Z, [SPEC_X, SPEC_X], SPEC_Y, block_size=4)
-    assert np.allclose(stat.sigma[0], stat.sigma[1], atol=1e-14)
+    sigma = stat.factor.T @ stat.factor
+    assert np.allclose(sigma[0], sigma[1], atol=1e-14)
 
 
 def test_multistat_block_matches_loop_oracle():
@@ -240,7 +242,7 @@ def test_multistat_block_matches_loop_oracle():
         centered = eta - eta.mean(axis=0)
         sigma_expected = centered.T @ centered / blocks
         assert np.allclose(stat.t, t_expected, atol=1e-10)
-        assert np.allclose(stat.sigma, sigma_expected, atol=1e-10)
+        assert np.allclose(stat.factor.T @ stat.factor, sigma_expected, atol=1e-10)
 
 
 def test_multistat_block_needs_two_blocks():

@@ -118,7 +118,7 @@ def test_multistat_univariate_sigma_is_h_variance():
     stat = mmd_multistat(X, Y, [SPEC], rng=derive_rng(5))
     design = sample_pair_design(20, 20, derive_rng(5))
     h_vals = np.array([mmd_h(X[i], X[j], Y[i], Y[j], SPEC) for i, j in design.tuples])
-    assert stat.sigma[0, 0] == pytest.approx(h_vals.var(ddof=1), abs=1e-12)
+    assert stat.variances[0] == pytest.approx(h_vals.var(ddof=1), abs=1e-12)
     assert stat.t[0] == pytest.approx(np.sqrt(20) * h_vals.mean(), abs=1e-12)
 
 
@@ -129,8 +129,9 @@ def test_multistat_duplicate_columns():
     X2 = np.hstack([X, X])
     Y2 = np.hstack([Y, Y])
     stat = mmd_multistat(X2, Y2, [SPEC, SPEC], rng=derive_rng(6))
-    assert np.allclose(stat.sigma[0], stat.sigma[1], atol=1e-14)
-    assert np.allclose(stat.sigma[:, 0], stat.sigma[:, 1], atol=1e-14)
+    sigma = stat.factor.T @ stat.factor
+    assert np.allclose(sigma[0], sigma[1], atol=1e-14)
+    assert np.allclose(sigma[:, 0], sigma[:, 1], atol=1e-14)
     assert stat.t[0] == stat.t[1]
 
 
@@ -153,7 +154,7 @@ def test_multistat_matches_loop_oracle():
         centered = H - H.mean(axis=0)
         sigma_expected = centered.T @ centered / (n - 1)
         assert np.allclose(stat.t, t_expected, atol=1e-10)
-        assert np.allclose(stat.sigma, sigma_expected, atol=1e-10)
+        assert np.allclose(stat.factor.T @ stat.factor, sigma_expected, atol=1e-10)
 
 
 def test_incomplete_unbiased_over_designs():
@@ -186,8 +187,12 @@ def test_sigma_symmetric_nonnegative_diagonal():
     X = rng.standard_normal((30, 4))
     Y = rng.standard_normal((30, 4))
     stat = mmd_multistat(X, Y, [SPEC] * 4, rng=derive_rng(9))
-    assert np.allclose(stat.sigma, stat.sigma.T, atol=1e-12)
-    assert (np.diag(stat.sigma) >= 0).all()
+    # Sigma = RᵀR is symmetric by construction; R is upper triangular with
+    # a non-negative diagonal, and diag(Sigma) is its squared column norms.
+    R = stat.factor
+    assert np.array_equal(np.triu(R), R) and (np.diag(R) >= 0).all()
+    assert np.allclose(stat.variances, np.diag(R.T @ R), rtol=1e-14, atol=0)
+    assert (stat.variances >= 0).all()
 
 
 def test_multistat_design_size_errors():

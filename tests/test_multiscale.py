@@ -236,13 +236,13 @@ def test_bootstrap_probability_rejects_bad_inputs():
         rows = np.ones((5, 2))
         rows[3, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            MultiStat.from_rows(rows, ddof=1)
+            MultiStat.from_rows(rows, ddof=1, n=10)
 
 
 @st.composite
 def _h_rows(draw):
     """(l, d) h-rows with l < d, l = d or l > d, some columns all zero and
-    some duplicates of others."""
+    some duplicates of others; a ddof; and a non-empty column set S."""
     l, d = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     seed = draw(st.integers(0, 2**32 - 1))
     rows = np.random.default_rng(seed).standard_normal((l, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
@@ -252,21 +252,27 @@ def _h_rows(draw):
             rows[:, j] = 0.0
         elif kind == "copy":
             rows[:, j] = rows[:, draw(st.integers(0, d - 1))]
-    return rows, draw(st.sampled_from([0, 1] if l > 1 else [0]))
+    sel = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+    return rows, draw(st.sampled_from([0, 1] if l > 1 else [0])), sel
 
 
 @settings(max_examples=200, deadline=None)
 @given(_h_rows())
 def test_factor_is_exact_for_every_rank(case):
-    rows, ddof = case
+    rows, ddof, sel = case
     l, d = rows.shape
-    stat = MultiStat.from_rows(rows, ddof=ddof)
+    stat = MultiStat.from_rows(rows, ddof=ddof, n=2 * l)
     factor = stat.factor
     assert factor.shape == (min(l, d), d)
     assert np.array_equal(np.triu(factor), factor)
     assert (np.diag(factor) >= 0).all()
-    scale = max(float(np.max(np.diag(stat.sigma))), np.finfo(float).tiny)
-    np.testing.assert_allclose(factor.T @ factor, stat.sigma, rtol=0, atol=1e-12 * scale)
+    # The variances and the columns Sigma[:, S] the reports read, against
+    # the covariance the factor stands for.
+    centered = rows - rows.mean(axis=0)
+    sigma = centered.T @ centered / (l - ddof)
+    scale = max(float(np.max(np.diag(sigma))), np.finfo(float).tiny)
+    np.testing.assert_allclose(stat.variances, np.diag(sigma), rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(factor.T @ factor[:, sel], sigma[:, sel], rtol=0, atol=1e-12 * scale)
     # An all-zero h column has an exactly zero factor column, so that
     # feature's draws are its t at every scale.
     zero = ~rows.any(axis=0)
@@ -281,7 +287,7 @@ def test_bootstrap_probability_rank_deficient_exact():
     rng = np.random.default_rng(7)
     h = rng.standard_normal((50, 2))
     rows = np.column_stack([h[:, 0], h[:, 1], h[:, 0] + h[:, 1], h[:, 0]])
-    stat = MultiStat.from_rows(rows, ddof=1)
+    stat = MultiStat.from_rows(rows, ddof=1, n=50)
     assert stat.factor.shape == (4, 4)
     draws = rng.standard_normal((4000, 4)) @ stat.factor
     np.testing.assert_allclose(draws[:, 2], draws[:, 0] + draws[:, 1], rtol=0, atol=1e-12)
@@ -329,19 +335,19 @@ def test_selective_p_degenerate_denominator_flag():
 
 
 def test_flat_hypothesis_distance():
-    stat = MultiStat(t=np.array([0.0, 2.0]), sigma=np.diag([1.0, 4.0]), l=10)
+    stat = MultiStat(t=np.array([0.0, 2.0]), factor=np.diag([1.0, 2.0]), l=10, n=10)
     assert flat_hypothesis_distance(stat, 0) == 0.0
     assert flat_hypothesis_distance(stat, 1) == 1.0
     rng = np.random.default_rng(6)
     t = rng.standard_normal(3)
-    var = rng.random(3) + 0.5
-    stat = MultiStat(t=t, sigma=np.diag(var), l=5)
+    sd = rng.random(3) + 0.5
+    stat = MultiStat(t=t, factor=np.diag(sd), l=5, n=5)
     for i in range(3):
-        assert flat_hypothesis_distance(stat, i) == t[i] / np.sqrt(var[i])
+        assert flat_hypothesis_distance(stat, i) == t[i] / np.sqrt(sd[i] ** 2)
 
 
 def test_flat_hypothesis_distance_zero_variance():
-    stat = MultiStat(t=np.array([1.0]), sigma=np.array([[0.0]]), l=5)
+    stat = MultiStat(t=np.array([1.0]), factor=np.array([[0.0]]), l=5, n=5)
     with pytest.raises(DegenerateFeatureError):
         flat_hypothesis_distance(stat, 0)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -113,9 +114,10 @@ def test_poly_interval_contains_observation():
         k = int(rng.integers(1, d))
         t = rng.standard_normal(d)
         A = rng.standard_normal((d, d)) / np.sqrt(d)
-        sigma = A @ A.T + 0.1 * np.eye(d)
+        # The factor of A Aᵀ + 0.1 I.
+        factor = np.vstack([A.T, np.sqrt(0.1) * np.eye(d)])
         res = select_top_k(t, k)
-        vminus, vplus = poly_truncation_intervals(t, sigma, res)
+        vminus, vplus = poly_truncation_intervals(t, factor, res)
         for j, i in enumerate(res.selected):
             assert vminus[j] <= t[i] <= vplus[j]
 
@@ -166,7 +168,7 @@ def test_k_equals_d_equals_one_reduces_to_classical():
         multi = select_and_test((X, Y), config)
     poly = select_and_test((X, Y), replace(config, method="poly-mmd"))
     stat = mmd_stat(X, Y, config)
-    classical = norm.sf(stat.t[0] / np.sqrt(stat.sigma[0, 0]))
+    classical = norm.sf(stat.t[0] / np.sqrt(stat.variances[0]))
     assert multi.p_values[0] == pytest.approx(classical, rel=1e-12)
     assert poly.p_values[0] == pytest.approx(classical, rel=1e-12)
     assert abs(multi.p_values[0] - poly.p_values[0]) < 0.02
@@ -334,24 +336,34 @@ def test_poly_near_tie_is_clamped_into_interval():
     clamped = 0
     for _ in range(160):
         A = rng.standard_normal((6, 6))
-        sigma = A @ A.T + 0.1 * np.eye(6)
+        factor = np.vstack([A.T, np.sqrt(0.1) * np.eye(6)])
         t = rng.standard_normal(6)
         j = rng.integers(1, 6)
         t[j] = t[0] * (1 + rng.choice([-1.0, 1.0]) * 1e-15)
-        stat = MultiStat(t=t, sigma=sigma, l=100)
-        report = selective_report(stat, 100, RunConfig(seed=1, k=3, method="poly-mmd"))
+        stat = MultiStat(t=t, factor=factor, l=100, n=100)
+        report = selective_report(stat, RunConfig(seed=1, k=3, method="poly-mmd"))
         assert all(0.0 <= p <= 1.0 for p in report.p_values)
         clamped += sum(d.get("clamped", False) for d in report.diagnostics)
     assert clamped > 0
 
 
-def test_multi_needs_the_factor_of_from_rows():
-    # A statistic given by (t, sigma) alone serves Poly, but has no factor
-    # for the Multi bootstrap to draw from.
-    stat = MultiStat(t=np.array([1.0, 0.5, 0.0]), sigma=np.eye(3), l=50)
-    assert selective_report(stat, 50, RunConfig(seed=1, k=2, method="poly-mmd")).p_values
-    with pytest.raises(ValueError, match="MultiStat.from_rows"):
-        selective_report(stat, 50, RunConfig(seed=1, k=2, method="multi-mmd"))
+def test_reports_never_form_the_d_by_d_covariance():
+    # With d = 3000 features from l = 60 tuples, one d x d array takes
+    # d^2 * 8 bytes = 72 MB; the factor holds 60 rows and Poly reads only
+    # the k selected columns of the covariance.
+    d = 3000
+    X, Y = gen_mean_shift(60, d, 0.5, 10, derive_rng(3))
+    for method in ("poly-mmd", "multi-mmd"):
+        config = RunConfig(seed=1, k=10, method=method, replicates_per_scale=200)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ScalesDroppedWarning)
+                select_and_test((X, Y), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 8, (method, peak)
 
 
 def test_multi_not_less_powerful_than_poly_on_true_features():
@@ -366,8 +378,8 @@ def test_multi_not_less_powerful_than_poly_on_true_features():
             X, Y = gen_mean_shift(250, 12, 0.8, 4, rng)
             config = RunConfig(seed=derive_seed(1000, trial), k=6)
             stat = mmd_stat(X, Y, config)
-            multi = selective_report(stat, 250, config)
-            poly = selective_report(stat, 250, replace(config, method="poly-mmd"))
+            multi = selective_report(stat, config)
+            poly = selective_report(stat, replace(config, method="poly-mmd"))
             true_set = set(range(4))
             m = [p for i, p in zip(multi.selected, multi.p_values) if i in true_set]
             q = [p for i, p in zip(poly.selected, poly.p_values) if i in true_set]
@@ -438,7 +450,8 @@ def test_top_k_fractions_match_selection_indicator_wide_ties(case):
 
 
 def _poly_interval_oracle(t, sigma, selected, i):
-    """The per-feature constraint loop the batched intervals replaced."""
+    """The per-feature constraint loop the batched intervals replaced; it
+    reads only the columns of ``sigma`` that belong to selected features."""
     d = t.shape[0]
     sel = list(selected.selected)
     if i not in sel:
@@ -472,25 +485,27 @@ def _poly_problem(draw):
     # A small value pool gives ties in t, signed zeros included.
     values = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0]) | st.floats(-3, 3)
     t = draw(arrays(np.float64, d, elements=values))
-    # rank < d makes sigma singular; a zero row of A a zero-variance feature.
+    # The factor Aᵀ of Sigma = A Aᵀ.  rank < d makes Sigma singular; a zero
+    # row of A a zero-variance feature.
     A = draw(arrays(np.float64, (d, draw(st.integers(1, d + 1))), elements=values))
     A[draw(arrays(np.bool_, d)) & draw(st.booleans())] = 0.0
     k = draw(st.sampled_from([1, d - 1, d]) | st.integers(1, d))
-    return t, A @ A.T, k
+    return t, A.T, k
 
 
 @settings(max_examples=300, deadline=None)
 @given(_poly_problem())
 # A subnormal covariance: a ratio overflows to inf.
-@example((np.array([-1.5, -0.0, -0.0]),
-          np.array([[0.0, -3.33761079e-309, 0.0], [-3.33761079e-309, 2.25, 0.0], [0.0, 0.0, 0.0]]), 2))
-# Not a covariance, but allowed: c overflows and a ratio is inf / inf = NaN.
-@example((np.array([2.0, 1.0, 0.5]),
-          np.array([[5e-324, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]), 2))
+@example((np.array([-1.5, -0.0, -0.0]), np.array([[-2.2250738585072014e-309, 1.5, 0.0]]), 2))
+# A subnormal variance beside huge ones: c overflows and a ratio is inf / inf = NaN.
+@example((np.array([2.0, 1.0, 0.5]), np.array([[1e-160, 1e150, 1e150], [0.0, 0.0, 1.0]]), 2))
 def test_poly_intervals_match_per_feature_loop(case):
-    t, sigma, k = case
+    t, factor, k = case
     sel = select_top_k(t, k)
-    vminus, vplus = poly_truncation_intervals(t, sigma, sel)
+    vminus, vplus = poly_truncation_intervals(t, factor, sel)
+    # The oracle gets the same columns factorᵀ factor[:, S]; the others are never read.
+    sigma = np.full((t.size, t.size), np.nan)
+    sigma[:, sel.selected] = factor.T @ factor[:, sel.selected]
     for j, i in enumerate(sel.selected):
         try:
             with np.errstate(all="ignore"):
@@ -498,7 +513,7 @@ def test_poly_intervals_match_per_feature_loop(case):
         except DegenerateFeatureError:
             assert np.isnan(vminus[j]) and np.isnan(vplus[j])
             # The Poly report's per-feature test reads the NaN as this error.
-            p, diag = _poly_feature_test(MultiStat(t, sigma, l=2), i, vminus[j], vplus[j])
+            p, diag = _poly_feature_test(MultiStat(t, factor, l=2, n=2), i, vminus[j], vplus[j])
             assert p == 1.0 and diag["error"] == f"feature {i} has non-positive variance"
             continue
         assert (vminus[j], vplus[j]) == expected
@@ -527,10 +542,11 @@ def test_statistic_equivariant_under_feature_permutation(case):
          RunConfig(seed=5, k=1, method="poly-hsic", estimator="block", block_size=6)),
     ]
     for data, permuted, config in cases:
-        stat, _ = statistic(data, config)
-        stat_p, _ = statistic(permuted, config)
+        stat = statistic(data, config)
+        stat_p = statistic(permuted, config)
         assert np.array_equal(stat_p.t, stat.t[perm]), config
-        assert np.allclose(stat_p.sigma, stat.sigma[np.ix_(perm, perm)], rtol=0, atol=1e-12), config
+        sigma, sigma_p = stat.factor.T @ stat.factor, stat_p.factor.T @ stat_p.factor
+        assert np.allclose(sigma_p, sigma[np.ix_(perm, perm)], rtol=0, atol=1e-12), config
 
 
 @st.composite
@@ -561,8 +577,8 @@ def test_report_invariants(case, hsic_estimator):
             data = JointSample(X, y)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ScalesDroppedWarning)
-            stat, n = statistic(data, config)
-            report = selective_report(stat, n, config)
+            stat = statistic(data, config)
+            report = selective_report(stat, config)
         for i, p, diag in zip(report.selected, report.p_values, report.diagnostics):
             assert 0.0 <= p <= 1.0, (config, diag)
             if method.startswith("multi-") and "beta0" in diag:
