@@ -30,8 +30,6 @@ from .hsic import (
     hsic_block,
     hsic_h,
     hsic_incomplete,
-    hsic_multistat_block,
-    hsic_multistat_incomplete,
     hsic_u,
 )
 from .kernels import (
@@ -40,7 +38,7 @@ from .kernels import (
     kernel_eval,
     median_heuristic,
 )
-from .mmd import mmd_h, mmd_incomplete, mmd_multistat, mmd_u
+from .mmd import mmd_h, mmd_incomplete, mmd_u
 from .multiscale import (
     ScaleSet,
     ScalesDroppedWarning,
@@ -96,8 +94,6 @@ __all__ = [
     "hsic_block",
     "hsic_h",
     "hsic_incomplete",
-    "hsic_multistat_block",
-    "hsic_multistat_incomplete",
     "hsic_u",
     "KernelSpec",
     "gram_matrix",
@@ -105,7 +101,6 @@ __all__ = [
     "median_heuristic",
     "mmd_h",
     "mmd_incomplete",
-    "mmd_multistat",
     "mmd_u",
     "ScaleSet",
     "ScalesDroppedWarning",

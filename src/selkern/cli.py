@@ -13,7 +13,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .config import ESTIMATORS, METHODS, RunConfig
-from .core import DataFormatError, DataShapeError, DegenerateSampleError
+from .core import DataFormatError, DataShapeError, DegenerateSampleError, InsufficientScalesError
 from .hsic import JointSample
 from .selective import select_and_test
 from .simulation import (
@@ -253,8 +253,10 @@ def _resolve_seed(args, parser, required_flag: bool = False) -> int:
 
 
 def _config_from_args(args, parser, **overrides) -> RunConfig:
-    """RunConfig from the parsed flags, whose dests are its field names."""
-    values = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name not in overrides}
+    """RunConfig from the flags given, whose dests are its field names; a
+    flag not given is absent from ``args``, so RunConfig sets its default."""
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+              if f.name not in overrides and hasattr(args, f.name)}
     try:
         return RunConfig(**values, **overrides)
     except ValueError as exc:
@@ -263,20 +265,22 @@ def _config_from_args(args, parser, **overrides) -> RunConfig:
 
 
 def _add_common(parser: argparse.ArgumentParser, k_required: bool) -> None:
-    parser.add_argument("--k", type=int, required=k_required, help="number of features to select")
-    parser.add_argument("--alpha", type=float, default=0.05)
-    parser.add_argument("--r", type=float, default=1.0, help="design size ratio l = round(r*n)")
-    parser.add_argument("--estimator", choices=ESTIMATORS, default="incomplete", help="'block': HSIC methods only")
-    parser.add_argument("--block-size", type=int, default=5, dest="block_size")
-    parser.add_argument("--scales", type=int, default=10, dest="scale_count", help="number of bootstrap scales")
-    parser.add_argument("--scale-low", type=float, default=0.5, dest="scale_low")
-    parser.add_argument("--scale-high", type=float, default=2.0, dest="scale_high")
-    parser.add_argument("--replicates", type=int, default=2000, dest="replicates_per_scale", help="bootstrap replicates per scale")
-    parser.add_argument("--kernel", choices=["gaussian", "imq"], default="gaussian", dest="kernel_family")
-    parser.add_argument("--bandwidth", type=float, default=None, help="fixed Gaussian bandwidth (default: median heuristic)")
-    parser.add_argument("--imq-offset", type=float, default=1.0, dest="imq_offset")
-    parser.add_argument("--shared-bandwidth", action="store_true", dest="shared_bandwidth")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for the trials of simulate and benchmark (no effect on single tests)")
+    # The RunConfig flags leave their defaults to RunConfig.
+    unset = argparse.SUPPRESS
+    parser.add_argument("--k", type=int, required=k_required, default=unset, help="number of features to select")
+    parser.add_argument("--alpha", type=float, default=unset)
+    parser.add_argument("--r", type=float, default=unset, help="design size ratio l = round(r*n)")
+    parser.add_argument("--estimator", choices=ESTIMATORS, default=unset, help="'block': HSIC methods only")
+    parser.add_argument("--block-size", type=int, default=unset, dest="block_size")
+    parser.add_argument("--scales", type=int, default=unset, dest="scale_count", help="number of bootstrap scales")
+    parser.add_argument("--scale-low", type=float, default=unset, dest="scale_low")
+    parser.add_argument("--scale-high", type=float, default=unset, dest="scale_high")
+    parser.add_argument("--replicates", type=int, default=unset, dest="replicates_per_scale", help="bootstrap replicates per scale")
+    parser.add_argument("--kernel", choices=["gaussian", "imq"], default=unset, dest="kernel_family")
+    parser.add_argument("--bandwidth", type=float, default=unset, help="fixed Gaussian bandwidth (default: median heuristic)")
+    parser.add_argument("--imq-offset", type=float, default=unset, dest="imq_offset")
+    parser.add_argument("--shared-bandwidth", action="store_true", default=unset, dest="shared_bandwidth")
+    parser.add_argument("--threads", type=int, default=unset, help="worker threads for the trials of simulate and benchmark (no effect on single tests)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", type=str, default=None, help="write the result document here instead of stdout")
 
@@ -415,7 +419,8 @@ def cli_main(argv: list[str] | None = None) -> int:
         return _HANDLERS[args.command](args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (DataFormatError, DataShapeError, DegenerateSampleError, OSError, ValueError) as exc:
+    except (DataFormatError, DataShapeError, DegenerateSampleError, InsufficientScalesError,
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -83,12 +83,11 @@ class MultiStat:
     the per-tuple kernel evaluations across features estimates the covariance
     of ``t``; it is held only as ``factor``, any R of shape (r, d) with
     RᵀR = Σ, and never formed.  ``variances`` is diag(Σ), the squared column
-    norms of R.  ``l`` counts the tuples (or blocks) and ``n`` the sample size.
+    norms of R.  ``n`` is the sample size.
     """
 
     t: np.ndarray
     factor: np.ndarray
-    l: int
     n: int
     feature_names: list[str] = field(default_factory=list)
     variances: np.ndarray = field(init=False, repr=False)
@@ -119,9 +118,5 @@ class MultiStat:
         centered = rows - rows.mean(axis=0)
         factor = np.linalg.qr(centered / np.sqrt(m - ddof), mode="r")
         factor *= np.where(np.diag(factor) < 0, -1.0, 1.0)[:, None]
-        return cls(t=np.sqrt(m) * rows.mean(axis=0), factor=factor, l=m, n=n,
+        return cls(t=np.sqrt(m) * rows.mean(axis=0), factor=factor, n=n,
                    feature_names=list(feature_names or []))
-
-    @property
-    def dim(self) -> int:
-        return self.t.shape[0]

@@ -1,5 +1,6 @@
 """HSIC estimators: complete U-statistic, incomplete, block, and the
-per-feature multivariate statistic with its covariance.
+per-tuple and per-block h rows from which `selective.hsic_stat` builds the
+per-feature statistic.
 
 The incomplete estimators compute the order-4 kernel h from the 6 index
 pairs p of a quadruple, p' being the complementary pair of p:
@@ -10,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataShapeError, Design, MultiStat, derive_rng
-from .designs import complete_quad_design, sample_quad_design
+from .core import DataShapeError, Design
+from .designs import complete_quad_design
 from .kernels import KernelSpec, flat_columns, gram_matrix, pair_kernel
 
 # The 6 index pairs of a quadruple, ordered so that pair p's complement is 5 - p.
@@ -152,46 +153,3 @@ def _block_hsic(Z: JointSample, specs, specY, block_size: int) -> np.ndarray:
            - 2.0 / (B - 2) * (K_rows * L_rows).sum(axis=1)) / (B * (B - 3))
     eta[:, _constant_kernel(Z.X, specs)] = 0.0
     return eta
-
-
-def hsic_multistat_incomplete(
-    Z: JointSample,
-    specs: list[KernelSpec],
-    specY: KernelSpec,
-    r: float = 1.0,
-    rng: np.random.Generator | None = None,
-    feature_names: list[str] | None = None,
-) -> MultiStat:
-    """Per-feature scaled statistic sqrt(l) * HSIC_inc with its covariance factor.
-
-    One quadruple design of size l = round(r * n) is shared across features;
-    Σ is the sample covariance (divisor l - 1) of per-tuple h vectors.
-    """
-    l = int(round(r * Z.n))
-    if l < 2:
-        raise DataShapeError("design size round(r * n) must be >= 2")
-    if rng is None:
-        rng = derive_rng(0)
-    design = sample_quad_design(Z.n, l, rng)
-    return MultiStat.from_rows(_quad_h_matrix(Z, specs, specY, design), ddof=1, n=Z.n,
-                               feature_names=feature_names)
-
-
-def hsic_multistat_block(
-    Z: JointSample,
-    specs: list[KernelSpec],
-    specY: KernelSpec,
-    block_size: int,
-    feature_names: list[str] | None = None,
-) -> MultiStat:
-    """Per-feature scaled statistic sqrt(m) * HSIC_blo over m = floor(n/B) blocks.
-
-    Σ is the population-style covariance (divisor m) of the per-block
-    vectors of feature-wise complete U-statistics; it is held as its factor.
-    """
-    if block_size < 4:
-        raise DataShapeError("block size must be >= 4")
-    if Z.n // block_size < 2:
-        raise DataShapeError("need at least 2 full blocks")
-    return MultiStat.from_rows(_block_hsic(Z, specs, specY, block_size), ddof=0, n=Z.n,
-                               feature_names=feature_names)

@@ -1,11 +1,11 @@
 """Squared-MMD estimators: complete U-statistic, incomplete, and the
-per-feature multivariate statistic with its covariance."""
+per-tuple h rows from which `selective.mmd_stat` builds the per-feature
+statistic."""
 from __future__ import annotations
 
 import numpy as np
 
-from . import designs
-from .core import DataShapeError, Design, MultiStat, derive_rng
+from .core import DataShapeError, Design
 from .kernels import KernelSpec, gram_matrix, kernel_eval, pair_kernel
 
 
@@ -59,31 +59,3 @@ def mmd_incomplete(X: np.ndarray, Y: np.ndarray, spec: KernelSpec, design: Desig
     if design.tuples.max() >= X.shape[0]:
         raise DataShapeError("design indices exceed sample size")
     return float(_pair_h(X, Y, *design.tuples.T, spec).mean())
-
-
-def mmd_multistat(
-    X: np.ndarray,
-    Y: np.ndarray,
-    specs: list[KernelSpec],
-    r: float = 1.0,
-    rng: np.random.Generator | None = None,
-    feature_names: list[str] | None = None,
-) -> MultiStat:
-    """Per-feature scaled statistic sqrt(l) * MMD^2_inc with its covariance factor.
-
-    A single pair design of size l = round(r * n) is shared across features;
-    Σ is the sample covariance (divisor l - 1) of the per-tuple vectors of
-    feature-wise h values.
-    """
-    X, Y = _check_two_sample(X, Y)
-    n = X.shape[0]
-    l = int(round(r * n))
-    if l < 2:
-        raise DataShapeError("design size round(r * n) must be >= 2")
-    if rng is None:
-        rng = derive_rng(0)
-    # Looked up on the module at call time, so a wrapper installed there (the
-    # benchmark's tracer) sees the call.
-    i, j = designs.sample_pair_design(n, l, rng).tuples.T
-    return MultiStat.from_rows(_pair_h(X, Y, i, j, specs), ddof=1, n=n,
-                               feature_names=feature_names)

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import designs
 from .config import METHODS, RunConfig
-from .core import DegenerateFeatureError, MultiStat, derive_rng
-from .hsic import JointSample, hsic_multistat_block, hsic_multistat_incomplete
+from .core import DataShapeError, DegenerateFeatureError, Design, MultiStat, derive_rng
+from .hsic import JointSample, _block_hsic, _quad_h_matrix
 from .kernels import IMQ, KernelSpec, median_bandwidths, median_heuristic
-from .mmd import _check_two_sample, mmd_multistat
+from .mmd import _check_two_sample, _pair_h
 from .multiscale import (
     ScalesDroppedWarning,
     default_scales,
@@ -159,6 +160,8 @@ def _fixed_spec(config: RunConfig) -> KernelSpec | None:
 
 def _feature_specs(config: RunConfig, *column_sources: np.ndarray) -> list[KernelSpec]:
     d = np.atleast_2d(column_sources[0]).shape[1]
+    if d == 0:
+        raise DataShapeError("need at least one feature column")
     if (fixed := _fixed_spec(config)) is not None:
         return [fixed] * d
     widths = median_bandwidths(np.concatenate([np.atleast_2d(m) for m in column_sources]))
@@ -178,27 +181,48 @@ def _check_finite(*arrays) -> None:
         raise ValueError("data contain NaN or infinite values")
 
 
+def _stat_design(sample, n: int, config: RunConfig) -> Design:
+    """The statistic's design: l = round(r * n) tuples drawn by ``sample``
+    from stream (seed, STAT), one design shared by every feature."""
+    l = int(round(config.r * n))
+    if l < 2:
+        raise DataShapeError("design size round(r * n) must be >= 2")
+    return sample(n, l, derive_rng(config.seed, _STREAM_STAT))
+
+
 def mmd_stat(X: np.ndarray, Y: np.ndarray, config: RunConfig,
              feature_names: list[str] | None = None) -> MultiStat:
-    """The shared per-feature two-sample statistic both MMD methods test."""
+    """The shared per-feature two-sample statistic both MMD methods test:
+    sqrt(l) * MMD^2_inc over a pair design, with Σ the covariance (divisor
+    l - 1) of the per-pair h rows."""
     # Before the columns of X and Y are pooled for the bandwidths.
     X, Y = _check_two_sample(X, Y)
     _check_finite(X, Y)
     specs = _feature_specs(config, X, Y)
-    rng = derive_rng(config.seed, _STREAM_STAT)
-    return mmd_multistat(X, Y, specs, r=config.r, rng=rng, feature_names=feature_names)
+    # The samplers are looked up on `designs` at call time, so a wrapper
+    # installed there (the benchmark's tracer) sees the call.
+    i, j = _stat_design(designs.sample_pair_design, X.shape[0], config).tuples.T
+    return MultiStat.from_rows(_pair_h(X, Y, i, j, specs), ddof=1, n=X.shape[0],
+                               feature_names=feature_names)
 
 
 def hsic_stat(Z: JointSample, config: RunConfig,
               feature_names: list[str] | None = None) -> MultiStat:
-    """The shared per-feature dependence statistic both HSIC methods test."""
+    """The shared per-feature dependence statistic both HSIC methods test:
+    sqrt(l) * HSIC_inc over a quadruple design (Σ with divisor l - 1), or
+    with the block estimator sqrt(m) * HSIC_blo over m = floor(n/B) blocks
+    (Σ with divisor m)."""
     _check_finite(Z.X, Z.Y)
     specs = _feature_specs(config, Z.X)
     spec_y = _fixed_spec(config) or KernelSpec(bandwidth=median_heuristic(Z.Y))
     if config.estimator == "block":
-        return hsic_multistat_block(Z, specs, spec_y, config.block_size, feature_names=feature_names)
-    rng = derive_rng(config.seed, _STREAM_STAT)
-    return hsic_multistat_incomplete(Z, specs, spec_y, r=config.r, rng=rng, feature_names=feature_names)
+        if Z.n // config.block_size < 2:
+            raise DataShapeError("need at least 2 full blocks")
+        rows, ddof = _block_hsic(Z, specs, spec_y, config.block_size), 0
+    else:
+        design = _stat_design(designs.sample_quad_design, Z.n, config)
+        rows, ddof = _quad_h_matrix(Z, specs, spec_y, design), 1
+    return MultiStat.from_rows(rows, ddof=ddof, n=Z.n, feature_names=feature_names)
 
 
 def statistic(data, config: RunConfig,

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ import selkern
 from selkern import DataFormatError, JointSample, RunConfig, derive_rng, select_and_test
 from selkern.cli import (
     RESULT_SCHEMA,
+    _config_from_args,
+    build_parser,
     cli_main,
     load_csv,
     render_document,
@@ -241,6 +244,51 @@ def test_duplicated_response_name_is_data_error(tmp_path, capsys):
         assert cli_main(argv + ["--seed", "1"]) == 1
         err = capsys.readouterr().err
         assert "error: response column 'y' must name exactly one column (have ['a', 'b', 'y', 'y'])" in err
+
+
+def test_no_feature_columns_is_data_error(tmp_path, capsys):
+    labels = (np.arange(20) % 2).astype(float)
+    path = tmp_path / "only_response.csv"
+    save_csv(path, labels[:, None], ["y"])
+    for argv in (["hsic-test", "--data", str(path), "--response", "y", "--k", "1"],
+                 ["benchmark", "--data", str(path), "--mode", "mmd", "--label", "y", "--fakes", "0",
+                  "--k", "1", "--trials", "1"]):
+        assert cli_main(argv + ["--seed", "1"]) == 1, argv[0]
+        assert "error: need at least one feature column\n" in capsys.readouterr().err, argv[0]
+
+
+def test_too_few_scales_is_data_error(tmp_path, capsys):
+    rng = derive_rng(107)
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    save_csv(xp, rng.standard_normal((50, 3)), ["a", "b", "c"])
+    save_csv(yp, rng.standard_normal((50, 3)), ["a", "b", "c"])
+    code = cli_main(["mmd-test", "--x", str(xp), "--y", str(yp), "--k", "1", "--seed", "1",
+                     "--scales", "3", "--scale-low", "0.99", "--scale-high", "1.0"])
+    assert code == 1
+    assert "error: n = 50 yields fewer than 3 distinct scales\n" in capsys.readouterr().err
+
+
+def test_too_few_scales_in_a_trial_is_data_error(capsys):
+    # Raised on a worker thread of the trial pool.
+    code = cli_main(["simulate", "--problem", "logistic", "--n", "8", "--d", "3", "--informative", "1",
+                     "--trials", "1", "--seed", "1", "--scale-low", "0.9", "--scale-high", "1.0"])
+    assert code == 1
+    assert "error: n = 8 yields fewer than 3 distinct scales\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, method, k", [
+    (["mmd-test", "--x", "x.csv", "--y", "y.csv", "--k", "3"], "multi-mmd", 3),
+    (["hsic-test", "--data", "z.csv", "--response", "y", "--k", "3"], "multi-hsic", 3),
+    (["simulate", "--problem", "logistic", "--n", "40", "--d", "4", "--trials", "1"], "multi-hsic", None),
+    (["benchmark", "--data", "z.csv", "--mode", "mmd", "--trials", "1"], "multi-mmd", None),
+])
+def test_minimal_argv_takes_run_config_defaults(argv, method, k):
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # Only the handlers' own seed and method, and a given --k, reach RunConfig
+    # from the parser; every other field keeps RunConfig's default.
+    assert {f.name for f in fields(RunConfig)} & set(vars(args)) <= {"seed", "method", "k"}
+    assert _config_from_args(args, parser, seed=5, method=method) == RunConfig(seed=5, method=method, k=k)
 
 
 def test_mmd_test_contract(sample_csvs, tmp_path, capsys):

@@ -7,6 +7,8 @@ from selkern import (
     DataShapeError,
     JointSample,
     KernelSpec,
+    MultiStat,
+    RunConfig,
     block_design,
     complete_quad_design,
     derive_rng,
@@ -14,14 +16,26 @@ from selkern import (
     hsic_block,
     hsic_h,
     hsic_incomplete,
-    hsic_multistat_block,
-    hsic_multistat_incomplete,
+    hsic_stat,
     hsic_u,
     sample_quad_design,
 )
+from selkern.hsic import _block_hsic, _quad_h_matrix
 
 SPEC_X = KernelSpec(bandwidth=1.1)
 SPEC_Y = KernelSpec(bandwidth=0.8)
+
+
+def multistat_incomplete(Z, specs, spec_y, seed):
+    """The statistic `hsic_stat` builds from ``specs`` with r = 1, on a
+    quadruple design drawn from ``derive_rng(seed)``."""
+    design = sample_quad_design(Z.n, Z.n, derive_rng(seed))
+    return MultiStat.from_rows(_quad_h_matrix(Z, specs, spec_y, design), ddof=1, n=Z.n)
+
+
+def multistat_block(Z, specs, spec_y, block_size):
+    """The statistic `hsic_stat` builds from ``specs`` with the block estimator."""
+    return MultiStat.from_rows(_block_hsic(Z, specs, spec_y, block_size), ddof=0, n=Z.n)
 
 
 def loop_h(K, L, quad):
@@ -157,7 +171,7 @@ def test_block_errors():
 def test_multistat_incomplete_univariate_sigma():
     rng = np.random.default_rng(13)
     Z = JointSample(rng.standard_normal((16, 1)), rng.standard_normal(16))
-    stat = hsic_multistat_incomplete(Z, [SPEC_X], SPEC_Y, rng=derive_rng(7))
+    stat = multistat_incomplete(Z, [SPEC_X], SPEC_Y, 7)
     K = gram_matrix(SPEC_X, Z.X, Z.X)
     L = gram_matrix(SPEC_Y, Z.Y, Z.Y)
     design = sample_quad_design(16, 16, derive_rng(7))
@@ -170,7 +184,7 @@ def test_multistat_incomplete_duplicate_features():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((14, 1))
     Z = JointSample(np.hstack([x, x]), rng.standard_normal(14))
-    stat = hsic_multistat_incomplete(Z, [SPEC_X, SPEC_X], SPEC_Y, rng=derive_rng(8))
+    stat = multistat_incomplete(Z, [SPEC_X, SPEC_X], SPEC_Y, 8)
     sigma = stat.factor.T @ stat.factor
     assert np.allclose(sigma[0], sigma[1], atol=1e-14)
     assert stat.t[0] == stat.t[1]
@@ -188,7 +202,7 @@ def test_multistat_incomplete_matches_loop_oracle():
     ]
     for specs, spec_y, y in cases:
         Z = JointSample(X, y)
-        stat = hsic_multistat_incomplete(Z, specs, spec_y, r=1.0, rng=derive_rng(21))
+        stat = multistat_incomplete(Z, specs, spec_y, 21)
 
         design = sample_quad_design(n, n, derive_rng(21))
         L = gram_matrix(spec_y, Z.Y, Z.Y)
@@ -207,7 +221,7 @@ def test_multistat_block_two_blocks_sigma():
     # With two blocks the population-style covariance is ((eta1 - eta2) / 2)^2.
     rng = np.random.default_rng(16)
     Z = JointSample(rng.standard_normal((8, 1)), rng.standard_normal(8))
-    stat = hsic_multistat_block(Z, [SPEC_X], SPEC_Y, block_size=4)
+    stat = multistat_block(Z, [SPEC_X], SPEC_Y, 4)
     eta1 = hsic_u(JointSample(Z.X[:4], Z.Y[:4]), SPEC_X, SPEC_Y)
     eta2 = hsic_u(JointSample(Z.X[4:], Z.Y[4:]), SPEC_X, SPEC_Y)
     assert stat.variances[0] == pytest.approx((eta1 - eta2) ** 2 / 4.0, abs=1e-12)
@@ -218,7 +232,7 @@ def test_multistat_block_duplicate_features():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((12, 1))
     Z = JointSample(np.hstack([x, x]), rng.standard_normal(12))
-    stat = hsic_multistat_block(Z, [SPEC_X, SPEC_X], SPEC_Y, block_size=4)
+    stat = multistat_block(Z, [SPEC_X, SPEC_X], SPEC_Y, 4)
     sigma = stat.factor.T @ stat.factor
     assert np.allclose(sigma[0], sigma[1], atol=1e-14)
 
@@ -230,7 +244,7 @@ def test_multistat_block_matches_loop_oracle():
     # (61, 27) leaves 7 trailing rows outside the two blocks.
     for n, B, q in ((40, 10, 1), (40, 10, 2), (61, 27, 1)):
         Z = JointSample(rng.standard_normal((n, d)), rng.standard_normal((n, q)))
-        stat = hsic_multistat_block(Z, specs, SPEC_Y, block_size=B)
+        stat = multistat_block(Z, specs, SPEC_Y, B)
 
         blocks = n // B
         eta = np.empty((blocks, d))
@@ -248,8 +262,9 @@ def test_multistat_block_matches_loop_oracle():
 def test_multistat_block_needs_two_blocks():
     rng = np.random.default_rng(19)
     Z = JointSample(rng.standard_normal((7, 1)), rng.standard_normal(7))
-    with pytest.raises(DataShapeError):
-        hsic_multistat_block(Z, [SPEC_X], SPEC_Y, block_size=4)
+    config = RunConfig(seed=0, method="multi-hsic", estimator="block", block_size=4)
+    with pytest.raises(DataShapeError, match="2 full blocks"):
+        hsic_stat(Z, config)
 
 
 def test_incomplete_unbiased_over_designs():

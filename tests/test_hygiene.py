@@ -1,6 +1,7 @@
 """Source hygiene checks on `src/selkern`, by the standard library's `ast`:
-no module imports a name it never uses or imports scipy, and every private
-top-level function or class is referenced somewhere in `src/`."""
+no module imports a name it never uses or imports scipy, every private
+top-level function or class is referenced somewhere in `src/`, and every
+public one is exported or read there."""
 import ast
 from pathlib import Path
 
@@ -54,10 +55,20 @@ def test_no_scipy_imports():
     assert not found
 
 
-def test_no_unreferenced_private_definitions():
+def _unreferenced_definitions() -> list[tuple[str, str]]:
+    """(module, name) of the top-level functions and classes that no source
+    reads and `selkern.__all__` does not name."""
     used = set().union(*(_used_names(tree) for tree in _SOURCES.values()))
-    unreferenced = [f"{name}: {node.name}" for name, tree in _SOURCES.items() for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")
-                    and node.name not in used]
-    assert not unreferenced
+    return [(name, node.name) for name, tree in _SOURCES.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("__") and node.name not in used]
+
+
+def test_no_unreferenced_private_definitions():
+    assert not [d for d in _unreferenced_definitions() if d[1].startswith("_")]
+
+
+def test_public_definitions_are_exported_or_used():
+    # The console script, and the CSV writer that pairs with `load_csv`.
+    entry_points = {("cli.py", "main"), ("cli.py", "save_csv")}
+    assert not [d for d in _unreferenced_definitions() if not d[1].startswith("_") and d not in entry_points]

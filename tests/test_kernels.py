@@ -16,14 +16,15 @@ from selkern import (
     RunConfig,
     derive_rng,
     gram_matrix,
-    hsic_multistat_block,
-    hsic_multistat_incomplete,
     kernel_eval,
     median_heuristic,
-    mmd_multistat,
+    sample_pair_design,
+    sample_quad_design,
 )
 from selkern import kernels
+from selkern.hsic import _block_hsic, _quad_h_matrix
 from selkern.kernels import _SQUARE_UNDERFLOW, _squared_distances, median_bandwidths, pair_kernel
+from selkern.mmd import _pair_h
 from selkern.selective import _feature_specs
 
 
@@ -94,11 +95,11 @@ def test_mixed_family_specs_rejected():
     Z = JointSample(X, Y[:, 0])
     specs = [KernelSpec(bandwidth=1.0), KernelSpec(family="imq", offset=1.0)]
     with pytest.raises(ValueError, match="one family"):
-        mmd_multistat(X, Y, specs, rng=derive_rng(0))
+        _pair_h(X, Y, *sample_pair_design(12, 12, derive_rng(0)).tuples.T, specs)
     with pytest.raises(ValueError, match="one family"):
-        hsic_multistat_incomplete(Z, specs, KernelSpec(), rng=derive_rng(0))
+        _quad_h_matrix(Z, specs, KernelSpec(), sample_quad_design(12, 12, derive_rng(0)))
     with pytest.raises(ValueError, match="one family"):
-        hsic_multistat_block(Z, specs, KernelSpec(), block_size=4)
+        _block_hsic(Z, specs, KernelSpec(), 4)
 
 
 def test_gram_single_row():

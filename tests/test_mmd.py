@@ -5,17 +5,28 @@ from selkern import (
     DataShapeError,
     Design,
     KernelSpec,
+    MultiStat,
+    RunConfig,
     complete_pair_design,
     derive_rng,
     kernel_eval,
     mmd_h,
     mmd_incomplete,
-    mmd_multistat,
+    mmd_stat,
     mmd_u,
     sample_pair_design,
 )
+from selkern.mmd import _pair_h
 
 SPEC = KernelSpec(bandwidth=0.9)
+
+
+def multistat(X, Y, specs, seed):
+    """The statistic `mmd_stat` builds from ``specs`` with r = 1, on a pair
+    design drawn from ``derive_rng(seed)``."""
+    n = len(X)
+    i, j = sample_pair_design(n, n, derive_rng(seed)).tuples.T
+    return MultiStat.from_rows(_pair_h(X, Y, i, j, specs), ddof=1, n=n)
 
 
 def loop_mmd_u(X, Y, spec):
@@ -115,7 +126,7 @@ def test_multistat_univariate_sigma_is_h_variance():
     rng = np.random.default_rng(12)
     X = rng.standard_normal((20, 1))
     Y = rng.standard_normal((20, 1))
-    stat = mmd_multistat(X, Y, [SPEC], rng=derive_rng(5))
+    stat = multistat(X, Y, [SPEC], 5)
     design = sample_pair_design(20, 20, derive_rng(5))
     h_vals = np.array([mmd_h(X[i], X[j], Y[i], Y[j], SPEC) for i, j in design.tuples])
     assert stat.variances[0] == pytest.approx(h_vals.var(ddof=1), abs=1e-12)
@@ -128,7 +139,7 @@ def test_multistat_duplicate_columns():
     Y = rng.standard_normal((18, 1))
     X2 = np.hstack([X, X])
     Y2 = np.hstack([Y, Y])
-    stat = mmd_multistat(X2, Y2, [SPEC, SPEC], rng=derive_rng(6))
+    stat = multistat(X2, Y2, [SPEC, SPEC], 6)
     sigma = stat.factor.T @ stat.factor
     assert np.allclose(sigma[0], sigma[1], atol=1e-14)
     assert np.allclose(sigma[:, 0], sigma[:, 1], atol=1e-14)
@@ -144,7 +155,7 @@ def test_multistat_matches_loop_oracle():
         [KernelSpec(bandwidth=b) for b in (0.7, 1.0, 1.4)],
         [KernelSpec(family="imq", offset=c) for c in (0.5, 1.0, 2.0)],
     ):
-        stat = mmd_multistat(X, Y, specs, r=1.0, rng=derive_rng(20))
+        stat = multistat(X, Y, specs, 20)
 
         design = sample_pair_design(n, n, derive_rng(20))
         H = np.array(
@@ -186,7 +197,7 @@ def test_sigma_symmetric_nonnegative_diagonal():
     rng = np.random.default_rng(17)
     X = rng.standard_normal((30, 4))
     Y = rng.standard_normal((30, 4))
-    stat = mmd_multistat(X, Y, [SPEC] * 4, rng=derive_rng(9))
+    stat = multistat(X, Y, [SPEC] * 4, 9)
     # Sigma = RᵀR is symmetric by construction; R is upper triangular with
     # a non-negative diagonal, and diag(Sigma) is its squared column norms.
     R = stat.factor
@@ -197,5 +208,5 @@ def test_sigma_symmetric_nonnegative_diagonal():
 
 def test_multistat_design_size_errors():
     X = np.zeros((4, 1))
-    with pytest.raises(DataShapeError):
-        mmd_multistat(X, X, [SPEC], r=0.1, rng=derive_rng(0))
+    with pytest.raises(DataShapeError, match="design size"):
+        mmd_stat(X, X, RunConfig(seed=0, r=0.1))

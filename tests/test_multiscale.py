@@ -335,19 +335,19 @@ def test_selective_p_degenerate_denominator_flag():
 
 
 def test_flat_hypothesis_distance():
-    stat = MultiStat(t=np.array([0.0, 2.0]), factor=np.diag([1.0, 2.0]), l=10, n=10)
+    stat = MultiStat(t=np.array([0.0, 2.0]), factor=np.diag([1.0, 2.0]), n=10)
     assert flat_hypothesis_distance(stat, 0) == 0.0
     assert flat_hypothesis_distance(stat, 1) == 1.0
     rng = np.random.default_rng(6)
     t = rng.standard_normal(3)
     sd = rng.random(3) + 0.5
-    stat = MultiStat(t=t, factor=np.diag(sd), l=5, n=5)
+    stat = MultiStat(t=t, factor=np.diag(sd), n=5)
     for i in range(3):
         assert flat_hypothesis_distance(stat, i) == t[i] / np.sqrt(sd[i] ** 2)
 
 
 def test_flat_hypothesis_distance_zero_variance():
-    stat = MultiStat(t=np.array([1.0]), factor=np.array([[0.0]]), l=5, n=5)
+    stat = MultiStat(t=np.array([1.0]), factor=np.array([[0.0]]), n=5)
     with pytest.raises(DegenerateFeatureError):
         flat_hypothesis_distance(stat, 0)
 

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import norm, truncnorm
 
 from selkern import (
+    DataShapeError,
     DegenerateFeatureError,
     DegenerateSampleError,
     JointSample,
@@ -313,6 +314,18 @@ def test_non_finite_data_rejected(bad, config):
             run(*args)
 
 
+@pytest.mark.parametrize("config", [
+    RunConfig(seed=3, k=1, method="multi-mmd"),
+    RunConfig(seed=3, k=1, method="poly-mmd", kernel_family="imq"),
+    RunConfig(seed=3, k=1, method="multi-hsic"),
+    RunConfig(seed=3, k=1, method="poly-hsic", estimator="block", bandwidth=1.0),
+])
+def test_no_feature_columns_rejected(config):
+    X = np.empty((20, 0))
+    data = (X, X) if config.family == "mmd" else JointSample(X, derive_rng(13).standard_normal(20))
+    with pytest.raises(DataShapeError, match="need at least one feature column"):
+        select_and_test(data, config)
+
 def test_block_estimator_rejected_for_mmd():
     for method in ("multi-mmd", "poly-mmd"):
         with pytest.raises(ValueError, match="HSIC methods only"):
@@ -340,7 +353,7 @@ def test_poly_near_tie_is_clamped_into_interval():
         t = rng.standard_normal(6)
         j = rng.integers(1, 6)
         t[j] = t[0] * (1 + rng.choice([-1.0, 1.0]) * 1e-15)
-        stat = MultiStat(t=t, factor=factor, l=100, n=100)
+        stat = MultiStat(t=t, factor=factor, n=100)
         report = selective_report(stat, RunConfig(seed=1, k=3, method="poly-mmd"))
         assert all(0.0 <= p <= 1.0 for p in report.p_values)
         clamped += sum(d.get("clamped", False) for d in report.diagnostics)
@@ -513,7 +526,7 @@ def test_poly_intervals_match_per_feature_loop(case):
         except DegenerateFeatureError:
             assert np.isnan(vminus[j]) and np.isnan(vplus[j])
             # The Poly report's per-feature test reads the NaN as this error.
-            p, diag = _poly_feature_test(MultiStat(t, factor, l=2, n=2), i, vminus[j], vplus[j])
+            p, diag = _poly_feature_test(MultiStat(t, factor, n=2), i, vminus[j], vplus[j])
             assert p == 1.0 and diag["error"] == f"feature {i} has non-positive variance"
             continue
         assert (vminus[j], vplus[j]) == expected
