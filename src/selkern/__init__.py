@@ -40,14 +40,10 @@ from .kernels import (
 )
 from .mmd import mmd_h, mmd_incomplete, mmd_u
 from .multiscale import (
-    ScaleSet,
     ScalesDroppedWarning,
-    ScalingFit,
     default_scales,
     fit_scaling_law,
     flat_hypothesis_distance,
-    psi_transform,
-    psi_variance,
     selective_p_detail,
 )
 from .selective import (
@@ -102,14 +98,10 @@ __all__ = [
     "mmd_h",
     "mmd_incomplete",
     "mmd_u",
-    "ScaleSet",
     "ScalesDroppedWarning",
-    "ScalingFit",
     "default_scales",
     "fit_scaling_law",
     "flat_hypothesis_distance",
-    "psi_transform",
-    "psi_variance",
     "selective_p_detail",
     "SelectionResult",
     "SelectiveReport",

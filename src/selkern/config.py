@@ -65,6 +65,11 @@ class RunConfig:
             raise ValueError("kernel_family must be 'gaussian' or 'imq'")
         if self.bandwidth is not None and not self.bandwidth > 0:
             raise ValueError("bandwidth override must be positive")
+        # Each would otherwise be ignored while the snapshot still records it.
+        if self.bandwidth is not None and self.kernel_family == "imq":
+            raise ValueError("a fixed bandwidth applies to the Gaussian kernel only")
+        if self.shared_bandwidth and (self.bandwidth is not None or self.kernel_family == "imq"):
+            raise ValueError("a shared bandwidth applies to the median-heuristic Gaussian kernel only")
         if not self.imq_offset > 0:
             raise ValueError("imq_offset must be positive")
         if self.k is not None and self.k < 1:

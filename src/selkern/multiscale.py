@@ -10,12 +10,11 @@ the geometric quantities that drive selective p-values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .core import (
     DataShapeError,
     DegenerateFeatureError,
@@ -64,95 +63,41 @@ class ScalesDroppedWarning(UserWarning):
     """Too few interior bootstrap probabilities to constrain the fit."""
 
 
-@dataclass(frozen=True)
-class ScaleSet:
-    """Variance scales gamma^2 of the bootstrap, in increasing order."""
-
-    scales: tuple[float, ...]
-    replicates_per_scale: int = 2000
-
-    def __post_init__(self) -> None:
-        if len(self.scales) < 3:
-            raise InsufficientScalesError("need at least 3 scales")
-        # Phrased so that a NaN gamma^2 fails them.
-        if not all(g > 0 for g in self.scales):
-            raise ValueError("gamma^2 must be positive")
-        if not all(b > a for a, b in zip(self.scales, self.scales[1:])):
-            raise ValueError("scales must be strictly increasing in gamma^2")
-        if self.replicates_per_scale < 1:
-            raise ValueError("replicates_per_scale must be >= 1")
-
-
-def default_scales(
-    n: int,
-    count: int = 10,
-    low: float = 0.5,
-    high: float = 2.0,
-    replicates_per_scale: int = 2000,
-) -> ScaleSet:
-    """Variance scales gamma^2 = n / n' for ``count`` resampling sizes n'
-    log-spaced in [low * n, high * n].
+def default_scales(n: int, config: RunConfig) -> tuple[float, ...]:
+    """Variance scales gamma^2 = n / n', in increasing order, for
+    ``config.scale_count`` resampling sizes n' log-spaced in
+    [scale_low * n, scale_high * n].
 
     The sizes are rounded to integers >= 2 and deduplicated, so the grid
-    runs from n/(high*n) up to n/(low*n).
+    runs from n/(scale_high*n) up to n/(scale_low*n).
     """
     if n < 4:
         raise DataShapeError("need n >= 4 to build a scale grid")
-    raw = np.exp(np.linspace(np.log(low * n), np.log(high * n), count))
+    raw = np.exp(np.linspace(np.log(config.scale_low * n), np.log(config.scale_high * n), config.scale_count))
     nprimes = sorted({max(2, int(round(v))) for v in raw}, reverse=True)
     scales = tuple(n / np_ for np_ in nprimes)
     if len(scales) < 3:
         raise InsufficientScalesError(f"n = {n} yields fewer than 3 distinct scales")
-    return ScaleSet(scales=scales, replicates_per_scale=replicates_per_scale)
+    return scales
 
 
-def psi_transform(bp: float, gamma2: float) -> float:
-    """Normalized bootstrap z-value gamma * inverse-survival(BP)."""
-    if not 0.0 < bp < 1.0:
-        raise ValueError("bootstrap probability must lie strictly inside (0, 1)")
-    return float(np.sqrt(gamma2) * -ndtri(bp))
+def fit_scaling_law(gamma2, psi, weights) -> tuple[float, float, dict]:
+    """Weighted least-squares line psi ~ beta0 + gamma^2 * beta1.
 
-
-def psi_variance(bp: float, gamma2: float, b_reps: int) -> float:
-    """Delta-method variance of psi given the binomial noise of BP."""
-    if b_reps < 1:
-        raise ValueError("b_reps must be >= 1")
-    z = psi_transform(bp, 1.0)  # rejects bp outside (0, 1)
-    density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-    return float(gamma2 * bp * (1.0 - bp) / (b_reps * density**2))
-
-
-@dataclass
-class ScalingFit:
-    """Fitted line psi ~ beta0 + gamma^2 * beta1 over the usable scales."""
-
-    beta0: float
-    beta1: float
-    points_used: int
-    diagnostics: dict = field(default_factory=dict)
-
-    def predict(self, gamma2: float) -> float:
-        return self.beta0 + gamma2 * self.beta1
-
-
-def fit_scaling_law(
-    points: Sequence[tuple[float, float]],
-    weights: Sequence[float] | None = None,
-) -> ScalingFit:
-    """Weighted least-squares line through (gamma^2, psi) points.
-
-    Unit weights by default; callers tracking bootstrap noise should pass
-    1 / psi_variance per point so the extrapolation is stabilized by the
-    better-resolved scales.
+    Returns beta0, beta1 and the fit's diagnostics: the number of points
+    and the residuals.  Callers tracking bootstrap noise pass the inverse
+    delta-method variance of each psi, so the extrapolation is stabilized by
+    the better-resolved scales.
     """
-    points = list(points)
-    if len(points) < 3:
-        raise InsufficientScalesError(f"need >= 3 usable points, got {len(points)}")
-    x = np.array([p[0] for p in points], dtype=float)
-    y = np.array([p[1] for p in points], dtype=float)
+    x = np.asarray(gamma2, dtype=float)
+    y = np.asarray(psi, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if x.ndim != 1 or y.shape != x.shape:
+        raise ValueError("need one psi per gamma^2")
+    if x.size < 3:
+        raise InsufficientScalesError(f"need >= 3 usable points, got {x.size}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("scaling-law points must be finite")
-    w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != x.shape or (w <= 0).any():
         raise ValueError("weights must be positive, one per point")
     sw = np.sqrt(w)
@@ -160,37 +105,40 @@ def fit_scaling_law(
     coef, *_ = np.linalg.lstsq(design, y * sw, rcond=None)
     beta0, beta1 = float(coef[0]), float(coef[1])
     resid = y - (beta0 + beta1 * x)
-    wrss = float(np.sum(w * resid**2))
-    diagnostics = {
-        "weighted_rss": wrss,
+    return beta0, beta1, {
+        "points": int(x.size),
+        "weighted_rss": float(np.sum(w * resid**2)),
         "rmse": float(np.sqrt(np.mean(resid**2))),
         "max_abs_residual": float(np.max(np.abs(resid))),
     }
-    return ScalingFit(beta0=beta0, beta1=beta1, points_used=len(points), diagnostics=diagnostics)
 
 
-def fit_bootstrap_probabilities(bps: Sequence[float], scales: ScaleSet) -> tuple[ScalingFit | None, dict]:
-    """Fit the scaling law to one bootstrap probability per scale.
+def fit_bootstrap_probabilities(bps, gamma2, replicates: int) -> tuple[tuple[float, float, dict] | None, dict]:
+    """Fit the scaling law to one bootstrap probability per scale gamma^2,
+    each the fraction of ``replicates`` draws.
 
-    Scales whose bootstrap probability hits 0 or 1 carry an infinite psi and
-    are dropped.  When fewer than 3 scales survive the fit is None and the
-    caller decides the fallback.  The second return value reports the
-    per-scale bootstrap probabilities and psi values and which scales were
-    dropped.
+    An interior probability gives psi = gamma * z with z = -ndtri(BP), and
+    the delta-method variance gamma^2 BP (1 - BP) / (B phi(z)^2) of psi
+    weights its point.  Scales whose bootstrap probability hits 0 or 1
+    carry an infinite psi and are dropped.  When fewer than 3 scales survive
+    the fit is None and the caller decides the fallback.  The second return
+    value reports the per-scale bootstrap probabilities and psi values and
+    which scales were dropped.
     """
-    b_reps = scales.replicates_per_scale
-    pts: list[tuple[float, float]] = []
-    wts: list[float] = []
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    points: list[tuple[float, float, float]] = []
     psis: list[float] = []
     dropped: list[float] = []
-    for gamma2, bp in zip(scales.scales, bps, strict=True):
+    for g2, bp in zip(gamma2, bps, strict=True):
         if 0.0 < bp < 1.0:
-            psi = psi_transform(bp, gamma2)
-            pts.append((gamma2, psi))
-            wts.append(1.0 / psi_variance(bp, gamma2, b_reps))
+            z = -ndtri(bp)
+            psi = float(np.sqrt(g2) * z)
+            density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+            points.append((g2, psi, 1.0 / (g2 * bp * (1.0 - bp) / (replicates * density**2))))
         else:
             psi = np.inf if bp <= 0.0 else -np.inf
-            dropped.append(gamma2)
+            dropped.append(g2)
         psis.append(psi)
     info = {
         "bootstrap_probabilities": [float(bp) for bp in bps],
@@ -198,9 +146,9 @@ def fit_bootstrap_probabilities(bps: Sequence[float], scales: ScaleSet) -> tuple
         "scales_dropped": len(dropped),
         "dropped_gamma2": dropped,
     }
-    if len(pts) < 3:
+    if len(points) < 3:
         return None, info
-    return fit_scaling_law(pts, wts), info
+    return fit_scaling_law(*zip(*points)), info
 
 
 def selective_p_detail(phi_h_at_minus1: float, phi_s_at_0: float) -> tuple[float, bool]:

@@ -260,25 +260,27 @@ def _top_k_fractions(draws: np.ndarray, k: int) -> np.ndarray:
     return np.count_nonzero(top, axis=0) / b
 
 
-def _selection_fractions(t: np.ndarray, factor: np.ndarray, k: int, scales, seed: int) -> np.ndarray:
-    """Per-scale top-k fractions of every feature, shape (scales, d).
+def _selection_fractions(t: np.ndarray, factor: np.ndarray, k: int, gamma2, replicates: int,
+                         seed: int) -> np.ndarray:
+    """Per-scale top-k fractions of every feature, shape (len(gamma2), d).
 
-    Scale s draws one N(t, gamma^2 Sigma) sample, t + gamma * z @ factor with
-    factorᵀ factor = Sigma and z from stream (seed, BOOT, s), and every
-    feature's selection event is counted on it, so each feature's bootstrap
-    probability has the same law as with a draw of its own.
+    Scale s draws ``replicates`` rows of one N(t, gamma2[s] Sigma) sample,
+    t + gamma * z @ factor with factorᵀ factor = Sigma and z from stream
+    (seed, BOOT, s), and every feature's selection event is counted on it,
+    so each feature's bootstrap probability has the same law as with a draw
+    of its own.
     """
-    b_reps = scales.replicates_per_scale
-    out = np.empty((len(scales.scales), t.shape[0]))
-    for s, gamma2 in enumerate(scales.scales):
-        draws = derive_rng(seed, _STREAM_BOOT, s).standard_normal((b_reps, factor.shape[0])) @ factor
-        draws *= np.sqrt(gamma2)
+    out = np.empty((len(gamma2), t.shape[0]))
+    for s, g2 in enumerate(gamma2):
+        draws = derive_rng(seed, _STREAM_BOOT, s).standard_normal((replicates, factor.shape[0])) @ factor
+        draws *= np.sqrt(g2)
         draws += t
         out[s] = _top_k_fractions(draws, k)
     return out
 
 
-def _multiscale_feature_test(stat: MultiStat, i: int, bps: np.ndarray, scales):
+def _multiscale_feature_test(stat: MultiStat, i: int, bps: np.ndarray, gamma2: tuple[float, ...],
+                             replicates: int):
     diag: dict = {"feature": i, "name": stat.feature_names[i]}
     try:
         beta0 = flat_hypothesis_distance(stat, i)
@@ -286,7 +288,7 @@ def _multiscale_feature_test(stat: MultiStat, i: int, bps: np.ndarray, scales):
         diag.update({"error": str(exc), "fallback": "degenerate-variance"})
         return 1.0, diag
     diag["beta0"] = beta0
-    fit, info = fit_bootstrap_probabilities(bps, scales)
+    fit, info = fit_bootstrap_probabilities(bps, gamma2, replicates)
     diag.update(info)
     if fit is None:
         warnings.warn("selection bootstrap probability degenerate at nearly all scales; "
@@ -294,16 +296,16 @@ def _multiscale_feature_test(stat: MultiStat, i: int, bps: np.ndarray, scales):
         diag.update({"phi_s0": -np.inf, "fallback": "selection-unconstraining"})
         phi_s = -np.inf
     else:
-        phi_s_raw = fit.predict(0.0)
-        phi_s = min(phi_s_raw, 0.0)
+        # The fitted line at gamma^2 = 0 is its intercept.
+        fit_beta0, fit_beta1, fit_diagnostics = fit
+        phi_s = min(fit_beta0, 0.0)
         diag.update(
             {
-                "phi_s0_raw": phi_s_raw,
+                "phi_s0_raw": fit_beta0,
                 "phi_s0": phi_s,
-                "fit_beta0": fit.beta0,
-                "fit_beta1": fit.beta1,
-                "fit_points": fit.points_used,
-                **{f"fit_{key}": value for key, value in fit.diagnostics.items()},
+                "fit_beta0": fit_beta0,
+                "fit_beta1": fit_beta1,
+                **{f"fit_{key}": value for key, value in fit_diagnostics.items()},
             }
         )
     p, degenerate = selective_p_detail(beta0, phi_s)
@@ -326,10 +328,9 @@ def _report(stat: MultiStat, sel: SelectionResult, tests: list[tuple[float, dict
 
 def _multiscale_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
     sel = select_top_k(stat.t, config.k)
-    scales = default_scales(stat.n, count=config.scale_count, low=config.scale_low, high=config.scale_high,
-                            replicates_per_scale=config.replicates_per_scale)
-    fractions = _selection_fractions(stat.t, stat.factor, sel.k, scales, config.seed)
-    tests = [_multiscale_feature_test(stat, i, fractions[:, i], scales) for i in sel.selected]
+    gamma2, replicates = default_scales(stat.n, config), config.replicates_per_scale
+    fractions = _selection_fractions(stat.t, stat.factor, sel.k, gamma2, replicates, config.seed)
+    tests = [_multiscale_feature_test(stat, i, fractions[:, i], gamma2, replicates) for i in sel.selected]
     return _report(stat, sel, tests, config)
 
 

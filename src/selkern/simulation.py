@@ -188,6 +188,8 @@ def _run_trial_pool(
     order, so results do not depend on the thread count.  Only records
     outlive a trial.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
 
     def one_trial(trial: int) -> dict[str, dict]:
         data = make_data(derive_rng(master_seed, _STREAM_TRIAL_DATA, trial))
@@ -212,8 +214,6 @@ def run_trials(
     All methods see identical data and identical test seeds within a trial,
     so selection sets coincide across methods that share a statistic.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     allowed = MMD_METHODS if problem.kind == "mean-shift" else HSIC_METHODS
     _check_methods(methods, allowed, problem.kind)
     config = replace(config, k=config.k or max(1, problem.d // 2))
@@ -261,6 +261,9 @@ def benchmark_trials(
         raise ValueError("mode must be 'mmd' or 'hsic'")
     _check_methods(methods, MMD_METHODS if mode == "mmd" else HSIC_METHODS, f"{mode} benchmark")
     d_true = features.shape[1]
+    # Before k defaults to d_true, which must then be >= 1.
+    if d_true + max(n_fake, 0) == 0:
+        raise DataShapeError("need at least one feature column")
     config = replace(config, k=config.k or d_true)
     if mode == "mmd":
         classes = np.unique(split)

@@ -257,6 +257,30 @@ def test_no_feature_columns_is_data_error(tmp_path, capsys):
         assert "error: need at least one feature column\n" in capsys.readouterr().err, argv[0]
 
 
+@pytest.mark.parametrize("mode, flag", [("mmd", "--label"), ("hsic", "--response")])
+def test_benchmark_without_feature_columns_is_data_error(tmp_path, capsys, mode, flag):
+    # No --k: the missing columns are reported, not the k they would default.
+    labels = (np.arange(20) % 2).astype(float)
+    path = tmp_path / "only_label.csv"
+    save_csv(path, labels[:, None], ["y"])
+    argv = ["benchmark", "--data", str(path), "--mode", mode, flag, "y", "--fakes", "0",
+            "--trials", "1", "--seed", "1"]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "error: need at least one feature column\n"
+
+
+def test_zero_trials_is_data_error(tmp_path, capsys):
+    rng = derive_rng(108)
+    labels = (np.arange(20) % 2).astype(float)
+    path = tmp_path / "bench.csv"
+    save_csv(path, np.column_stack([rng.standard_normal((20, 2)), labels]), ["a", "b", "cls"])
+    for argv in (["simulate", "--problem", "logistic", "--n", "20", "--d", "3", "--informative", "1"],
+                 ["benchmark", "--data", str(path), "--mode", "mmd", "--label", "cls"]):
+        assert cli_main(argv + ["--trials", "0", "--seed", "1"]) == 1, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err == "error: trials must be >= 1\n" and captured.out == "", argv[0]
+
+
 def test_too_few_scales_is_data_error(tmp_path, capsys):
     rng = derive_rng(107)
     xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
@@ -488,6 +512,25 @@ def test_block_estimator_with_mmd_is_usage_error(sample_csvs, capsys):
     )
     assert code == 2
     assert "HSIC methods only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, settings, message", [
+    (["--kernel", "imq", "--bandwidth", "3"], {"kernel_family": "imq", "bandwidth": 3.0},
+     "a fixed bandwidth applies to the Gaussian kernel only"),
+    (["--kernel", "imq", "--shared-bandwidth"], {"kernel_family": "imq", "shared_bandwidth": True},
+     "a shared bandwidth applies to the median-heuristic Gaussian kernel only"),
+    (["--bandwidth", "3", "--shared-bandwidth"], {"bandwidth": 3.0, "shared_bandwidth": True},
+     "a shared bandwidth applies to the median-heuristic Gaussian kernel only"),
+], ids=["imq-bandwidth", "imq-shared", "bandwidth-shared"])
+def test_contradictory_kernel_settings_are_usage_errors(sample_csvs, capsys, flags, settings, message):
+    # Each pair sets the kernel twice; one setting used to be ignored while
+    # the document's config recorded both.
+    xp, yp, *_ = sample_csvs
+    code = cli_main(["mmd-test", "--x", xp, "--y", yp, "--k", "2", "--seed", "1", *flags])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    with pytest.raises(ValueError, match=message):
+        RunConfig(seed=1, **settings)
 
 
 def test_missing_file_is_data_error(tmp_path, capsys):

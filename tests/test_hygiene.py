@@ -1,8 +1,10 @@
 """Source hygiene checks on `src/selkern`, by the standard library's `ast`:
 no module imports a name it never uses or imports scipy, every private
-top-level function or class is referenced somewhere in `src/`, and every
-public one is exported or read there."""
+top-level function or class is referenced somewhere in `src/`, every
+public one is exported or read there, and no function restates a
+`RunConfig` default."""
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import selkern
@@ -72,3 +74,19 @@ def test_public_definitions_are_exported_or_used():
     # The console script, and the CSV writer that pairs with `load_csv`.
     entry_points = {("cli.py", "main"), ("cli.py", "save_csv")}
     assert not [d for d in _unreferenced_definitions() if not d[1].startswith("_") and d not in entry_points]
+
+
+def test_no_function_defaults_a_run_config_field():
+    # RunConfig is the one source of these settings' defaults; a function
+    # that takes one of them takes it without a default of its own.
+    settings = {f.name for f in fields(selkern.RunConfig)}
+    found = []
+    for name, tree in _SOURCES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                found += [f"{name}: {node.name}({arg.arg}=...)" for arg in defaulted if arg.arg in settings]
+    assert not found

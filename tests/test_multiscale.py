@@ -9,49 +9,81 @@ from selkern import (
     DegenerateFeatureError,
     InsufficientScalesError,
     MultiStat,
-    ScaleSet,
+    RunConfig,
     default_scales,
     fit_scaling_law,
     flat_hypothesis_distance,
-    psi_transform,
-    psi_variance,
     selective_p_detail,
 )
 from selkern.multiscale import fit_bootstrap_probabilities, log_ndtr, ndtri
 from selkern.selective import _selection_fractions
 
+# Three interior scales around the one under test, so every fit has points.
+_OTHER_SCALES = ((0.5, 0.4), (1.0, 0.3), (2.0, 0.2))
+
+
+def _psi(bp, gamma2, b_reps=2000):
+    """psi of one bootstrap probability at gamma2, read from the fit's report."""
+    g2s, bps = zip(*_OTHER_SCALES, (gamma2, bp))
+    return fit_bootstrap_probabilities(bps, g2s, b_reps)[1]["psi"][-1]
+
 
 def test_psi_at_half_is_zero():
-    assert psi_transform(0.5, 1.7) == 0.0
+    assert _psi(0.5, 1.7) == 0.0
 
 
 def test_psi_inverse_identity():
-    assert psi_transform(norm.sf(2.0), 1.0) == pytest.approx(2.0, abs=1e-10)
+    assert _psi(norm.sf(2.0), 1.0) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_psi_gamma_scaling():
-    assert psi_transform(norm.sf(1.0), 4.0) == pytest.approx(2.0, abs=1e-10)
+    assert _psi(norm.sf(1.0), 4.0) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_psi_rejects_degenerate_bp():
-    with pytest.raises(ValueError):
-        psi_transform(0.0, 1.0)
-    with pytest.raises(ValueError):
-        psi_transform(1.0, 1.0)
+    # A probability of 0 or 1 has an infinite psi and is left out of the fit.
+    for bp, psi in ((0.0, np.inf), (1.0, -np.inf)):
+        fit, info = fit_bootstrap_probabilities((0.4, 0.3, bp), (0.5, 1.0, 2.0), 2000)
+        assert fit is None and info["psi"][-1] == psi
+        assert info["scales_dropped"] == 1 and info["dropped_gamma2"] == [2.0]
+
+
+def _wls(gamma2, bps, b):
+    """The fit from psi and inverse delta-method variances computed here."""
+    gamma2, bps = np.asarray(gamma2), np.asarray(bps)
+    z = norm.isf(bps)
+    psi = np.sqrt(gamma2) * z
+    weights = b * norm.pdf(z) ** 2 / (gamma2 * bps * (1 - bps))
+    design = np.column_stack([np.ones_like(gamma2), gamma2])
+    sw = np.sqrt(weights)
+    (beta0, beta1), *_ = np.linalg.lstsq(design * sw[:, None], psi * sw, rcond=None)
+    return beta0, beta1, float(np.sum(weights * (psi - beta0 - beta1 * gamma2) ** 2))
 
 
 def test_psi_variance_delta_method():
-    bp, gamma2, b = 0.3, 1.5, 2000
-    z = norm.isf(bp)
-    expected = gamma2 * bp * (1 - bp) / (b * norm.pdf(z) ** 2)
-    assert psi_variance(bp, gamma2, b) == pytest.approx(expected, rel=1e-10)
+    # The weights change beta and set the weighted RSS, which scales with them.
+    gamma2, bps, b = (0.5, 1.5, 2.0), (0.3, 0.2, 0.45), 2000
+    (beta0, beta1, diagnostics), _ = fit_bootstrap_probabilities(bps, gamma2, b)
+    want = _wls(gamma2, bps, b)
+    assert (beta0, beta1, diagnostics["weighted_rss"]) == pytest.approx(want, rel=1e-10)
+    assert beta0 != pytest.approx(fit_scaling_law(gamma2, norm.isf(bps) * np.sqrt(gamma2), np.ones(3))[0],
+                                  rel=1e-3)
 
 
 @pytest.mark.parametrize("bp, b_reps", [(0.0, 2000), (1.0, 2000), (-0.1, 2000), (1.5, 2000),
                                          (float("nan"), 2000), (0.3, 0)])
 def test_psi_variance_rejects_degenerate_inputs(bp, b_reps):
-    with pytest.raises(ValueError):
-        psi_variance(bp, 1.0, b_reps)
+    # A replicate count below 1 is an error; a probability outside (0, 1),
+    # or NaN, gets an infinite psi and is left out of the fit.
+    g2s, bps = zip(*_OTHER_SCALES, (1.0, bp))
+    if b_reps < 1:
+        with pytest.raises(ValueError):
+            fit_bootstrap_probabilities(bps, g2s, b_reps)
+        return
+    fit, info = fit_bootstrap_probabilities(bps, g2s, b_reps)
+    assert np.isinf(info["psi"][-1]) and info["scales_dropped"] == 1
+    assert fit[2]["points"] == 3
+    assert fit[:2] == pytest.approx(_wls(g2s[:3], bps[:3], b_reps)[:2], rel=1e-10)
 
 
 def _assert_log_ndtr_close(got, x):
@@ -107,84 +139,86 @@ def test_ndtri_on_bootstrap_fractions_and_extremes():
 
 def test_fit_exact_line():
     gamma2 = np.linspace(0.5, 2.0, 10)
-    points = [(g, 1.0 + 0.5 * g) for g in gamma2]
-    fit = fit_scaling_law(points)
-    assert fit.beta0 == pytest.approx(1.0, abs=1e-10)
-    assert fit.beta1 == pytest.approx(0.5, abs=1e-10)
-    assert fit.predict(-1.0) == pytest.approx(0.5, abs=1e-10)
+    beta0, beta1, _ = fit_scaling_law(gamma2, 1.0 + 0.5 * gamma2, np.ones(10))
+    assert beta0 == pytest.approx(1.0, abs=1e-10)
+    assert beta1 == pytest.approx(0.5, abs=1e-10)
+    assert beta0 - beta1 == pytest.approx(0.5, abs=1e-10)
 
 
 def test_fit_constant_points():
-    points = [(g, 3.25) for g in (0.5, 1.0, 2.0)]
-    fit = fit_scaling_law(points)
-    assert fit.beta0 == pytest.approx(3.25, abs=1e-12)
-    assert fit.beta1 == pytest.approx(0.0, abs=1e-12)
+    beta0, beta1, diagnostics = fit_scaling_law([0.5, 1.0, 2.0], [3.25] * 3, [1.0] * 3)
+    assert beta0 == pytest.approx(3.25, abs=1e-12)
+    assert beta1 == pytest.approx(0.0, abs=1e-12)
+    assert diagnostics["points"] == 3
 
 
 def test_fit_weights_change_solution():
-    points = [(0.5, 1.0), (1.0, 2.0), (2.0, 1.0)]
-    unweighted = fit_scaling_law(points)
-    weighted = fit_scaling_law(points, weights=[100.0, 1.0, 100.0])
-    assert unweighted.beta0 != weighted.beta0
+    gamma2, psi = [0.5, 1.0, 2.0], [1.0, 2.0, 1.0]
+    unweighted = fit_scaling_law(gamma2, psi, [1.0] * 3)
+    weighted = fit_scaling_law(gamma2, psi, [100.0, 1.0, 100.0])
+    assert unweighted[0] != weighted[0]
 
 
 def test_fit_requires_three_points():
     with pytest.raises(InsufficientScalesError):
-        fit_scaling_law([(0.5, 1.0), (1.0, 2.0)])
+        fit_scaling_law([0.5, 1.0], [1.0, 2.0], [1.0, 1.0])
+    for bad in ([np.nan, 1.0, 2.0], [1.0, np.inf, 2.0]):
+        with pytest.raises(ValueError, match="finite"):
+            fit_scaling_law([0.5, 1.0, 2.0], bad, [1.0] * 3)
+    for weights in ([1.0, 0.0, 1.0], [1.0, 1.0]):
+        with pytest.raises(ValueError, match="weights"):
+            fit_scaling_law([0.5, 1.0, 2.0], [1.0, 2.0, 3.0], weights)
 
 
 def test_fit_noisy_recovery():
     # Half-space at distance 1: BP(gamma^2) = survival(1 / gamma), psi = 1.
     rng = np.random.default_rng(0)
     b = 10_000
-    points = []
-    weights = []
-    for g2 in np.exp(np.linspace(np.log(0.5), np.log(2.0), 10)):
-        bp_true = norm.sf(1.0 / np.sqrt(g2))
-        bp = rng.binomial(b, bp_true) / b
-        points.append((g2, psi_transform(bp, g2)))
-        weights.append(1.0 / psi_variance(bp, g2, b))
-    fit = fit_scaling_law(points, weights)
-    assert fit.beta0 == pytest.approx(1.0, abs=0.05)
-    assert fit.beta1 == pytest.approx(0.0, abs=0.05)
+    gamma2 = np.exp(np.linspace(np.log(0.5), np.log(2.0), 10))
+    bps = [rng.binomial(b, norm.sf(1.0 / np.sqrt(g2))) / b for g2 in gamma2]
+    (beta0, beta1, _), info = fit_bootstrap_probabilities(bps, gamma2, b)
+    assert info["scales_dropped"] == 0
+    assert beta0 == pytest.approx(1.0, abs=0.05)
+    assert beta1 == pytest.approx(0.0, abs=0.05)
 
 
 def test_default_scales_endpoints():
-    scales = default_scales(1000)
+    scales = default_scales(1000, RunConfig(seed=0))
     # Resampling sizes n' = 2000 down to 500.
-    assert scales.scales[0] == 1000 / 2000 and scales.scales[-1] == 1000 / 500
-    assert len(scales.scales) == 10
+    assert scales[0] == 1000 / 2000 and scales[-1] == 1000 / 500
+    assert len(scales) == 10
 
 
 def test_default_scales_monotone():
     n = 137
-    scales = default_scales(n)
-    assert all(b > a for a, b in zip(scales.scales, scales.scales[1:]))
+    scales = default_scales(n, RunConfig(seed=0))
+    assert all(b > a for a, b in zip(scales, scales[1:]))
     # gamma^2 = n / n' with n' >= 2.
-    assert max(scales.scales) <= n / 2
+    assert max(scales) <= n / 2
 
 
 def test_default_scales_too_few():
     with pytest.raises(InsufficientScalesError):
-        default_scales(4, count=3, low=1.0, high=1.05)
+        default_scales(4, RunConfig(seed=0, scale_count=3, scale_low=1.0, scale_high=1.05))
+    with pytest.raises(ValueError, match="n >= 4"):
+        default_scales(3, RunConfig(seed=0))
 
 
 def test_scale_set_validation():
-    with pytest.raises(InsufficientScalesError):
-        ScaleSet(scales=(0.5, 1.0))
+    # The grid is set only by RunConfig, which rejects fewer than 3 scales
+    # and a range that is empty, reversed, NaN or not positive.
     with pytest.raises(ValueError):
-        ScaleSet(scales=(1.0, 1.0, 0.5))
-    for gammas in ((np.nan,) * 3, (0.5, np.nan, 2.0), (-1.0, 0.5, 1.0)):
+        RunConfig(seed=0, scale_count=2)
+    for low, high in ((1.0, 1.0), (2.0, 0.5), (np.nan, 2.0), (0.5, np.nan), (-1.0, 1.0)):
         with pytest.raises(ValueError):
-            ScaleSet(scales=gammas)
+            RunConfig(seed=0, scale_low=low, scale_high=high)
 
 
 def _half_space_fractions(a, gamma2s, b_reps, seed):
     """Bootstrap probabilities of feature 0 winning top-1 of d = 2 under
     Sigma = I at mean (a, 0), one per scale, with their analytic targets:
     y_0 - y_1 ~ N(a, 2 gamma^2), so the target is Phi(a / (gamma sqrt 2))."""
-    scales = ScaleSet(scales=tuple(gamma2s), replicates_per_scale=b_reps)
-    fractions = _selection_fractions(np.array([a, 0.0]), np.eye(2), 1, scales, seed)
+    fractions = _selection_fractions(np.array([a, 0.0]), np.eye(2), 1, gamma2s, b_reps, seed)
     # Every draw selects exactly one of the two features.
     np.testing.assert_allclose(fractions.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     return fractions[:, 0], norm.cdf(a / np.sqrt(2.0 * np.array(gamma2s)))
@@ -197,12 +231,11 @@ def _assert_within_3_sd(bp, target, b_reps):
 def test_bootstrap_probability_everything():
     # Every draw selects exactly k features, so the fractions sum to k; with
     # k = d every feature is selected in every draw.
-    scales = ScaleSet(scales=(0.5, 1.0, 2.0), replicates_per_scale=500)
     t = np.array([0.3, 0.0, -0.2, 0.1])
     for k in (1, 2, 3):
-        fractions = _selection_fractions(t, np.eye(4), k, scales, 0)
+        fractions = _selection_fractions(t, np.eye(4), k, (0.5, 1.0, 2.0), 500, 0)
         np.testing.assert_allclose(fractions.sum(axis=1), k, rtol=0, atol=1e-12)
-    assert (_selection_fractions(t, np.eye(4), 4, scales, 0) == 1.0).all()
+    assert (_selection_fractions(t, np.eye(4), 4, (0.5, 1.0, 2.0), 500, 0) == 1.0).all()
 
 
 def test_bootstrap_probability_halfspace_through_mean():
@@ -227,6 +260,49 @@ def test_bootstrap_probability_gamma_scaling():
     assert targets[2] == pytest.approx(norm.cdf(-0.5), rel=1e-12)
     for bp, target in zip(bps, targets):
         _assert_within_3_sd(bp, target, b)
+
+
+def _top_k_probabilities(t, sd, k, gamma2, nodes=160):
+    """Exact P(i in top k) for every i when y ~ N(t, gamma^2 diag(sd^2)).
+
+    Given y_i = v, each other j exceeds v independently with probability
+    survival((v - t_j) / (gamma sd_j)), and i is in the top k when fewer
+    than k of them do: a Poisson-binomial tail, summed by a DP over the
+    counts 0..k-1 at every Gauss-Hermite node v of y_i's law.
+    """
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    gamma = np.sqrt(gamma2)
+    out = np.empty(len(t))
+    for i in range(len(t)):
+        v = t[i] + gamma * sd[i] * np.sqrt(2.0) * x
+        below = np.zeros((nodes, k))  # P(exactly c of the j seen so far exceed v)
+        below[:, 0] = 1.0
+        for j in range(len(t)):
+            if j != i:
+                q = norm.sf((v - t[j]) / (gamma * sd[j]))[:, None]
+                below[:, 1:] = below[:, 1:] * (1.0 - q) + below[:, :-1] * q
+                below[:, :1] *= 1.0 - q
+        out[i] = w @ below.sum(axis=1) / np.sqrt(np.pi)
+    return out
+
+
+@pytest.mark.parametrize("t, sd", [
+    # One leader and seven tied competitors, equal variances.
+    ([0.3] + [0.0] * 7, [1.0] * 8),
+    # Spread-out means with unequal variances.
+    (np.linspace(-2.0, 2.0, 8), np.linspace(1.5, 0.5, 8)),
+], ids=["tied", "spread"])
+def test_bootstrap_probability_matches_exact_top_k(t, sd):
+    t, sd = np.asarray(t, dtype=float), np.asarray(sd, dtype=float)
+    gamma2s, b = (0.5, 1.0, 2.0), 4000
+    for k in (1, 3, len(t) - 1):
+        fractions = _selection_fractions(t, np.diag(sd), k, gamma2s, b, 20 + k)
+        for gamma2, bps in zip(gamma2s, fractions):
+            exact = _top_k_probabilities(t, sd, k, gamma2)
+            # The oracle's own check: every draw selects exactly k features.
+            assert exact.sum() == pytest.approx(k, abs=1e-8)
+            tol = 4.0 * np.sqrt(exact * (1.0 - exact) / b) + 1e-8
+            assert (np.abs(bps - exact) <= tol).all(), (k, gamma2, bps, exact)
 
 
 def test_bootstrap_probability_rejects_bad_inputs():
@@ -295,8 +371,7 @@ def test_bootstrap_probability_rank_deficient_exact():
     # Feature 3 sits 1e-9 above its duplicate, feature 0, so it beats it in
     # every replicate and feature 0 is never the top one.
     t = np.array([0.0, 0.0, 0.0, 1e-9])
-    scales = ScaleSet(scales=(0.5, 1.0, 2.0), replicates_per_scale=4000)
-    fractions = _selection_fractions(t, stat.factor, 1, scales, 4)
+    fractions = _selection_fractions(t, stat.factor, 1, (0.5, 1.0, 2.0), 4000, 4)
     assert (fractions[:, 0] == 0.0).all()
     assert (fractions[:, 3] > 0.2).all()
 
@@ -352,34 +427,34 @@ def test_flat_hypothesis_distance_zero_variance():
         flat_hypothesis_distance(stat, 0)
 
 
-def _selection_fit(mean, factor, k, scales, seed):
-    """The pipeline's bootstrap for feature 0: fractions, then the scaling-law fit."""
-    fractions = _selection_fractions(np.asarray(mean, dtype=float), factor, k, scales, seed)
-    return fractions, *fit_bootstrap_probabilities(fractions[:, 0], scales)
+def _selection_fit(mean, factor, k, n, replicates, seed):
+    """The pipeline's bootstrap for feature 0 on the default grid for n:
+    fractions, then the scaling-law fit."""
+    gamma2 = default_scales(n, RunConfig(seed=0))
+    fractions = _selection_fractions(np.asarray(mean, dtype=float), factor, k, gamma2, replicates, seed)
+    return fractions, *fit_bootstrap_probabilities(fractions[:, 0], gamma2, replicates)
 
 
 def test_region_scaling_halfspace_recovery():
     # With Sigma = I / 2, y_0 - y_1 ~ N(a, gamma^2): BP = Phi(a / gamma), so
     # psi = -a at every scale and the fit recovers beta0 = -a, beta1 = 0.
     a = 0.5
-    scales = default_scales(1000, replicates_per_scale=10_000)
-    _, fit, info = _selection_fit([a, 0.0], np.eye(2) / np.sqrt(2.0), 1, scales, 11)
+    _, fit, info = _selection_fit([a, 0.0], np.eye(2) / np.sqrt(2.0), 1, 1000, 10_000, 11)
     assert fit is not None
-    assert fit.beta0 == pytest.approx(-a, abs=0.05)
-    assert fit.beta1 == pytest.approx(0.0, abs=0.05)
+    beta0, beta1, _ = fit
+    assert beta0 == pytest.approx(-a, abs=0.05)
+    assert beta1 == pytest.approx(0.0, abs=0.05)
     assert info["scales_dropped"] == 0
 
 
 def test_region_scaling_degenerate_region_returns_none():
     # k = d: every feature is selected in every draw.
-    scales = default_scales(100, replicates_per_scale=200)
-    _, fit, info = _selection_fit(np.zeros(2), np.eye(2), 2, scales, 12)
+    _, fit, info = _selection_fit(np.zeros(2), np.eye(2), 2, 100, 200, 12)
     assert fit is None
-    assert info["scales_dropped"] == len(scales.scales)
+    assert info["scales_dropped"] == len(default_scales(100, RunConfig(seed=0)))
 
 
 def test_region_scaling_deterministic():
-    scales = default_scales(200, replicates_per_scale=500)
-    first, second = (_selection_fit([0.5, 0.0], np.eye(2), 1, scales, 13) for _ in range(2))
+    first, second = (_selection_fit([0.5, 0.0], np.eye(2), 1, 200, 500, 13) for _ in range(2))
     assert np.array_equal(first[0], second[0])
-    assert (first[1].beta0, first[1].beta1) == (second[1].beta0, second[1].beta1)
+    assert first[1] == second[1]
