@@ -18,27 +18,9 @@ from .core import (
     derive_rng,
     derive_seed,
 )
-from .designs import (
-    block_design,
-    complete_pair_design,
-    complete_quad_design,
-    sample_pair_design,
-    sample_quad_design,
-)
-from .hsic import (
-    JointSample,
-    hsic_block,
-    hsic_h,
-    hsic_incomplete,
-    hsic_u,
-)
-from .kernels import (
-    KernelSpec,
-    gram_matrix,
-    kernel_eval,
-    median_heuristic,
-)
-from .mmd import mmd_h, mmd_incomplete, mmd_u
+from .designs import sample_pair_design, sample_quad_design
+from .hsic import JointSample
+from .kernels import KernelSpec, median_heuristic
 from .multiscale import (
     ScalesDroppedWarning,
     default_scales,
@@ -81,23 +63,11 @@ __all__ = [
     "MultiStat",
     "derive_rng",
     "derive_seed",
-    "block_design",
-    "complete_pair_design",
-    "complete_quad_design",
     "sample_pair_design",
     "sample_quad_design",
     "JointSample",
-    "hsic_block",
-    "hsic_h",
-    "hsic_incomplete",
-    "hsic_u",
     "KernelSpec",
-    "gram_matrix",
-    "kernel_eval",
     "median_heuristic",
-    "mmd_h",
-    "mmd_incomplete",
-    "mmd_u",
     "ScalesDroppedWarning",
     "default_scales",
     "fit_scaling_law",

@@ -46,9 +46,10 @@ def derive_seed(seed: int, *key: int) -> int:
 class Design:
     """Index tuples defining an incomplete U-statistic over ``n`` items.
 
-    ``tuples`` is an (l, arity) integer array; arity is 2 for two-sample
-    pair statistics and 4 for independence statistics.  Tuples may repeat
-    (sampling with replacement) but indices within a tuple are distinct.
+    ``tuples`` is an (l, 2) integer array of pairs for two-sample
+    statistics, or an (l, 4) one of quadruples for independence
+    statistics.  Tuples may repeat (sampling with replacement) but indices
+    within a tuple are distinct.
     """
 
     tuples: np.ndarray
@@ -69,10 +70,6 @@ class Design:
 
     def __len__(self) -> int:
         return len(self.tuples)
-
-    @property
-    def arity(self) -> int:
-        return self.tuples.shape[1]
 
 
 @dataclass

@@ -1,7 +1,5 @@
-"""Random and structured index designs for incomplete U-statistics."""
+"""Random index designs for incomplete U-statistics."""
 from __future__ import annotations
-
-from itertools import permutations
 
 import numpy as np
 
@@ -42,39 +40,3 @@ def sample_quad_design(n: int, l: int, rng: np.random.Generator) -> Design:
         e += e >= used[:, col]
     return Design(np.column_stack([a, b, c, e]), n)
 
-
-def block_design(n: int, block_size: int) -> Design:
-    """All ordered distinct 4-tuples inside each of the floor(n/B) disjoint blocks."""
-    if block_size < 4:
-        raise DataShapeError("block size must be >= 4")
-    if n < block_size:
-        raise DataShapeError("need at least one full block")
-    blocks = n // block_size
-    base = np.array(list(permutations(range(block_size), 4)), dtype=np.intp)
-    offsets = np.arange(blocks, dtype=np.intp)[:, None, None] * block_size
-    tuples = (base[None, :, :] + offsets).reshape(-1, 4)
-    return Design(tuples, n)
-
-
-def complete_pair_design(n: int) -> Design:
-    """All n(n-1) ordered distinct pairs."""
-    if n < 2:
-        raise DataShapeError("need n >= 2")
-    i, j = np.nonzero(~np.eye(n, dtype=bool))
-    return Design(np.column_stack([i, j]), n)
-
-
-def complete_quad_design(n: int) -> Design:
-    """All n(n-1)(n-2)(n-3) ordered distinct 4-tuples; O(n^4), small n only."""
-    if n < 4:
-        raise DataShapeError("need n >= 4")
-    idx = np.indices((n, n, n, n)).reshape(4, -1).T
-    distinct = (
-        (idx[:, 0] != idx[:, 1])
-        & (idx[:, 0] != idx[:, 2])
-        & (idx[:, 0] != idx[:, 3])
-        & (idx[:, 1] != idx[:, 2])
-        & (idx[:, 1] != idx[:, 3])
-        & (idx[:, 2] != idx[:, 3])
-    )
-    return Design(idx[distinct], n)

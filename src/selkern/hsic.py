@@ -1,8 +1,7 @@
-"""HSIC estimators: complete U-statistic, incomplete, block, and the
-per-tuple and per-block h rows from which `selective.hsic_stat` builds the
-per-feature statistic.
+"""HSIC: the paired sample, and the per-tuple (incomplete) and per-block h
+rows from which `selective.hsic_stat` builds the per-feature statistic.
 
-The incomplete estimators compute the order-4 kernel h from the 6 index
+The per-tuple rows compute the order-4 kernel h from the 6 index
 pairs p of a quadruple, p' being the complementary pair of p:
 h = 1/4 sum_p K_p (L_p + L_p') - (sum_p L_p / 12) sum_p K_p."""
 from __future__ import annotations
@@ -12,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataShapeError, Design
-from .designs import complete_quad_design
-from .kernels import KernelSpec, flat_columns, gram_matrix, pair_kernel
+from .kernels import KernelSpec, flat_columns, pair_kernel
 
 # The 6 index pairs of a quadruple, ordered so that pair p's complement is 5 - p.
 _PAIRS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], dtype=np.intp)
@@ -46,71 +44,9 @@ class JointSample:
         return self.X.shape[1]
 
 
-def hsic_h(Kmat: np.ndarray, Lmat: np.ndarray, quad) -> float:
-    """Order-4 U-statistic kernel: the average of K_st * (L_st + L_uv - 2 L_su)
-    over all 24 permutations (s, t, u, v) of the quadruple."""
-    quad = np.asarray(quad, dtype=np.intp)
-    if quad.shape != (4,):
-        raise DataShapeError("quad must contain exactly 4 indices")
-    if len(set(quad.tolist())) != 4:
-        raise DataShapeError("quad indices must be distinct")
-    return float(_h_quad_values(Kmat, Lmat, quad[None, :])[0])
-
-
 def _h_from_pairs(Kp: np.ndarray, Lp: np.ndarray) -> np.ndarray:
     """h from the kernel values on the 6 pairs of each quadruple (axis 1)."""
     return 0.25 * (Kp * (Lp + Lp[:, ::-1])).sum(axis=1) - Lp.sum(axis=1) / 12.0 * Kp.sum(axis=1)
-
-
-def _h_quad_values(K: np.ndarray, L: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """(l,) h values for an (l, 4) array of index quadruples, read from Gram matrices."""
-    a, b = quads[:, _PAIRS].transpose(2, 0, 1)
-    return _h_from_pairs(K[a, b], L[a, b])
-
-
-def hsic_u(Z: JointSample, specX: KernelSpec, specY: KernelSpec) -> float:
-    """Unbiased complete U-statistic: average of h over all ordered distinct
-    4-tuples.  Quartic in n; intended as an oracle for small samples (n <~ 40).
-
-    Every ordering of each index set appears exactly once in the complete
-    enumeration, so averaging the raw integrand K_st (L_st + L_uv - 2 L_su)
-    equals averaging the permutation-symmetrized kernel.
-    """
-    if Z.n < 4:
-        raise DataShapeError("need n >= 4")
-    K = gram_matrix(specX, Z.X, Z.X)
-    L = gram_matrix(specY, Z.Y, Z.Y)
-    s, t, u, v = complete_quad_design(Z.n).tuples.T
-    return float((K[s, t] * (L[s, t] + L[u, v] - 2.0 * L[s, u])).mean())
-
-
-def hsic_incomplete(Z: JointSample, specX: KernelSpec, specY: KernelSpec, design: Design) -> float:
-    """Design-averaged estimator (1/|D|) sum_{(i,j,q,r) in D} h(i,j,q,r)."""
-    if design.arity != 4:
-        raise DataShapeError("quadruple design required")
-    if design.tuples.max() >= Z.n:
-        raise DataShapeError("design indices exceed sample size")
-    K = gram_matrix(specX, Z.X, Z.X)
-    L = gram_matrix(specY, Z.Y, Z.Y)
-    return float(_h_quad_values(K, L, design.tuples).mean())
-
-
-def hsic_block(Z: JointSample, specX: KernelSpec, specY: KernelSpec, block_size: int) -> float:
-    """Mean of complete U-statistics over disjoint blocks of ``block_size`` rows.
-
-    Trailing rows that do not fill a block are discarded.  Agrees with
-    `hsic_incomplete` run on `block_design` up to rounding.
-    """
-    if block_size < 4:
-        raise DataShapeError("block size must be >= 4")
-    if Z.n < block_size:
-        raise DataShapeError("need at least one full block")
-    blocks = Z.n // block_size
-    vals = []
-    for b in range(blocks):
-        rows = slice(b * block_size, (b + 1) * block_size)
-        vals.append(hsic_u(JointSample(Z.X[rows], Z.Y[rows]), specX, specY))
-    return float(np.mean(vals))
 
 
 def _constant_kernel(X: np.ndarray, specs: list[KernelSpec]) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Positive-definite kernels, Gram matrices, and bandwidth selection."""
+"""Positive-definite kernels on indexed rows, and median-heuristic bandwidth selection."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -57,24 +57,6 @@ def pair_kernel(spec: KernelSpec | list[KernelSpec], A: np.ndarray, i, B: np.nda
         else:
             K = (np.array([s.offset for s in specs]) ** 2 + sq) ** -0.5
     return K[..., 0] if isinstance(spec, KernelSpec) else K
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Evaluate the kernel on a single pair of points (scalars or vectors)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != y.shape:
-        raise DataShapeError(f"point dimensions differ: {x.shape} vs {y.shape}")
-    return float(pair_kernel(spec, x, ..., y, ...))
-
-
-def gram_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kernel matrix with entry (i, j) = K(A[i], B[j])."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[1] != B.shape[1]:
-        raise DataShapeError(f"column counts differ: {A.shape[1]} vs {B.shape[1]}")
-    return pair_kernel(spec, A, np.s_[:, None], B, np.s_[None])
 
 
 def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:

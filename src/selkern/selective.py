@@ -73,34 +73,6 @@ def select_top_k(scores: np.ndarray, k: int) -> SelectionResult:
     return SelectionResult(selected=tuple(int(i) for i in order[:k]), scores=scores)
 
 
-def _truncnorm_sf(t, var: float, vminus, vplus) -> np.ndarray:
-    """Survival at t of N(0, var) truncated to [vminus, vplus], tail-stable.
-
-    With ls(x) = log survival(x / sigma), the value is
-    (exp(ls(t)) - exp(ls(v+))) / (exp(ls(v-)) - exp(ls(v+))), evaluated via
-    expm1 of log-survival differences so far tails do not cancel.
-    """
-    if var <= 0:
-        raise DegenerateFeatureError(f"non-positive variance {var}")
-    sigma = np.sqrt(var)
-    t = np.asarray(t, dtype=float)
-    vminus = np.asarray(vminus, dtype=float)
-    vplus = np.asarray(vplus, dtype=float)
-    if np.any(vplus <= vminus):
-        raise ValueError("truncation interval has zero width")
-    if np.any(t < vminus) or np.any(t > vplus):
-        raise ValueError("statistic lies outside its truncation interval")
-    ls_low = log_ndtr(-vminus / sigma)
-    ls_t = log_ndtr(-t / sigma)
-    ls_high = log_ndtr(-vplus / sigma)
-    with np.errstate(invalid="ignore"):
-        num = -np.expm1(ls_high - ls_t)
-        den = -np.expm1(ls_high - ls_low)
-        ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0), 1.0)
-        out = np.exp(ls_t - ls_low) * ratio
-    return np.clip(out, 0.0, 1.0)
-
-
 def poly_truncation_intervals(
     t: np.ndarray,
     factor: np.ndarray,
@@ -144,9 +116,35 @@ def poly_truncation_intervals(
     return vminus, vplus
 
 
-def poly_p(t_i: float, var_i: float, vminus: float, vplus: float) -> float:
-    """One-sided truncated-normal p-value for the coordinate statistic."""
-    return float(_truncnorm_sf(t_i, var_i, vminus, vplus))
+def poly_p(t, var: float, vminus, vplus):
+    """One-sided truncated-normal p-value: the survival at t of N(0, var)
+    truncated to [vminus, vplus], tail-stable.  Scalar arguments give a
+    float; arrays, which broadcast, give a float array of their shape.
+
+    With ls(x) = log survival(x / sigma), the value is
+    (exp(ls(t)) - exp(ls(v+))) / (exp(ls(v-)) - exp(ls(v+))), evaluated via
+    expm1 of log-survival differences so far tails do not cancel.
+    """
+    if var <= 0:
+        raise DegenerateFeatureError(f"non-positive variance {var}")
+    sigma = np.sqrt(var)
+    t = np.asarray(t, dtype=float)
+    vminus = np.asarray(vminus, dtype=float)
+    vplus = np.asarray(vplus, dtype=float)
+    if np.any(vplus <= vminus):
+        raise ValueError("truncation interval has zero width")
+    if np.any(t < vminus) or np.any(t > vplus):
+        raise ValueError("statistic lies outside its truncation interval")
+    ls_low = log_ndtr(-vminus / sigma)
+    ls_t = log_ndtr(-t / sigma)
+    ls_high = log_ndtr(-vplus / sigma)
+    with np.errstate(invalid="ignore"):
+        num = -np.expm1(ls_high - ls_t)
+        den = -np.expm1(ls_high - ls_low)
+        ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0), 1.0)
+        out = np.exp(ls_t - ls_low) * ratio
+    out = np.clip(out, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def _fixed_spec(config: RunConfig) -> KernelSpec | None:

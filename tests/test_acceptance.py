@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, kurtosis, skew
 
+import oracles
 import selkern as sk
 from selkern.cli import cli_main, save_csv
 from selkern.multiscale import fit_bootstrap_probabilities
-from selkern.selective import _truncnorm_sf
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -34,7 +34,8 @@ def test_c1_oracle_equivalence():
         Y = rng.standard_normal((n, d)) + rng.normal(scale=0.5)
         spec = sk.KernelSpec(bandwidth=float(rng.random() + 0.5))
         diff = abs(
-            sk.mmd_incomplete(X, Y, spec, sk.complete_pair_design(n)) - sk.mmd_u(X, Y, spec)
+            oracles.mmd_incomplete(X, Y, spec, oracles.complete_pair_design(n))
+            - oracles.mmd_u(X, Y, spec)
         )
         worst_mmd = max(worst_mmd, diff)
 
@@ -46,8 +47,8 @@ def test_c1_oracle_equivalence():
         spec_x = sk.KernelSpec(bandwidth=float(rng.random() + 0.5))
         spec_y = sk.KernelSpec(bandwidth=float(rng.random() + 0.5))
         diff = abs(
-            sk.hsic_incomplete(Z, spec_x, spec_y, sk.complete_quad_design(n))
-            - sk.hsic_u(Z, spec_x, spec_y)
+            oracles.hsic_incomplete(Z, spec_x, spec_y, oracles.complete_quad_design(n))
+            - oracles.hsic_u(Z, spec_x, spec_y)
         )
         worst_hsic = max(worst_hsic, diff)
 
@@ -78,8 +79,8 @@ def test_c2_block_identity():
         Z = sk.JointSample(rng.standard_normal((n, 1)), rng.standard_normal(n))
         spec_x = sk.KernelSpec(bandwidth=1.0)
         spec_y = sk.KernelSpec(bandwidth=0.8)
-        blocked = sk.hsic_block(Z, spec_x, spec_y, B)
-        incomplete = sk.hsic_incomplete(Z, spec_x, spec_y, sk.block_design(n, B))
+        blocked = oracles.hsic_block(Z, spec_x, spec_y, B)
+        incomplete = oracles.hsic_incomplete(Z, spec_x, spec_y, oracles.block_design(n, B))
         worst = max(worst, abs(blocked - incomplete))
     ok = worst <= 1e-12
     _report(
@@ -90,7 +91,8 @@ def test_c2_block_identity():
 
 
 # ---------------------------------------------------------------------------
-# 3. Null normality of the scaled incomplete estimators.
+# 3. Null normality of the scaled incomplete estimators, as the pipeline
+#    computes them: with r = 1, t[0] = sqrt(n) * the estimate on n tuples.
 # ---------------------------------------------------------------------------
 def test_c3_null_normality():
     reps, n = 2000, 500
@@ -100,8 +102,7 @@ def test_c3_null_normality():
         rng = sk.derive_rng(1004, i)
         x = rng.standard_normal((n, 1))
         y = rng.standard_normal((n, 1))
-        spec = sk.KernelSpec(bandwidth=sk.median_heuristic(np.vstack([x, y])))
-        vals[i] = np.sqrt(n) * sk.mmd_incomplete(x, y, spec, sk.sample_pair_design(n, n, rng))
+        vals[i] = sk.mmd_stat(x, y, sk.RunConfig(seed=i)).t[0]
     std = (vals - vals.mean()) / vals.std(ddof=1)
     mmd_skew, mmd_kurt = float(skew(std)), float(kurtosis(std))
 
@@ -110,10 +111,7 @@ def test_c3_null_normality():
         rng = sk.derive_rng(1005, i)
         x = rng.standard_normal((n, 1))
         y = rng.standard_normal((n, 1))
-        Z = sk.JointSample(x, y)
-        spec_x = sk.KernelSpec(bandwidth=sk.median_heuristic(x))
-        spec_y = sk.KernelSpec(bandwidth=sk.median_heuristic(y))
-        vals[i] = np.sqrt(n) * sk.hsic_incomplete(Z, spec_x, spec_y, sk.sample_quad_design(n, n, rng))
+        vals[i] = sk.hsic_stat(sk.JointSample(x, y), sk.RunConfig(seed=i, method="multi-hsic")).t[0]
     std = (vals - vals.mean()) / vals.std(ddof=1)
     hsic_skew, hsic_kurt = float(skew(std)), float(kurtosis(std))
 
@@ -265,18 +263,17 @@ def test_c8_polyhedral_rejection_oracle():
     # The conditional law of t0 given selection and the nuisance values is the
     # truncated normal on [max(t1, t2), inf); its CDF transform of t0 must be
     # uniform, and poly_p's survival formula is 1 minus that transform.
-    pivot = 1.0 - _truncnorm_sf(acc[:, 0], 1.0, vminus, np.inf)
+    sf = sk.poly_p(acc[:, 0], 1.0, vminus, np.inf)
+    pivot = 1.0 - sf
     grid = np.linspace(0.0, 1.0, 2001)
     ecdf = np.searchsorted(np.sort(pivot), grid, side="right") / len(pivot)
     sup = float(np.abs(ecdf - grid).max())
 
     # Spot-check that the vectorized pivot matches the scalar operation.
-    for row in acc[:5]:
+    for row, sf_row in zip(acc[:5], sf[:5]):
         vm, vp = (v[0] for v in sk.poly_truncation_intervals(row, np.eye(3), sk.select_top_k(row, 1)))
         assert vm == pytest.approx(max(row[1], row[2]), abs=1e-12) and vp == np.inf
-        assert sk.poly_p(row[0], 1.0, vm, vp) == pytest.approx(
-            float(_truncnorm_sf(row[0], 1.0, vm, np.inf)), abs=1e-14
-        )
+        assert sk.poly_p(row[0], 1.0, vm, vp) == pytest.approx(sf_row, abs=1e-14)
 
     ok = sup < 0.01
     _report(

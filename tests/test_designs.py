@@ -3,12 +3,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from oracles import block_design, complete_pair_design, complete_quad_design
 from selkern import (
     DataShapeError,
     Design,
-    block_design,
-    complete_pair_design,
-    complete_quad_design,
     derive_rng,
     sample_pair_design,
     sample_quad_design,

@@ -3,21 +3,23 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from oracles import (
+    block_design,
+    complete_quad_design,
+    gram_matrix,
+    hsic_block,
+    hsic_h,
+    hsic_incomplete,
+    hsic_u,
+)
 from selkern import (
     DataShapeError,
     JointSample,
     KernelSpec,
     MultiStat,
     RunConfig,
-    block_design,
-    complete_quad_design,
     derive_rng,
-    gram_matrix,
-    hsic_block,
-    hsic_h,
-    hsic_incomplete,
     hsic_stat,
-    hsic_u,
     sample_quad_design,
 )
 from selkern.hsic import _block_hsic, _quad_h_matrix

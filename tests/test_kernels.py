@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist, pdist
 
+from oracles import gram_matrix, kernel_eval
 from selkern import (
     DataShapeError,
     DegenerateSampleError,
@@ -15,8 +16,6 @@ from selkern import (
     KernelSpec,
     RunConfig,
     derive_rng,
-    gram_matrix,
-    kernel_eval,
     median_heuristic,
     sample_pair_design,
     sample_quad_design,

@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
+from oracles import complete_pair_design, kernel_eval, mmd_h, mmd_incomplete, mmd_u
 from selkern import (
     DataShapeError,
     Design,
     KernelSpec,
     MultiStat,
     RunConfig,
-    complete_pair_design,
     derive_rng,
-    kernel_eval,
-    mmd_h,
-    mmd_incomplete,
     mmd_stat,
-    mmd_u,
     sample_pair_design,
 )
 from selkern.mmd import _pair_h
