@@ -29,7 +29,6 @@ from .multiscale import (
     selective_p_detail,
 )
 from .selective import (
-    SelectionResult,
     SelectiveReport,
     hsic_stat,
     mmd_stat,
@@ -73,7 +72,6 @@ __all__ = [
     "fit_scaling_law",
     "flat_hypothesis_distance",
     "selective_p_detail",
-    "SelectionResult",
     "SelectiveReport",
     "hsic_stat",
     "mmd_stat",

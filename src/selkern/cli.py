@@ -16,13 +16,7 @@ from .config import ESTIMATORS, METHODS, RunConfig
 from .core import DataFormatError, DataShapeError, DegenerateSampleError, InsufficientScalesError
 from .hsic import JointSample
 from .selective import select_and_test
-from .simulation import (
-    HSIC_METHODS,
-    MMD_METHODS,
-    ProblemSpec,
-    benchmark_trials,
-    run_trials,
-)
+from .simulation import ProblemSpec, benchmark_trials, family_methods, run_trials
 
 SCHEMA_VERSION = 1
 
@@ -207,7 +201,7 @@ def _report_document(command: str, inputs: dict, report, config: RunConfig) -> d
             "method": report.method,
             "selected": list(report.selected),
             "feature_names": [report.feature_names[i] for i in report.selected],
-            "scores": [float(report.selection.scores[i]) for i in report.selected],
+            "scores": [float(report.scores[i]) for i in report.selected],
             "p_values": [float(p) for p in report.p_values],
             "rejected": rejected,
             "diagnostics": report.diagnostics,
@@ -219,7 +213,7 @@ def _print_report_table(report, alpha: float) -> None:
     print(f"{report.method}: top-{len(report.selected)} features at alpha = {alpha}")
     print(f"{'feature':>10} {'name':>12} {'score':>12} {'p-value':>10} {'reject':>7}")
     for i, p in zip(report.selected, report.p_values):
-        score = float(report.selection.scores[i])
+        score = float(report.scores[i])
         mark = "yes" if p < alpha else "no"
         print(f"{i:>10d} {report.feature_names[i]:>12} {score:>12.5g} {p:>10.4g} {mark:>7}")
 
@@ -302,11 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_hsic, k_required=True)
 
     p_sim = sub.add_parser("simulate", help="multi-trial synthetic experiment")
-    p_sim.add_argument("--problem", choices=["mean-shift", "logistic"], required=True)
+    # The ProblemSpec flags leave their defaults to ProblemSpec.
+    p_sim.add_argument("--problem", choices=["mean-shift", "logistic"], required=True, dest="kind")
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--d", type=int, required=True)
-    p_sim.add_argument("--shift", type=float, default=0.5)
-    p_sim.add_argument("--informative", type=int, default=10)
+    p_sim.add_argument("--shift", type=float, default=argparse.SUPPRESS)
+    p_sim.add_argument("--informative", type=int, default=argparse.SUPPRESS)
     p_sim.add_argument("--trials", type=int, required=True)
     p_sim.add_argument("--methods", nargs="+", default=None,
                        choices=list(METHODS),
@@ -370,14 +365,13 @@ def _emit_summaries(command: str, inputs: dict, summaries, out_path: str | None)
 
 def _cmd_simulate(args, parser) -> int:
     seed = _resolve_seed(args, parser, required_flag=True)
-    problem = ProblemSpec(
-        kind=args.problem, n=args.n, d=args.d, shift=args.shift, informative=args.informative
-    )
-    default_methods = MMD_METHODS if args.problem == "mean-shift" else HSIC_METHODS
-    methods = list(args.methods or default_methods)
+    problem = ProblemSpec(**{f.name: getattr(args, f.name) for f in fields(ProblemSpec)
+                             if hasattr(args, f.name)})
+    methods = args.methods or family_methods(problem.family)
     config = _config_from_args(args, parser, seed=seed, method=methods[0])
-    summaries = run_trials(problem, methods, args.trials, seed, config)
-    inputs = {key: getattr(args, key) for key in ("problem", "n", "d", "shift", "informative", "trials")}
+    summaries = run_trials(problem, methods, args.trials, config)
+    spec = asdict(problem)
+    inputs = {"problem": spec.pop("kind"), **spec, "trials": args.trials}
     return _emit_summaries("simulate", inputs, summaries, args.out)
 
 
@@ -389,14 +383,11 @@ def _cmd_benchmark(args, parser) -> int:
     if not column:
         parser.error(f"--{flag} is required in {args.mode} mode")
     features, _, split = split_response(values, names, column)
-    default_methods = MMD_METHODS if args.mode == "mmd" else HSIC_METHODS
-    methods = list(args.methods or default_methods)
+    methods = args.methods or family_methods(args.mode)
     config = _config_from_args(args, parser, seed=seed, method=methods[0])
-    summaries = benchmark_trials(
-        features, split, args.mode, methods, args.trials, seed, config,
-        n=args.n, n_fake=args.fakes,
-    )
-    inputs = {"data": args.data, "mode": args.mode, "column": column, "fakes": args.fakes, "trials": args.trials}
+    summaries = benchmark_trials(features, split, args.mode, methods, args.trials, config, args.n, args.fakes)
+    inputs = {"data": args.data, "mode": args.mode, "column": column, "fakes": args.fakes, "n": args.n,
+              "trials": args.trials}
     return _emit_summaries("benchmark", inputs, summaries, args.out)
 
 

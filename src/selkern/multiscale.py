@@ -113,17 +113,19 @@ def fit_scaling_law(gamma2, psi, weights) -> tuple[float, float, dict]:
     }
 
 
-def fit_bootstrap_probabilities(bps, gamma2, replicates: int) -> tuple[tuple[float, float, dict] | None, dict]:
+def fit_bootstrap_probabilities(bps, gamma2, replicates: int) -> dict:
     """Fit the scaling law to one bootstrap probability per scale gamma^2,
-    each the fraction of ``replicates`` draws.
+    each the fraction of ``replicates`` draws; return the fit's diagnostics.
 
     An interior probability gives psi = gamma * z with z = -ndtri(BP), and
     the delta-method variance gamma^2 BP (1 - BP) / (B phi(z)^2) of psi
     weights its point.  Scales whose bootstrap probability hits 0 or 1
-    carry an infinite psi and are dropped.  When fewer than 3 scales survive
-    the fit is None and the caller decides the fallback.  The second return
-    value reports the per-scale bootstrap probabilities and psi values and
-    which scales were dropped.
+    carry an infinite psi and are dropped.  The diagnostics report the
+    per-scale bootstrap probabilities and psi values and which scales were
+    dropped.  When at least 3 scales survive they also hold the fitted line,
+    ``fit_beta0`` and ``fit_beta1``, and `fit_scaling_law`'s diagnostics
+    under ``fit_`` keys; otherwise there is no fit and the caller decides the
+    fallback.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
@@ -140,15 +142,16 @@ def fit_bootstrap_probabilities(bps, gamma2, replicates: int) -> tuple[tuple[flo
             psi = np.inf if bp <= 0.0 else -np.inf
             dropped.append(g2)
         psis.append(psi)
-    info = {
+    diag = {
         "bootstrap_probabilities": [float(bp) for bp in bps],
         "psi": psis,
         "scales_dropped": len(dropped),
         "dropped_gamma2": dropped,
     }
-    if len(points) < 3:
-        return None, info
-    return fit_scaling_law(*zip(*points)), info
+    if len(points) >= 3:
+        beta0, beta1, fit = fit_scaling_law(*zip(*points))
+        diag.update({f"fit_{key}": value for key, value in {"beta0": beta0, "beta1": beta1, **fit}.items()})
+    return diag
 
 
 def selective_p_detail(phi_h_at_minus1: float, phi_s_at_0: float) -> tuple[float, bool]:

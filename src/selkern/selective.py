@@ -32,51 +32,38 @@ _STREAM_STAT = 0
 _STREAM_BOOT = 1
 
 
-@dataclass(frozen=True)
-class SelectionResult:
-    """The k highest-scoring features, in score order (ties to lowest index)."""
-
-    selected: tuple[int, ...]
-    scores: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return len(self.selected)
-
-
 @dataclass
 class SelectiveReport:
-    """Selected features, their post-selection p-values, and diagnostics."""
+    """The selected features in score order, every feature's score, the
+    selected features' post-selection p-values, and diagnostics."""
 
     method: str
-    selection: SelectionResult
+    selected: tuple[int, ...]
+    scores: np.ndarray
     feature_names: list[str]
     p_values: list[float]
     diagnostics: list[dict]
     config: dict = field(default_factory=dict)
 
-    @property
-    def selected(self) -> tuple[int, ...]:
-        return self.selection.selected
-
     def rejected(self, alpha: float) -> list[bool]:
         return [p < alpha for p in self.p_values]
 
 
-def select_top_k(scores: np.ndarray, k: int) -> SelectionResult:
-    """Indices of the k largest scores; ties break toward the lower index."""
+def select_top_k(scores: np.ndarray, k: int) -> tuple[int, ...]:
+    """Indices of the k largest scores, in score order; ties break toward
+    the lower index."""
     scores = np.atleast_1d(np.asarray(scores, dtype=float))
     d = scores.shape[0]
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in [1, {d}], got {k}")
     order = np.argsort(-scores, kind="stable")
-    return SelectionResult(selected=tuple(int(i) for i in order[:k]), scores=scores)
+    return tuple(int(i) for i in order[:k])
 
 
 def poly_truncation_intervals(
     t: np.ndarray,
     factor: np.ndarray,
-    selected: SelectionResult,
+    selected: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Truncation intervals of every selected coordinate under the top-k selection.
 
@@ -86,13 +73,13 @@ def poly_truncation_intervals(
     lemma; with k = d there are no constraints and the interval is the line.
     Of the covariance Sigma = factorᵀ factor of t, only the (d, k) columns
     of the selected set are formed.  Entry j of both arrays belongs to
-    ``selected.selected[j]``; a feature with non-positive variance gets NaN
+    ``selected[j]``; a feature with non-positive variance gets NaN
     at both ends.  The constraints are visited one selected a at a time, on
     (d - k, k) blocks.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     factor = np.asarray(factor, dtype=float)
-    sel = np.array(selected.selected, dtype=np.intp)
+    sel = np.array(selected, dtype=np.intp)
     columns = factor.T @ factor[:, sel]
     var = columns[sel, np.arange(sel.size)]
     rest = np.ones(t.shape[0], dtype=bool)
@@ -286,37 +273,28 @@ def _multiscale_feature_test(stat: MultiStat, i: int, bps: np.ndarray, gamma2: t
         diag.update({"error": str(exc), "fallback": "degenerate-variance"})
         return 1.0, diag
     diag["beta0"] = beta0
-    fit, info = fit_bootstrap_probabilities(bps, gamma2, replicates)
-    diag.update(info)
-    if fit is None:
+    diag.update(fit_bootstrap_probabilities(bps, gamma2, replicates))
+    if "fit_beta0" not in diag:
         warnings.warn("selection bootstrap probability degenerate at nearly all scales; "
                       "treating the selection event as unconstraining", ScalesDroppedWarning, stacklevel=2)
         diag.update({"phi_s0": -np.inf, "fallback": "selection-unconstraining"})
         phi_s = -np.inf
     else:
         # The fitted line at gamma^2 = 0 is its intercept.
-        fit_beta0, fit_beta1, fit_diagnostics = fit
-        phi_s = min(fit_beta0, 0.0)
-        diag.update(
-            {
-                "phi_s0_raw": fit_beta0,
-                "phi_s0": phi_s,
-                "fit_beta0": fit_beta0,
-                "fit_beta1": fit_beta1,
-                **{f"fit_{key}": value for key, value in fit_diagnostics.items()},
-            }
-        )
+        phi_s = min(diag["fit_beta0"], 0.0)
+        diag.update({"phi_s0_raw": diag["fit_beta0"], "phi_s0": phi_s})
     p, degenerate = selective_p_detail(beta0, phi_s)
     if degenerate:
         diag["fallback"] = "degenerate-selection"
     return p, diag
 
 
-def _report(stat: MultiStat, sel: SelectionResult, tests: list[tuple[float, dict]],
+def _report(stat: MultiStat, selected: tuple[int, ...], tests: list[tuple[float, dict]],
             config: RunConfig) -> SelectiveReport:
     return SelectiveReport(
         method=METHODS[config.method],
-        selection=sel,
+        selected=selected,
+        scores=stat.t,
         feature_names=stat.feature_names,
         p_values=[p for p, _ in tests],
         diagnostics=[diag for _, diag in tests],
@@ -327,8 +305,8 @@ def _report(stat: MultiStat, sel: SelectionResult, tests: list[tuple[float, dict
 def _multiscale_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
     sel = select_top_k(stat.t, config.k)
     gamma2, replicates = default_scales(stat.n, config), config.replicates_per_scale
-    fractions = _selection_fractions(stat.t, stat.factor, sel.k, gamma2, replicates, config.seed)
-    tests = [_multiscale_feature_test(stat, i, fractions[:, i], gamma2, replicates) for i in sel.selected]
+    fractions = _selection_fractions(stat.t, stat.factor, len(sel), gamma2, replicates, config.seed)
+    tests = [_multiscale_feature_test(stat, i, fractions[:, i], gamma2, replicates) for i in sel]
     return _report(stat, sel, tests, config)
 
 
@@ -352,7 +330,7 @@ def _poly_feature_test(stat: MultiStat, i: int, vminus: float, vplus: float) -> 
 
 def _poly_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
     sel = select_top_k(stat.t, config.k)
-    intervals = zip(sel.selected, *poly_truncation_intervals(stat.t, stat.factor, sel))
+    intervals = zip(sel, *poly_truncation_intervals(stat.t, stat.factor, sel))
     return _report(stat, sel, [_poly_feature_test(stat, *interval) for interval in intervals], config)
 
 

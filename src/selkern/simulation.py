@@ -17,9 +17,6 @@ from .selective import SelectiveReport, selective_report, statistic
 _STREAM_TRIAL_DATA = 2
 _STREAM_TRIAL_TEST = 3
 
-MMD_METHODS = tuple(m for m in METHODS if m.endswith("-mmd"))
-HSIC_METHODS = tuple(m for m in METHODS if m.endswith("-hsic"))
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -45,10 +42,29 @@ class ProblemSpec:
         if not 0 <= self.informative <= self.d:
             raise ValueError("informative count must lie in [0, d]")
 
+    @property
+    def family(self) -> str:
+        """The statistic family of the problem's methods: "mmd" or "hsic"."""
+        return "mmd" if self.kind == "mean-shift" else "hsic"
+
     def truth_positive(self) -> set[int]:
         if self.kind == "mean-shift" and self.shift == 0.0:
             return set()
         return set(range(self.informative))
+
+
+def family_methods(family: str, requested: list[str] | None = None) -> list[str]:
+    """Every method of ``family`` ("mmd" or "hsic") when ``requested`` is
+    None, else ``requested`` once each of its methods is checked to be one."""
+    allowed = [m for m in METHODS if m.endswith(f"-{family}")]
+    if requested is None:
+        return allowed
+    if not requested:
+        raise ValueError("at least one method is required")
+    for m in requested:
+        if m not in allowed:
+            raise ValueError(f"method {m!r} does not apply to {family} problems")
+    return list(requested)
 
 
 def gen_mean_shift(n: int, d: int, shift: float, m: int, rng: np.random.Generator):
@@ -151,14 +167,6 @@ def _summarize(method: str, records: list[dict], config: RunConfig) -> TrialSumm
     )
 
 
-def _check_methods(methods, allowed, problem_kind: str) -> None:
-    if not methods:
-        raise ValueError("at least one method is required")
-    for m in methods:
-        if m not in allowed:
-            raise ValueError(f"method {m!r} does not apply to {problem_kind} problems")
-
-
 def _trial_record(trial: int, seed: int, report: SelectiveReport, truth: set[int], alpha: float) -> dict:
     tpr, fpr = tpr_fpr(report, truth, alpha)
     reasons = Counter(d["fallback"] for d in report.diagnostics if "fallback" in d)
@@ -175,25 +183,30 @@ def _trial_record(trial: int, seed: int, report: SelectiveReport, truth: set[int
 
 def _run_trial_pool(
     make_data: Callable[[np.random.Generator], object],
+    family: str,
     methods: list[str],
     trials: int,
-    master_seed: int,
+    default_k: int,
     config: RunConfig,
     truth: set[int],
 ) -> list[TrialSummary]:
-    """Run every trial on ``config.threads`` worker threads and summarize.
+    """Run every trial of ``family``'s ``methods`` on ``config.threads``
+    worker threads and summarize, selecting ``default_k`` features when
+    ``config.k`` is None.
 
-    Trial t draws its data with ``make_data`` from stream (master, DATA, t)
-    and tests with seed (master, TEST, t); records are gathered in trial
-    order, so results do not depend on the thread count.  Only records
-    outlive a trial.
+    Trial t draws its data with ``make_data`` from stream (seed, DATA, t)
+    and tests with seed (seed, TEST, t), seed being ``config.seed``; records
+    are gathered in trial order, so results do not depend on the thread
+    count.  Only records outlive a trial.
     """
+    methods = family_methods(family, methods)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    config = replace(config, k=config.k or default_k)
 
     def one_trial(trial: int) -> dict[str, dict]:
-        data = make_data(derive_rng(master_seed, _STREAM_TRIAL_DATA, trial))
-        trial_seed = derive_seed(master_seed, _STREAM_TRIAL_TEST, trial)
+        data = make_data(derive_rng(config.seed, _STREAM_TRIAL_DATA, trial))
+        trial_seed = derive_seed(config.seed, _STREAM_TRIAL_TEST, trial)
         reports = _trial_reports(methods, data, replace(config, seed=trial_seed))
         return {m: _trial_record(trial, trial_seed, r, truth, config.alpha) for m, r in reports.items()}
 
@@ -206,24 +219,22 @@ def run_trials(
     problem: ProblemSpec,
     methods: list[str],
     trials: int,
-    master_seed: int,
     config: RunConfig,
 ) -> list[TrialSummary]:
-    """Repeat the problem with fresh data and derived seeds; aggregate rates.
+    """Repeat the problem with fresh data and seeds derived from
+    ``config.seed``; aggregate rates.  ``config.k`` None selects d // 2
+    features (at least 1).
 
     All methods see identical data and identical test seeds within a trial,
     so selection sets coincide across methods that share a statistic.
     """
-    allowed = MMD_METHODS if problem.kind == "mean-shift" else HSIC_METHODS
-    _check_methods(methods, allowed, problem.kind)
-    config = replace(config, k=config.k or max(1, problem.d // 2))
-
     def make_data(rng: np.random.Generator):
         if problem.kind == "mean-shift":
             return gen_mean_shift(problem.n, problem.d, problem.shift, problem.informative, rng)
         return gen_logistic(problem.n, problem.d, problem.informative, rng)
 
-    return _run_trial_pool(make_data, methods, trials, master_seed, config, problem.truth_positive())
+    return _run_trial_pool(make_data, problem.family, methods, trials, max(1, problem.d // 2), config,
+                           problem.truth_positive())
 
 
 def _subsample(rows: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -239,10 +250,9 @@ def benchmark_trials(
     mode: str,
     methods: list[str],
     trials: int,
-    master_seed: int,
     config: RunConfig,
-    n: int | None = None,
-    n_fake: int = 30,
+    n: int | None,
+    n_fake: int,
 ) -> list[TrialSummary]:
     """Fake-feature rediscovery benchmark on a real labeled dataset.
 
@@ -252,6 +262,8 @@ def benchmark_trials(
     mode 'hsic': ``split`` is the response; each trial subsamples n rows and
     asks the dependence tests to rediscover the original columns.
     Original columns are scored as true positives, fakes as true nulls.
+    ``n`` None takes every row (per class), and ``config.k`` None selects
+    as many features as there are original columns.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     split = np.asarray(split, dtype=float).ravel()
@@ -259,12 +271,9 @@ def benchmark_trials(
         raise DataShapeError("features and split column must have equal rows")
     if mode not in ("mmd", "hsic"):
         raise ValueError("mode must be 'mmd' or 'hsic'")
-    _check_methods(methods, MMD_METHODS if mode == "mmd" else HSIC_METHODS, f"{mode} benchmark")
     d_true = features.shape[1]
-    # Before k defaults to d_true, which must then be >= 1.
     if d_true + max(n_fake, 0) == 0:
         raise DataShapeError("need at least one feature column")
-    config = replace(config, k=config.k or d_true)
     if mode == "mmd":
         classes = np.unique(split)
         if classes.size != 2:
@@ -284,4 +293,4 @@ def benchmark_trials(
             idx = _subsample(np.arange(features.shape[0]), n, rng)
             return JointSample(augment_fake_features(features[idx], n_fake, rng), split[idx][:, None])
 
-    return _run_trial_pool(make_data, methods, trials, master_seed, config, set(range(d_true)))
+    return _run_trial_pool(make_data, mode, methods, trials, d_true, config, set(range(d_true)))

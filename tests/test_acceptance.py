@@ -145,7 +145,8 @@ def test_c4_scaling_law_recovery():
             z = sk.derive_rng(1006, int(10 * s) + 20, idx).standard_normal((replicates, 2))
             bps.append(float(np.mean(s + np.sqrt(gamma2) * z[:, 0] <= 0)))
         # The fitted line at gamma^2 = 0 is its intercept.
-        (value, slope, _), _ = fit_bootstrap_probabilities(bps, scales, replicates)
+        fit = fit_bootstrap_probabilities(bps, scales, replicates)
+        value, slope = fit["fit_beta0"], fit["fit_beta1"]
         details.append(f"s={s:+.0f}: phi(0)={value:+.4f} slope={slope:+.4f}")
         ok = ok and abs(value - s) < 0.05 and abs(slope) < 0.05
     _report("criterion 4 (scaling-law recovery)", ok, "; ".join(details) + " (tol 0.05)")
@@ -155,14 +156,13 @@ def test_c4_scaling_law_recovery():
 # 5. FPR control on global nulls.
 # ---------------------------------------------------------------------------
 def test_c5_fpr_control():
-    config = sk.RunConfig(seed=0, k=10)
     mean_shift = sk.ProblemSpec(kind="mean-shift", n=400, d=20, shift=0.0, informative=0)
     mmd_summaries = sk.run_trials(
-        mean_shift, ["multi-mmd", "poly-mmd"], trials=200, master_seed=1007, config=config
+        mean_shift, ["multi-mmd", "poly-mmd"], trials=200, config=sk.RunConfig(seed=1007, k=10)
     )
     logistic = sk.ProblemSpec(kind="logistic", n=400, d=20, informative=0)
     hsic_summaries = sk.run_trials(
-        logistic, ["multi-hsic", "poly-hsic"], trials=200, master_seed=1008, config=config
+        logistic, ["multi-hsic", "poly-hsic"], trials=200, config=sk.RunConfig(seed=1008, k=10)
     )
     details = []
     ok = True
@@ -180,12 +180,11 @@ def test_c5_fpr_control():
 # 6. Power dominance of minimal conditioning.
 # ---------------------------------------------------------------------------
 def test_c6_power_dominance():
-    config = sk.RunConfig(seed=0, k=30)
     mean_shift = sk.ProblemSpec(kind="mean-shift", n=500, d=50, shift=0.5, informative=10)
     mmd_summaries = {
         s.method: s
         for s in sk.run_trials(
-            mean_shift, ["multi-mmd", "poly-mmd"], trials=100, master_seed=1009, config=config
+            mean_shift, ["multi-mmd", "poly-mmd"], trials=100, config=sk.RunConfig(seed=1009, k=30)
         )
     }
     multi, poly = mmd_summaries["multi-mmd"], mmd_summaries["poly-mmd"]
@@ -207,7 +206,7 @@ def test_c6_power_dominance():
         summaries = {
             s.method: s
             for s in sk.run_trials(
-                logistic, ["multi-hsic", "poly-hsic"], trials=100, master_seed=1010 + n, config=config
+                logistic, ["multi-hsic", "poly-hsic"], trials=100, config=sk.RunConfig(seed=1010 + n, k=30)
             )
         }
         m, p = summaries["multi-hsic"], summaries["poly-hsic"]

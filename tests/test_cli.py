@@ -457,6 +457,41 @@ def test_benchmark_document(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_benchmark_document_records_rows_per_trial(tmp_path, capsys):
+    # --n changes the results, so the inputs must tell the documents apart.
+    rng = derive_rng(109)
+    labels = (np.arange(100) % 2).astype(float)
+    path = tmp_path / "bench.csv"
+    save_csv(path, np.column_stack([rng.standard_normal((100, 3)), labels]), ["a", "b", "c", "cls"])
+    docs = {}
+    for n in (None, 40, 50):
+        out = tmp_path / f"doc-{n}.json"
+        rows = [] if n is None else ["--n", str(n)]
+        assert cli_main(["benchmark", "--data", str(path), "--mode", "mmd", "--label", "cls", "--fakes", "2",
+                         "--trials", "1", "--seed", "3", "--k", "2", "--replicates", "200",
+                         "--out", str(out), *rows]) == 0
+        docs[n] = json.loads(out.read_text())
+    capsys.readouterr()
+    assert [docs[n]["inputs"]["n"] for n in docs] == [None, 40, 50]
+    assert docs[40]["results"] != docs[50]["results"]
+
+
+def test_simulate_document_reproduced_from_its_config_and_inputs(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    assert cli_main(["simulate", "--problem", "logistic", "--n", "40", "--d", "5", "--informative", "2",
+                     "--trials", "3", "--seed", "11", "--replicates", "200", "--threads", "2",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    inputs = dict(doc["inputs"])
+    trials = inputs.pop("trials")
+    problem = selkern.ProblemSpec(kind=inputs.pop("problem"), **inputs)
+    methods = [s["method"] for s in doc["results"]["summaries"]]
+    summaries = selkern.run_trials(problem, methods, trials, RunConfig(**doc["config"]))
+    records = [{"method": s.method, **rec} for s in summaries for rec in s.records]
+    assert json.loads(render_document({"per_trial": records}))["per_trial"] == doc["results"]["per_trial"]
+
+
 def test_benchmark_rows_per_trial_out_of_range_is_data_error(tmp_path, capsys):
     rng = derive_rng(105)
     labels = (np.arange(30) % 2).astype(float)

@@ -2,12 +2,16 @@
 no module imports a name it never uses or imports scipy, every private
 top-level function or class is referenced somewhere in `src/`, every
 public one is exported or read there, and no function restates a
-`RunConfig` default."""
+`RunConfig` default.  Also: no trial setting has a default both in the
+CLI and in the library."""
+import argparse
 import ast
-from dataclasses import fields
+import inspect
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import selkern
+from selkern.cli import build_parser
 
 _SOURCES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
             for path in sorted(Path(selkern.__file__).parent.glob("*.py"))}
@@ -89,4 +93,26 @@ def test_no_function_defaults_a_run_config_field():
                 defaulted = positional[len(positional) - len(a.defaults):]
                 defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
                 found += [f"{name}: {node.name}({arg.arg}=...)" for arg in defaulted if arg.arg in settings]
+    assert not found
+
+
+def test_no_trial_setting_is_defaulted_in_both_the_cli_and_the_library():
+    # One side holds a setting's default; the other requires the setting,
+    # leaves it out (argparse.SUPPRESS) or passes None on to the library's rule.
+    run_config = {f.name: f.default for f in fields(selkern.RunConfig)}
+    library = {
+        "simulate": {**run_config, **{f.name: f.default for f in fields(selkern.ProblemSpec)}},
+        "benchmark": {**run_config, **{name: p.default for name, p in
+                                       inspect.signature(selkern.benchmark_trials).parameters.items()}},
+    }
+    library_name = {"fakes": "n_fake"}
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = []
+    for command, defaults in library.items():
+        for action in commands.choices[command]._actions:
+            name = library_name.get(action.dest, action.dest)
+            default = defaults.get(name, MISSING)
+            cli_sets_a_value = action.default not in (None, argparse.SUPPRESS)
+            if cli_sets_a_value and default not in (MISSING, inspect.Parameter.empty):
+                found.append(f"{command} --{action.dest}: {action.default!r} and {name}={default!r}")
     assert not found

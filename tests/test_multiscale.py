@@ -25,7 +25,7 @@ _OTHER_SCALES = ((0.5, 0.4), (1.0, 0.3), (2.0, 0.2))
 def _psi(bp, gamma2, b_reps=2000):
     """psi of one bootstrap probability at gamma2, read from the fit's report."""
     g2s, bps = zip(*_OTHER_SCALES, (gamma2, bp))
-    return fit_bootstrap_probabilities(bps, g2s, b_reps)[1]["psi"][-1]
+    return fit_bootstrap_probabilities(bps, g2s, b_reps)["psi"][-1]
 
 
 def test_psi_at_half_is_zero():
@@ -43,8 +43,8 @@ def test_psi_gamma_scaling():
 def test_psi_rejects_degenerate_bp():
     # A probability of 0 or 1 has an infinite psi and is left out of the fit.
     for bp, psi in ((0.0, np.inf), (1.0, -np.inf)):
-        fit, info = fit_bootstrap_probabilities((0.4, 0.3, bp), (0.5, 1.0, 2.0), 2000)
-        assert fit is None and info["psi"][-1] == psi
+        info = fit_bootstrap_probabilities((0.4, 0.3, bp), (0.5, 1.0, 2.0), 2000)
+        assert "fit_beta0" not in info and info["psi"][-1] == psi
         assert info["scales_dropped"] == 1 and info["dropped_gamma2"] == [2.0]
 
 
@@ -63,9 +63,10 @@ def _wls(gamma2, bps, b):
 def test_psi_variance_delta_method():
     # The weights change beta and set the weighted RSS, which scales with them.
     gamma2, bps, b = (0.5, 1.5, 2.0), (0.3, 0.2, 0.45), 2000
-    (beta0, beta1, diagnostics), _ = fit_bootstrap_probabilities(bps, gamma2, b)
+    fit = fit_bootstrap_probabilities(bps, gamma2, b)
+    beta0 = fit["fit_beta0"]
     want = _wls(gamma2, bps, b)
-    assert (beta0, beta1, diagnostics["weighted_rss"]) == pytest.approx(want, rel=1e-10)
+    assert (beta0, fit["fit_beta1"], fit["fit_weighted_rss"]) == pytest.approx(want, rel=1e-10)
     assert beta0 != pytest.approx(fit_scaling_law(gamma2, norm.isf(bps) * np.sqrt(gamma2), np.ones(3))[0],
                                   rel=1e-3)
 
@@ -80,10 +81,11 @@ def test_psi_variance_rejects_degenerate_inputs(bp, b_reps):
         with pytest.raises(ValueError):
             fit_bootstrap_probabilities(bps, g2s, b_reps)
         return
-    fit, info = fit_bootstrap_probabilities(bps, g2s, b_reps)
-    assert np.isinf(info["psi"][-1]) and info["scales_dropped"] == 1
-    assert fit[2]["points"] == 3
-    assert fit[:2] == pytest.approx(_wls(g2s[:3], bps[:3], b_reps)[:2], rel=1e-10)
+    fit = fit_bootstrap_probabilities(bps, g2s, b_reps)
+    assert np.isinf(fit["psi"][-1]) and fit["scales_dropped"] == 1
+    assert fit["fit_points"] == 3
+    want = _wls(g2s[:3], bps[:3], b_reps)[:2]
+    assert (fit["fit_beta0"], fit["fit_beta1"]) == pytest.approx(want, rel=1e-10)
 
 
 def _assert_log_ndtr_close(got, x):
@@ -176,10 +178,10 @@ def test_fit_noisy_recovery():
     b = 10_000
     gamma2 = np.exp(np.linspace(np.log(0.5), np.log(2.0), 10))
     bps = [rng.binomial(b, norm.sf(1.0 / np.sqrt(g2))) / b for g2 in gamma2]
-    (beta0, beta1, _), info = fit_bootstrap_probabilities(bps, gamma2, b)
-    assert info["scales_dropped"] == 0
-    assert beta0 == pytest.approx(1.0, abs=0.05)
-    assert beta1 == pytest.approx(0.0, abs=0.05)
+    fit = fit_bootstrap_probabilities(bps, gamma2, b)
+    assert fit["scales_dropped"] == 0
+    assert fit["fit_beta0"] == pytest.approx(1.0, abs=0.05)
+    assert fit["fit_beta1"] == pytest.approx(0.0, abs=0.05)
 
 
 def test_default_scales_endpoints():
@@ -432,26 +434,24 @@ def _selection_fit(mean, factor, k, n, replicates, seed):
     fractions, then the scaling-law fit."""
     gamma2 = default_scales(n, RunConfig(seed=0))
     fractions = _selection_fractions(np.asarray(mean, dtype=float), factor, k, gamma2, replicates, seed)
-    return fractions, *fit_bootstrap_probabilities(fractions[:, 0], gamma2, replicates)
+    return fractions, fit_bootstrap_probabilities(fractions[:, 0], gamma2, replicates)
 
 
 def test_region_scaling_halfspace_recovery():
     # With Sigma = I / 2, y_0 - y_1 ~ N(a, gamma^2): BP = Phi(a / gamma), so
     # psi = -a at every scale and the fit recovers beta0 = -a, beta1 = 0.
     a = 0.5
-    _, fit, info = _selection_fit([a, 0.0], np.eye(2) / np.sqrt(2.0), 1, 1000, 10_000, 11)
-    assert fit is not None
-    beta0, beta1, _ = fit
-    assert beta0 == pytest.approx(-a, abs=0.05)
-    assert beta1 == pytest.approx(0.0, abs=0.05)
-    assert info["scales_dropped"] == 0
+    _, fit = _selection_fit([a, 0.0], np.eye(2) / np.sqrt(2.0), 1, 1000, 10_000, 11)
+    assert fit["fit_beta0"] == pytest.approx(-a, abs=0.05)
+    assert fit["fit_beta1"] == pytest.approx(0.0, abs=0.05)
+    assert fit["scales_dropped"] == 0
 
 
 def test_region_scaling_degenerate_region_returns_none():
     # k = d: every feature is selected in every draw.
-    _, fit, info = _selection_fit(np.zeros(2), np.eye(2), 2, 100, 200, 12)
-    assert fit is None
-    assert info["scales_dropped"] == len(default_scales(100, RunConfig(seed=0)))
+    _, fit = _selection_fit(np.zeros(2), np.eye(2), 2, 100, 200, 12)
+    assert "fit_beta0" not in fit
+    assert fit["scales_dropped"] == len(default_scales(100, RunConfig(seed=0)))
 
 
 def test_region_scaling_deterministic():

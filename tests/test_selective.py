@@ -33,18 +33,18 @@ from selkern.selective import _poly_feature_test, _top_k_fractions, statistic
 
 
 def test_select_top_k_basic():
-    assert select_top_k(np.array([3.0, 1.0, 2.0]), 2).selected == (0, 2)
+    assert select_top_k(np.array([3.0, 1.0, 2.0]), 2) == (0, 2)
 
 
 def test_select_top_k_all():
     res = select_top_k(np.array([1.0, 3.0, 2.0]), 3)
-    assert res.selected == (1, 2, 0)
-    assert set(res.selected) == {0, 1, 2}
+    assert res == (1, 2, 0)
+    assert set(res) == {0, 1, 2}
 
 
 def test_select_top_k_tie_to_lowest_index():
-    assert select_top_k(np.array([1.0, 1.0, 0.0]), 1).selected == (0,)
-    assert select_top_k(np.array([1.0, 1.0, 1.0]), 2).selected == (0, 1)
+    assert select_top_k(np.array([1.0, 1.0, 0.0]), 1) == (0,)
+    assert select_top_k(np.array([1.0, 1.0, 1.0]), 2) == (0, 1)
 
 
 def test_select_top_k_range_errors():
@@ -87,7 +87,7 @@ def test_selection_indicator_agrees_with_top_k():
         scores = rng.standard_normal(d)
         if rng.random() < 0.3:
             scores[rng.integers(0, d)] = scores[rng.integers(0, d)]  # inject ties
-        member = set(select_top_k(scores, k).selected)
+        member = set(select_top_k(scores, k))
         for i in range(d):
             assert selection_indicator(scores[None, :], i, k)[0] == (i in member)
 
@@ -104,7 +104,7 @@ def test_poly_interval_no_constraints_when_k_is_d():
     t = np.array([1.0, -0.5, 0.3])
     res = select_top_k(t, 3)
     vminus, vplus = poly_truncation_intervals(t, np.eye(3), res)
-    j = res.selected.index(1)
+    j = res.index(1)
     assert (vminus[j], vplus[j]) == (-np.inf, np.inf)
 
 
@@ -119,7 +119,7 @@ def test_poly_interval_contains_observation():
         factor = np.vstack([A.T, np.sqrt(0.1) * np.eye(d)])
         res = select_top_k(t, k)
         vminus, vplus = poly_truncation_intervals(t, factor, res)
-        for j, i in enumerate(res.selected):
+        for j, i in enumerate(res):
             assert vminus[j] <= t[i] <= vplus[j]
 
 
@@ -466,7 +466,7 @@ def _poly_interval_oracle(t, sigma, selected, i):
     """The per-feature constraint loop the batched intervals replaced; it
     reads only the columns of ``sigma`` that belong to selected features."""
     d = t.shape[0]
-    sel = list(selected.selected)
+    sel = list(selected)
     if i not in sel:
         raise ValueError(f"feature {i} is not in the selected set")
     rest = [j for j in range(d) if j not in sel]
@@ -518,8 +518,8 @@ def test_poly_intervals_match_per_feature_loop(case):
     vminus, vplus = poly_truncation_intervals(t, factor, sel)
     # The oracle gets the same columns factorᵀ factor[:, S]; the others are never read.
     sigma = np.full((t.size, t.size), np.nan)
-    sigma[:, sel.selected] = factor.T @ factor[:, sel.selected]
-    for j, i in enumerate(sel.selected):
+    sigma[:, list(sel)] = factor.T @ factor[:, list(sel)]
+    for j, i in enumerate(sel):
         try:
             with np.errstate(all="ignore"):
                 expected = _poly_interval_oracle(t, sigma, sel, i)

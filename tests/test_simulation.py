@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from selkern import (
     ProblemSpec,
     RunConfig,
-    SelectionResult,
     SelectiveReport,
     augment_fake_features,
     benchmark_trials,
@@ -85,7 +85,8 @@ def _report(selected, p_values, d):
     scores = np.zeros(d)
     return SelectiveReport(
         method="MultiMMD",
-        selection=SelectionResult(selected=tuple(selected), scores=scores),
+        selected=tuple(selected),
+        scores=scores,
         feature_names=[f"f{i}" for i in range(d)],
         p_values=list(p_values),
         diagnostics=[{} for _ in selected],
@@ -115,8 +116,8 @@ def test_tpr_fpr_undefined_denominator():
 
 def test_run_trials_single_trial_matches_record():
     problem = ProblemSpec(kind="mean-shift", n=60, d=5, shift=0.6, informative=2)
-    config = RunConfig(seed=0, k=2, replicates_per_scale=300)
-    (summary,) = run_trials(problem, ["multi-mmd"], trials=1, master_seed=5, config=config)
+    config = RunConfig(seed=5, k=2, replicates_per_scale=300)
+    (summary,) = run_trials(problem, ["multi-mmd"], trials=1, config=config)
     assert summary.trials == 1
     rec = summary.records[0]
     if not math.isnan(rec["tpr"]):
@@ -126,10 +127,13 @@ def test_run_trials_single_trial_matches_record():
 
 
 def test_run_trials_reproducible():
+    # A summary's config snapshot names the seed every trial derives from; it
+    # leaves out the thread count, which the records do not depend on.
     problem = ProblemSpec(kind="mean-shift", n=60, d=5, shift=0.4, informative=2)
-    config = RunConfig(seed=0, k=2, replicates_per_scale=300)
-    a = run_trials(problem, ["multi-mmd", "poly-mmd"], 3, master_seed=9, config=config)
-    b = run_trials(problem, ["multi-mmd", "poly-mmd"], 3, master_seed=9, config=config)
+    config = RunConfig(seed=9, k=2, replicates_per_scale=300, threads=2)
+    a = run_trials(problem, ["multi-mmd", "poly-mmd"], 3, config=config)
+    b = run_trials(problem, ["multi-mmd", "poly-mmd"], 3, config=RunConfig(**a[0].config))
+    assert a[0].config["seed"] == 9
     for sa, sb in zip(a, b):
         assert sa.records == sb.records
         assert (sa.tpr, sa.fpr) == (sb.tpr, sb.fpr) or (
@@ -144,10 +148,11 @@ def test_trial_harnesses_do_not_depend_on_threads():
     labels = (np.arange(80) % 2).astype(float)
     runs = []
     for threads in (1, 2):
-        config = RunConfig(seed=0, k=3, replicates_per_scale=300, threads=threads)
+        config = RunConfig(seed=9, k=3, replicates_per_scale=300, threads=threads)
         runs.append(
-            run_trials(problem, ["multi-mmd", "poly-mmd"], 3, master_seed=9, config=config)
-            + benchmark_trials(features, labels, "mmd", ["multi-mmd", "poly-mmd"], 3, 4, config, n_fake=3)
+            run_trials(problem, ["multi-mmd", "poly-mmd"], 3, config=config)
+            + benchmark_trials(features, labels, "mmd", ["multi-mmd", "poly-mmd"], 3,
+                               replace(config, seed=4), None, 3)
         )
     for serial, threaded in zip(*runs):
         assert serial.records == threaded.records
@@ -162,8 +167,8 @@ def test_trial_summary_counts_fallbacks():
     # With k = d every feature is always selected, so the selection event
     # never constrains and every Multi test falls back.
     problem = ProblemSpec(kind="mean-shift", n=60, d=2, shift=0.4, informative=1)
-    config = RunConfig(seed=0, k=2, replicates_per_scale=200)
-    multi, poly = run_trials(problem, ["multi-mmd", "poly-mmd"], 3, master_seed=2, config=config)
+    config = RunConfig(seed=2, k=2, replicates_per_scale=200)
+    multi, poly = run_trials(problem, ["multi-mmd", "poly-mmd"], 3, config=config)
     assert multi.fallbacks == {"selection-unconstraining": 6}
     assert [rec["fallbacks"] for rec in multi.records] == [{"selection-unconstraining": 2}] * 3
     assert poly.fallbacks == {}
@@ -171,8 +176,8 @@ def test_trial_summary_counts_fallbacks():
 
 def test_run_trials_null_calibration_smoke():
     problem = ProblemSpec(kind="mean-shift", n=200, d=8, shift=0.0, informative=0)
-    config = RunConfig(seed=0, k=4, replicates_per_scale=500)
-    summaries = run_trials(problem, ["multi-mmd", "poly-mmd"], 60, master_seed=77, config=config)
+    config = RunConfig(seed=77, k=4, replicates_per_scale=500)
+    summaries = run_trials(problem, ["multi-mmd", "poly-mmd"], 60, config=config)
     # 3 binomial standard errors around alpha with trials * k null feature tests.
     band = 3 * math.sqrt(0.05 * 0.95 / (60 * 4))
     for s in summaries:
@@ -191,8 +196,8 @@ def test_run_trials_high_dimensional_null_calibration(monkeypatch):
 
     monkeypatch.setattr("selkern.simulation.selective_report", recording_report)
     problem = ProblemSpec(kind="mean-shift", n=100, d=500, shift=0.0, informative=0)
-    config = RunConfig(seed=0, k=10, bandwidth=1.0, replicates_per_scale=1000)
-    (summary,) = run_trials(problem, ["multi-mmd"], 40, master_seed=1, config=config)
+    config = RunConfig(seed=1, k=10, bandwidth=1.0, replicates_per_scale=1000)
+    (summary,) = run_trials(problem, ["multi-mmd"], 40, config=config)
     assert len(reports) == 40
     assert all(0.0 <= p <= 1.0 for r in reports for p in r.p_values)
     assert summary.fallbacks == {}
@@ -201,9 +206,9 @@ def test_run_trials_high_dimensional_null_calibration(monkeypatch):
 
 def test_run_trials_rejects_mismatched_method():
     problem = ProblemSpec(kind="mean-shift", n=40, d=4, shift=0.0, informative=0)
-    config = RunConfig(seed=0, k=2)
+    config = RunConfig(seed=1, k=2)
     with pytest.raises(ValueError):
-        run_trials(problem, ["multi-hsic"], 1, master_seed=1, config=config)
+        run_trials(problem, ["multi-hsic"], 1, config=config)
 
 
 def test_problem_spec_validation():
@@ -219,9 +224,9 @@ def test_benchmark_mmd_mode():
     labels = (rng.random(n_rows) < 0.5).astype(float)
     features = rng.standard_normal((n_rows, 3))
     features[labels == 1, 0] += 1.5  # first column separates the classes
-    config = RunConfig(seed=0, k=4, replicates_per_scale=300)
+    config = RunConfig(seed=3, k=4, replicates_per_scale=300)
     summaries = benchmark_trials(
-        features, labels, "mmd", ["multi-mmd"], trials=3, master_seed=3, config=config, n_fake=4
+        features, labels, "mmd", ["multi-mmd"], trials=3, config=config, n=None, n_fake=4
     )
     s = summaries[0]
     assert s.trials == 3
@@ -234,9 +239,9 @@ def test_benchmark_hsic_mode():
     n_rows = 150
     X = rng.standard_normal((n_rows, 3))
     y = X[:, 0] + 0.3 * rng.standard_normal(n_rows)
-    config = RunConfig(seed=0, k=4, replicates_per_scale=300)
+    config = RunConfig(seed=4, k=4, replicates_per_scale=300)
     summaries = benchmark_trials(
-        X, y, "hsic", ["poly-hsic"], trials=2, master_seed=4, config=config, n_fake=4
+        X, y, "hsic", ["poly-hsic"], trials=2, config=config, n=None, n_fake=4
     )
     assert summaries[0].trials == 2
 
@@ -247,4 +252,4 @@ def test_benchmark_requires_binary_label():
     labels = np.arange(30) % 3
     config = RunConfig(seed=0, k=2)
     with pytest.raises(Exception):
-        benchmark_trials(features, labels, "mmd", ["multi-mmd"], 1, 0, config)
+        benchmark_trials(features, labels, "mmd", ["multi-mmd"], 1, config, None, 30)
