@@ -62,12 +62,13 @@ def load_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
     when it has none; a non-numeric first row is a header.
 
     Rows are numbered from 1 as they appear in the file; ragged,
-    non-numeric or non-finite data rows are rejected by number.
+    non-numeric or non-finite data rows are rejected by number.  One leading
+    UTF-8 byte-order mark, as spreadsheet programs write, is skipped.
     """
     plain = _load_plain(path)
     if plain is not None:
         return plain
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [(num, row) for num, row in enumerate(csv.reader(fh), start=1) if row]
     if not rows:
         raise DataFormatError(f"{path}: empty file")
@@ -98,7 +99,8 @@ def _load_plain(path: str) -> tuple[np.ndarray, list[str] | None] | None:
     Otherwise None, and `load_csv` reads the file by its csv path, which names
     the offending row."""
     with open(path, "rb") as fh:
-        lines = [line for line in fh.read().splitlines() if line]
+        # One leading byte-order mark (codecs.BOM_UTF8), as "utf-8-sig" skips on the csv path.
+        lines = [line for line in fh.read().removeprefix(b"\xef\xbb\xbf").splitlines() if line]
     # A quoted first cell may run over a line break; fields past the csv
     # module's size limit are an error there.
     if not lines or b'"' in lines[0] or max(map(len, lines)) > csv.field_size_limit():
@@ -377,6 +379,8 @@ def _cmd_simulate(args, parser) -> int:
 
 def _cmd_benchmark(args, parser) -> int:
     seed = _resolve_seed(args, parser)
+    if args.fakes < 0:
+        parser.error("--fakes must be >= 0")
     values, names = load_csv(args.data)
     flag = "label" if args.mode == "mmd" else "response"
     column = getattr(args, flag)

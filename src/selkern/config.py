@@ -1,6 +1,7 @@
 """Run configuration shared by the library entry points and the CLI."""
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 # The paper's four methods: a statistic family (MMD or HSIC) crossed with the
@@ -51,27 +52,27 @@ class RunConfig:
             raise ValueError("the block estimator applies to the HSIC methods only")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not self.r > 0:
-            raise ValueError("r must be positive")
+        if not 0 < self.r < math.inf:
+            raise ValueError("r must be positive and finite")
         if self.block_size < 4:
             raise ValueError("block_size must be >= 4")
         if self.scale_count < 3:
             raise ValueError("scale_count must be >= 3")
-        if not 0 < self.scale_low < self.scale_high:
-            raise ValueError("scale range must satisfy 0 < low < high")
+        if not 0 < self.scale_low < self.scale_high < math.inf:
+            raise ValueError("scale range must satisfy 0 < low < high < inf")
         if self.replicates_per_scale < 1:
             raise ValueError("replicates_per_scale must be >= 1")
         if self.kernel_family not in ("gaussian", "imq"):
             raise ValueError("kernel_family must be 'gaussian' or 'imq'")
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("bandwidth override must be positive")
+        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth override must be positive and finite")
         # Each would otherwise be ignored while the snapshot still records it.
         if self.bandwidth is not None and self.kernel_family == "imq":
             raise ValueError("a fixed bandwidth applies to the Gaussian kernel only")
         if self.shared_bandwidth and (self.bandwidth is not None or self.kernel_family == "imq"):
             raise ValueError("a shared bandwidth applies to the median-heuristic Gaussian kernel only")
-        if not self.imq_offset > 0:
-            raise ValueError("imq_offset must be positive")
+        if not 0 < self.imq_offset < math.inf:
+            raise ValueError("imq_offset must be positive and finite")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
         if self.threads < 1:

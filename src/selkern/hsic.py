@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataShapeError, Design
-from .kernels import KernelSpec, flat_columns, pair_kernel
+from .kernels import pair_kernel
 
 # The 6 index pairs of a quadruple, ordered so that pair p's complement is 5 - p.
 _PAIRS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], dtype=np.intp)
@@ -49,24 +49,13 @@ def _h_from_pairs(Kp: np.ndarray, Lp: np.ndarray) -> np.ndarray:
     return 0.25 * (Kp * (Lp + Lp[:, ::-1])).sum(axis=1) - Lp.sum(axis=1) / 12.0 * Kp.sum(axis=1)
 
 
-def _constant_kernel(X: np.ndarray, specs: list[KernelSpec]) -> np.ndarray:
-    """Mask of the features whose kernel is constant on the sample: a flat
-    column (see `flat_columns`), or an infinite Gaussian bandwidth."""
-    return flat_columns(X) | np.isinf([s.bandwidth for s in specs])
-
-
 def _quad_h_matrix(Z: JointSample, specs, specY, design: Design) -> np.ndarray:
     """(l, d) per-feature h values, one row per design tuple, from the kernel
     on each quadruple's 6 pairs; the response's squared distances sum over its
-    columns.  The h of a feature with a constant kernel (see `_constant_kernel`)
-    is exactly 0, which the formula reaches only up to rounding, so its column
-    is set to 0 directly.
-    """
+    columns."""
     a, b = design.tuples[:, _PAIRS].transpose(2, 0, 1)
     K = pair_kernel(specs, Z.X, a, Z.X, b)
-    H = _h_from_pairs(K, pair_kernel(specY, Z.Y, a, Z.Y, b)[..., None])
-    H[:, _constant_kernel(Z.X, specs)] = 0.0
-    return H
+    return _h_from_pairs(K, pair_kernel(specY, Z.Y, a, Z.Y, b)[..., None])
 
 
 def _block_hsic(Z: JointSample, specs, specY, block_size: int) -> np.ndarray:
@@ -74,7 +63,6 @@ def _block_hsic(Z: JointSample, specs, specY, block_size: int) -> np.ndarray:
 
     With K, L a block's Gram matrices with zeroed diagonals (Song et al. 2012),
     HSIC_u = [tr(KL) + 1'K1 1'L1 / ((B-1)(B-2)) - 2/(B-2) 1'KL1] / (B(B-3)).
-    A feature with a constant kernel gets exactly 0, as in `_quad_h_matrix`.
     """
     B, m = block_size, Z.n // block_size
     Xb, Yb = Z.X[: m * B].reshape(m, B, -1), Z.Y[: m * B].reshape(m, B, -1)
@@ -84,8 +72,6 @@ def _block_hsic(Z: JointSample, specs, specY, block_size: int) -> np.ndarray:
     K[:, range(B), range(B)] = 0.0
     L[:, range(B), range(B)] = 0.0
     K_rows, L_rows = K.sum(axis=2), L.sum(axis=2)[..., None]
-    eta = ((K * L[..., None]).sum(axis=2).sum(axis=1)
-           + K_rows.sum(axis=1) * L_rows.sum(axis=1) / ((B - 1) * (B - 2))
-           - 2.0 / (B - 2) * (K_rows * L_rows).sum(axis=1)) / (B * (B - 3))
-    eta[:, _constant_kernel(Z.X, specs)] = 0.0
-    return eta
+    return ((K * L[..., None]).sum(axis=2).sum(axis=1)
+            + K_rows.sum(axis=1) * L_rows.sum(axis=1) / ((B - 1) * (B - 2))
+            - 2.0 / (B - 2) * (K_rows * L_rows).sum(axis=1)) / (B * (B - 3))

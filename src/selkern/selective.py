@@ -15,9 +15,9 @@ import numpy as np
 
 from . import designs
 from .config import METHODS, RunConfig
-from .core import DataShapeError, DegenerateFeatureError, Design, MultiStat, derive_rng
+from .core import DataShapeError, Design, MultiStat, derive_rng
 from .hsic import JointSample, _block_hsic, _quad_h_matrix
-from .kernels import IMQ, KernelSpec, median_bandwidths, median_heuristic
+from .kernels import IMQ, KernelSpec, flat_columns, median_bandwidths, median_heuristic
 from .mmd import _check_two_sample, _pair_h
 from .multiscale import (
     ScalesDroppedWarning,
@@ -143,21 +143,25 @@ def _fixed_spec(config: RunConfig) -> KernelSpec | None:
     return None
 
 
-def _feature_specs(config: RunConfig, *column_sources: np.ndarray) -> list[KernelSpec]:
-    d = np.atleast_2d(column_sources[0]).shape[1]
+def _feature_specs(config: RunConfig, *column_sources: np.ndarray) -> tuple[list[KernelSpec], np.ndarray]:
+    """One kernel spec per column of the row-stacked ``column_sources``, and the
+    mask of the columns whose kernel is constant on them: a flat column (see
+    `flat_columns`; its NaN width becomes 1.0) or an infinite width.  Such a
+    column's h is exactly 0, which the HSIC formulas reach only up to
+    rounding, so the statistics set it to 0 and the report gives p = 1."""
+    pooled = np.concatenate(column_sources)
+    d = pooled.shape[1]
     if d == 0:
         raise DataShapeError("need at least one feature column")
     if (fixed := _fixed_spec(config)) is not None:
-        return [fixed] * d
-    widths = median_bandwidths(np.concatenate([np.atleast_2d(m) for m in column_sources]))
-    # A flat column (width NaN) has no positive squared difference, so its
-    # h-values are 0 under any bandwidth: it gets 1.0 and falls back to p = 1.
-    # A column whose median square overflows (width inf) keeps the infinite
-    # width, whose kernel is constant, so it falls back to p = 1 as well.
-    if config.shared_bandwidth:
-        varying = widths[np.isfinite(widths)]
-        widths = np.full(d, np.median(varying) if varying.size else np.nan)
-    return [KernelSpec(bandwidth=1.0 if np.isnan(w) else float(w)) for w in widths]
+        specs = [fixed] * d
+    else:
+        widths = median_bandwidths(pooled)
+        if config.shared_bandwidth:
+            varying = widths[np.isfinite(widths)]
+            widths = np.full(d, np.median(varying) if varying.size else np.nan)
+        specs = [KernelSpec(bandwidth=1.0 if np.isnan(w) else float(w)) for w in widths]
+    return specs, flat_columns(pooled) | np.isinf([s.bandwidth for s in specs])
 
 
 def _check_finite(*arrays) -> None:
@@ -183,12 +187,13 @@ def mmd_stat(X: np.ndarray, Y: np.ndarray, config: RunConfig,
     # Before the columns of X and Y are pooled for the bandwidths.
     X, Y = _check_two_sample(X, Y)
     _check_finite(X, Y)
-    specs = _feature_specs(config, X, Y)
+    specs, constant = _feature_specs(config, X, Y)
     # The samplers are looked up on `designs` at call time, so a wrapper
     # installed there (the benchmark's tracer) sees the call.
     i, j = _stat_design(designs.sample_pair_design, X.shape[0], config).tuples.T
-    return MultiStat.from_rows(_pair_h(X, Y, i, j, specs), ddof=1, n=X.shape[0],
-                               feature_names=feature_names)
+    rows = _pair_h(X, Y, i, j, specs)
+    rows[:, constant] = 0.0
+    return MultiStat.from_rows(rows, ddof=1, n=X.shape[0], feature_names=feature_names)
 
 
 def hsic_stat(Z: JointSample, config: RunConfig,
@@ -198,7 +203,7 @@ def hsic_stat(Z: JointSample, config: RunConfig,
     with the block estimator sqrt(m) * HSIC_blo over m = floor(n/B) blocks
     (Σ with divisor m)."""
     _check_finite(Z.X, Z.Y)
-    specs = _feature_specs(config, Z.X)
+    specs, constant = _feature_specs(config, Z.X)
     spec_y = _fixed_spec(config) or KernelSpec(bandwidth=median_heuristic(Z.Y))
     if config.estimator == "block":
         if Z.n // config.block_size < 2:
@@ -207,6 +212,7 @@ def hsic_stat(Z: JointSample, config: RunConfig,
     else:
         design = _stat_design(designs.sample_quad_design, Z.n, config)
         rows, ddof = _quad_h_matrix(Z, specs, spec_y, design), 1
+    rows[:, constant] = 0.0
     return MultiStat.from_rows(rows, ddof=ddof, n=Z.n, feature_names=feature_names)
 
 
@@ -264,15 +270,7 @@ def _selection_fractions(t: np.ndarray, factor: np.ndarray, k: int, gamma2, repl
     return out
 
 
-def _multiscale_feature_test(stat: MultiStat, i: int, bps: np.ndarray, gamma2: tuple[float, ...],
-                             replicates: int):
-    diag: dict = {"feature": i, "name": stat.feature_names[i]}
-    try:
-        beta0 = flat_hypothesis_distance(stat, i)
-    except DegenerateFeatureError as exc:
-        diag.update({"error": str(exc), "fallback": "degenerate-variance"})
-        return 1.0, diag
-    diag["beta0"] = beta0
+def _multiscale_feature_test(diag: dict, bps: np.ndarray, gamma2, replicates: int) -> float:
     diag.update(fit_bootstrap_probabilities(bps, gamma2, replicates))
     if "fit_beta0" not in diag:
         warnings.warn("selection bootstrap probability degenerate at nearly all scales; "
@@ -283,38 +281,42 @@ def _multiscale_feature_test(stat: MultiStat, i: int, bps: np.ndarray, gamma2: t
         # The fitted line at gamma^2 = 0 is its intercept.
         phi_s = min(diag["fit_beta0"], 0.0)
         diag.update({"phi_s0_raw": diag["fit_beta0"], "phi_s0": phi_s})
-    p, degenerate = selective_p_detail(beta0, phi_s)
+    p, degenerate = selective_p_detail(diag["beta0"], phi_s)
     if degenerate:
         diag["fallback"] = "degenerate-selection"
-    return p, diag
+    return p
 
 
-def _report(stat: MultiStat, selected: tuple[int, ...], tests: list[tuple[float, dict]],
-            config: RunConfig) -> SelectiveReport:
-    return SelectiveReport(
-        method=METHODS[config.method],
-        selected=selected,
-        scores=stat.t,
-        feature_names=stat.feature_names,
-        p_values=[p for p, _ in tests],
-        diagnostics=[diag for _, diag in tests],
-        config=config.snapshot(),
-    )
+def _report(stat: MultiStat, selected: tuple[int, ...], config: RunConfig, feature_test) -> SelectiveReport:
+    """The report on the ``selected`` features.  Each one's diagnostics hold
+    its index, name and beta0, and ``feature_test(j, diag)`` gives the p-value
+    of ``selected[j]``, adding to ``diag``.  A feature of zero variance (a
+    constant kernel, see `_feature_specs`) is flagged and gets the
+    conservative p = 1 instead, before any test runs."""
+    p_values, diagnostics = [], []
+    for j, i in enumerate(selected):
+        diag: dict = {"feature": i, "name": stat.feature_names[i]}
+        if stat.variances[i] > 0:
+            diag["beta0"] = flat_hypothesis_distance(stat, i)
+            p_values.append(feature_test(j, diag))
+        else:
+            diag.update({"error": f"feature {i} has non-positive variance", "fallback": "degenerate-variance"})
+            p_values.append(1.0)
+        diagnostics.append(diag)
+    return SelectiveReport(method=METHODS[config.method], selected=selected, scores=stat.t,
+                           feature_names=stat.feature_names, p_values=p_values,
+                           diagnostics=diagnostics, config=config.snapshot())
 
 
 def _multiscale_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
     sel = select_top_k(stat.t, config.k)
     gamma2, replicates = default_scales(stat.n, config), config.replicates_per_scale
     fractions = _selection_fractions(stat.t, stat.factor, len(sel), gamma2, replicates, config.seed)
-    tests = [_multiscale_feature_test(stat, i, fractions[:, i], gamma2, replicates) for i in sel]
-    return _report(stat, sel, tests, config)
+    return _report(stat, sel, config, lambda j, diag: _multiscale_feature_test(
+        diag, fractions[:, sel[j]], gamma2, replicates))
 
 
-def _poly_feature_test(stat: MultiStat, i: int, vminus: float, vplus: float) -> tuple[float, dict]:
-    diag: dict = {"feature": i, "name": stat.feature_names[i]}
-    if np.isnan(vminus):
-        diag.update({"error": f"feature {i} has non-positive variance", "fallback": "degenerate-variance"})
-        return 1.0, diag
+def _poly_feature_test(stat: MultiStat, i: int, vminus: float, vplus: float, diag: dict) -> float:
     vminus, vplus = float(vminus), float(vplus)
     t_i = float(stat.t[i])
     # A tie at the selection boundary makes a constraint active, so t_i equals
@@ -323,15 +325,15 @@ def _poly_feature_test(stat: MultiStat, i: int, vminus: float, vplus: float) -> 
     if inside != t_i and abs(inside - t_i) <= 1e-9 * max(1.0, abs(t_i)):
         t_i = inside
         diag["clamped"] = True
-    p = poly_p(t_i, float(stat.variances[i]), vminus, vplus)
-    diag.update({"vminus": vminus, "vplus": vplus, "beta0": flat_hypothesis_distance(stat, i)})
-    return p, diag
+    diag.update({"vminus": vminus, "vplus": vplus})
+    return poly_p(t_i, float(stat.variances[i]), vminus, vplus)
 
 
 def _poly_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
     sel = select_top_k(stat.t, config.k)
-    intervals = zip(sel, *poly_truncation_intervals(stat.t, stat.factor, sel))
-    return _report(stat, sel, [_poly_feature_test(stat, *interval) for interval in intervals], config)
+    vminus, vplus = poly_truncation_intervals(stat.t, stat.factor, sel)
+    return _report(stat, sel, config, lambda j, diag: _poly_feature_test(
+        stat, sel[j], vminus[j], vplus[j], diag))
 
 
 def selective_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:

@@ -272,7 +272,7 @@ def benchmark_trials(
     if mode not in ("mmd", "hsic"):
         raise ValueError("mode must be 'mmd' or 'hsic'")
     d_true = features.shape[1]
-    if d_true + max(n_fake, 0) == 0:
+    if d_true == 0:
         raise DataShapeError("need at least one feature column")
     if mode == "mmd":
         classes = np.unique(split)

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import math
@@ -64,6 +65,34 @@ def test_csv_without_header(tmp_path):
     values, names = load_csv(str(path))
     assert names is None  # no header row was read
     assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("text, names", [
+    ("1.5,2.5\n3.5,4.5\n5.5,6.5\n", None),
+    ("y,a,b\n1.5,2.5,3.5\n4.5,5.5,6.5\n", ["y", "a", "b"]),
+    ('"y",a,b\n1.5,2.5,3.5\n4.5,5.5,6.5\n', ["y", "a", "b"]),
+], ids=["plain-no-header", "plain-header", "csv-path-header"])
+def test_csv_skips_utf8_byte_order_mark(tmp_path, text, names):
+    # Spreadsheet programs save "CSV UTF-8" with a leading byte-order mark,
+    # which used to become part of the first cell: a header-less file lost
+    # its first row to the header, and a header misnamed its first column.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    values, got = load_csv(str(path))
+    assert got == names
+    assert values.tolist() == [[1.5, 2.5], [3.5, 4.5], [5.5, 6.5]] if names is None else [[1.5, 2.5, 3.5], [4.5, 5.5, 6.5]]
+
+
+def test_hsic_test_finds_response_after_byte_order_mark(tmp_path, capsys):
+    rng = derive_rng(111)
+    X = rng.standard_normal((30, 3))
+    path = tmp_path / "bom.csv"
+    save_csv(path, np.column_stack([X[:, 0] + rng.standard_normal(30), X]), ["y", "a", "b", "c"])
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    argv = ["hsic-test", "--data", str(path), "--response", "y", "--k", "1", "--seed", "1",
+            "--replicates", "200", "--out", str(tmp_path / "out.json")]
+    assert cli_main(argv) == 0, capsys.readouterr().err
+    assert json.loads((tmp_path / "out.json").read_text())["results"]["feature_names"][0] in {"a", "b", "c"}
 
 
 def test_csv_ragged_row_names_row(tmp_path):
@@ -217,6 +246,16 @@ def test_cli_loads_no_scipy(sample_csvs, tmp_path):
         assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
 
 
+def test_python_m_selkern_runs_the_cli(tmp_path):
+    src = str(Path(selkern.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    missing = str(tmp_path / "missing.csv")
+    argv = [sys.executable, "-m", "selkern", "mmd-test", "--x", missing, "--y", missing, "--k", "1", "--seed", "1"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith("error: ") and "missing.csv" in out.stderr
+
+
 def test_all_lists_exactly_the_public_names():
     # __init__ names each export twice, in its import and in __all__.
     public = {name for name, value in vars(selkern).items()
@@ -257,16 +296,27 @@ def test_no_feature_columns_is_data_error(tmp_path, capsys):
         assert "error: need at least one feature column\n" in capsys.readouterr().err, argv[0]
 
 
+@pytest.mark.parametrize("fakes", ["0", "3"])
 @pytest.mark.parametrize("mode, flag", [("mmd", "--label"), ("hsic", "--response")])
-def test_benchmark_without_feature_columns_is_data_error(tmp_path, capsys, mode, flag):
+def test_benchmark_without_feature_columns_is_data_error(tmp_path, capsys, mode, flag, fakes):
     # No --k: the missing columns are reported, not the k they would default.
     labels = (np.arange(20) % 2).astype(float)
     path = tmp_path / "only_label.csv"
     save_csv(path, labels[:, None], ["y"])
-    argv = ["benchmark", "--data", str(path), "--mode", mode, flag, "y", "--fakes", "0",
+    argv = ["benchmark", "--data", str(path), "--mode", mode, flag, "y", "--fakes", fakes,
             "--trials", "1", "--seed", "1"]
     assert cli_main(argv) == 1
     assert capsys.readouterr().err == "error: need at least one feature column\n"
+
+
+def test_negative_fakes_is_usage_error(tmp_path, capsys):
+    labels = (np.arange(20) % 2).astype(float)
+    path = tmp_path / "bench.csv"
+    save_csv(path, np.column_stack([derive_rng(112).standard_normal(20), labels]), ["a", "cls"])
+    argv = ["benchmark", "--data", str(path), "--mode", "mmd", "--label", "cls", "--fakes", "-1",
+            "--trials", "1", "--seed", "1"]
+    assert cli_main(argv) == 2
+    assert "error: --fakes must be >= 0" in capsys.readouterr().err
 
 
 def test_zero_trials_is_data_error(tmp_path, capsys):
@@ -531,13 +581,21 @@ def test_unknown_flag_is_usage_error(capsys):
     assert code == 2
 
 
-def test_invalid_config_value_is_usage_error(sample_csvs, capsys):
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "1.5"],
+    ["--r", "inf"],
+    ["--scale-low", "inf"],
+    ["--scale-high", "inf"],
+    ["--bandwidth", "inf"],
+    ["--kernel", "imq", "--imq-offset", "inf"],
+], ids=["alpha", "r", "scale-low", "scale-high", "bandwidth", "imq-offset"])
+def test_invalid_config_value_is_usage_error(sample_csvs, capsys, flags):
+    # An infinite r, scale or kernel setting used to crash, warn and fail, or
+    # flag every feature degenerate.
     xp, yp, *_ = sample_csvs
-    code = cli_main(
-        ["mmd-test", "--x", xp, "--y", yp, "--k", "2", "--seed", "1", "--alpha", "1.5"]
-    )
-    capsys.readouterr()
-    assert code == 2
+    code = cli_main(["mmd-test", "--x", xp, "--y", yp, "--k", "2", "--seed", "1", *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
 
 
 def test_block_estimator_with_mmd_is_usage_error(sample_csvs, capsys):

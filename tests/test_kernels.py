@@ -248,8 +248,8 @@ def test_univariate_specs_pool_columns():
     rng = np.random.default_rng(23)
     X = rng.standard_normal((15, 2))
     Y = rng.standard_normal((15, 2)) + 1.0
-    specs = _feature_specs(RunConfig(seed=0), X, Y)
-    assert len(specs) == 2
+    specs, constant = _feature_specs(RunConfig(seed=0), X, Y)
+    assert len(specs) == 2 and not constant.any()
     for i, spec in enumerate(specs):
         pooled = np.concatenate([X[:, i], Y[:, i]])
         assert spec.bandwidth == _pdist_median_width(pooled)

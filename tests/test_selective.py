@@ -29,7 +29,7 @@ from selkern import (
     select_top_k,
     selective_report,
 )
-from selkern.selective import _poly_feature_test, _top_k_fractions, statistic
+from selkern.selective import _report, _top_k_fractions, statistic
 
 
 def test_select_top_k_basic():
@@ -262,6 +262,26 @@ def test_degenerate_feature_yields_conservative_p():
         for feature in degenerate:
             assert flagged[feature]["fallback"] == "degenerate-variance", config
             assert p_by_feature[feature] == 1.0
+
+
+def test_degenerate_features_get_one_flag_under_every_method():
+    # The flat, underflowing and overflowing columns of the test above: each
+    # method gives each the same diagnostics, written before the method runs.
+    rng = derive_rng(9)
+    tiny = np.where(rng.random((80, 2)) < 0.5, 0.0, 1e-170)
+    huge = rng.choice([-1e308, 0.0, 1e308], (80, 2))
+    X = np.hstack([rng.standard_normal((80, 1)), np.zeros((80, 1)), tiny[:, :1], huge[:, :1]])
+    Y = np.hstack([rng.standard_normal((80, 1)) + 1.5, np.zeros((80, 1)), tiny[:, 1:], huge[:, 1:]])
+    Z = JointSample(X, X[:, 0] + rng.standard_normal(80))
+    for method in ("multi-mmd", "poly-mmd", "multi-hsic", "poly-hsic"):
+        data = Z if method.endswith("hsic") else (X, Y)
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("ignore", ScalesDroppedWarning)
+            report = select_and_test(data, RunConfig(seed=41, k=4, method=method))
+        diagnostics = {d["feature"]: d for d in report.diagnostics}
+        for i in (1, 2, 3):
+            assert diagnostics[i] == {"feature": i, "name": f"f{i}", "fallback": "degenerate-variance",
+                                      "error": f"feature {i} has non-positive variance"}, method
 
 
 def test_constant_response_still_raises():
@@ -525,9 +545,10 @@ def test_poly_intervals_match_per_feature_loop(case):
                 expected = _poly_interval_oracle(t, sigma, sel, i)
         except DegenerateFeatureError:
             assert np.isnan(vminus[j]) and np.isnan(vplus[j])
-            # The Poly report's per-feature test reads the NaN as this error.
-            p, diag = _poly_feature_test(MultiStat(t, factor, n=2), i, vminus[j], vplus[j])
-            assert p == 1.0 and diag["error"] == f"feature {i} has non-positive variance"
+            # The shared report builder flags the feature before the Poly test runs.
+            report = _report(MultiStat(t, factor, n=2), sel, RunConfig(seed=0), lambda _j, _diag: 0.5)
+            assert report.p_values[j] == 1.0
+            assert report.diagnostics[j]["error"] == f"feature {i} has non-positive variance"
             continue
         assert (vminus[j], vplus[j]) == expected
 
