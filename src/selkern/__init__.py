@@ -21,13 +21,7 @@ from .core import (
 from .designs import sample_pair_design, sample_quad_design
 from .hsic import JointSample
 from .kernels import KernelSpec, median_heuristic
-from .multiscale import (
-    ScalesDroppedWarning,
-    default_scales,
-    fit_scaling_law,
-    flat_hypothesis_distance,
-    selective_p_detail,
-)
+from .multiscale import ScalesDroppedWarning, default_scales, fit_scaling_law
 from .selective import (
     SelectiveReport,
     hsic_stat,
@@ -70,8 +64,6 @@ __all__ = [
     "ScalesDroppedWarning",
     "default_scales",
     "fit_scaling_law",
-    "flat_hypothesis_distance",
-    "selective_p_detail",
     "SelectiveReport",
     "hsic_stat",
     "mmd_stat",

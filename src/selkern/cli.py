@@ -183,13 +183,17 @@ def render_document(doc: dict) -> str:
     return json.dumps(_sanitize(doc), sort_keys=True, indent=2) + "\n"
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
+def _emit(table: list[str], doc: dict, out_path: str | None) -> int:
+    """Print the ``table`` lines and write the document to ``out_path``, or
+    else to stdout, with the table on stderr so that stdout is the JSON alone."""
+    print(*table, sep="\n", file=sys.stdout if out_path else sys.stderr)
     text = render_document(doc)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _report_document(command: str, inputs: dict, report, config: RunConfig) -> dict:
@@ -211,22 +215,20 @@ def _report_document(command: str, inputs: dict, report, config: RunConfig) -> d
     }
 
 
-def _print_report_table(report, alpha: float) -> None:
-    print(f"{report.method}: top-{len(report.selected)} features at alpha = {alpha}")
-    print(f"{'feature':>10} {'name':>12} {'score':>12} {'p-value':>10} {'reject':>7}")
+def _report_table(report, alpha: float) -> list[str]:
+    table = [f"{report.method}: top-{len(report.selected)} features at alpha = {alpha}",
+             f"{'feature':>10} {'name':>12} {'score':>12} {'p-value':>10} {'reject':>7}"]
     for i, p in zip(report.selected, report.p_values):
         score = float(report.scores[i])
         mark = "yes" if p < alpha else "no"
-        print(f"{i:>10d} {report.feature_names[i]:>12} {score:>12.5g} {p:>10.4g} {mark:>7}")
+        table.append(f"{i:>10d} {report.feature_names[i]:>12} {score:>12.5g} {p:>10.4g} {mark:>7}")
+    return table
 
 
-def _print_summary_table(summaries) -> None:
-    print(f"{'method':>12} {'tpr':>8} {'fpr':>8} {'tpr_se':>8} {'fpr_se':>8} {'trials':>7}")
-    for s in summaries:
-        print(
-            f"{s.method:>12} {s.tpr:>8.3f} {s.fpr:>8.3f} "
-            f"{_fmt(s.tpr_se):>8} {_fmt(s.fpr_se):>8} {s.trials:>7d}"
-        )
+def _summary_table(summaries) -> list[str]:
+    return [f"{'method':>12} {'tpr':>8} {'fpr':>8} {'tpr_se':>8} {'fpr_se':>8} {'trials':>7}"] + [
+        f"{s.method:>12} {s.tpr:>8.3f} {s.fpr:>8.3f} {_fmt(s.tpr_se):>8} {_fmt(s.fpr_se):>8} {s.trials:>7d}"
+        for s in summaries]
 
 
 def _fmt(v: float) -> str:
@@ -342,14 +344,12 @@ def _cmd_test(args, parser) -> int:
         data, inputs = JointSample(X, y[:, None]), {"data": args.data, "response": args.response}
     config = _config_from_args(args, parser, seed=seed, method=f"{args.method}-{family}")
     report = select_and_test(data, config, feature_names=names)
-    doc = _report_document(args.command, inputs, report, config)
-    _print_report_table(report, config.alpha)
-    _emit(doc, args.out)
-    return 0
+    return _emit(_report_table(report, config.alpha), _report_document(args.command, inputs, report, config),
+                 args.out)
 
 
 def _emit_summaries(command: str, inputs: dict, summaries, out_path: str | None) -> int:
-    """Print the summary table and emit the document of a multi-trial command."""
+    """Emit the summary table and the document of a multi-trial command."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -360,9 +360,7 @@ def _emit_summaries(command: str, inputs: dict, summaries, out_path: str | None)
             "per_trial": [{"method": s.method, **rec} for s in summaries for rec in s.records],
         },
     }
-    _print_summary_table(summaries)
-    _emit(doc, out_path)
-    return 0
+    return _emit(_summary_table(summaries), doc, out_path)
 
 
 def _cmd_simulate(args, parser) -> int:
@@ -422,3 +420,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

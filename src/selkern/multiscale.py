@@ -15,12 +15,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .config import RunConfig
-from .core import (
-    DataShapeError,
-    DegenerateFeatureError,
-    InsufficientScalesError,
-    MultiStat,
-)
+from .core import DataShapeError, InsufficientScalesError
 
 
 #: Inverse of the standard normal CDF, by Wichura's AS241 (as scipy's ndtri).
@@ -152,37 +147,3 @@ def fit_bootstrap_probabilities(bps, gamma2, replicates: int) -> dict:
         beta0, beta1, fit = fit_scaling_law(*zip(*points))
         diag.update({f"fit_{key}": value for key, value in {"beta0": beta0, "beta1": beta1, **fit}.items()})
     return diag
-
-
-def selective_p_detail(phi_h_at_minus1: float, phi_s_at_0: float) -> tuple[float, bool]:
-    """Selective p-value survival(phi_H(-1)) / survival(phi_H(-1) + phi_S(0)),
-    and whether its denominator degenerated.
-
-    Computed in log space so deep tails divide out exactly; clamped to [0, 1].
-    A vanishing denominator (possible only for degenerate +inf inputs) maps
-    to the conservative value 1 and is reported as degenerate.
-    """
-    a = float(phi_h_at_minus1)
-    s = float(phi_s_at_0)
-    if np.isnan(a) or np.isnan(s):
-        raise ValueError("selective p-value inputs must not be NaN")
-    if not np.isfinite(a):
-        raise ValueError("phi_H(-1) must be finite")
-    log_num = log_ndtr(-a)
-    log_den = log_ndtr(-(a + s))
-    if log_den == -np.inf:
-        return 1.0, True
-    return float(min(1.0, np.exp(log_num - log_den))), False
-
-
-def flat_hypothesis_distance(stat: MultiStat, i: int) -> float:
-    """Signed distance t[i] / sqrt(Sigma[i, i]) to the flat boundary {y_i = 0}.
-
-    For a flat hypothesis boundary the curvature vanishes, so this constant
-    already equals the extrapolated phi_H(-1).
-    """
-    var = float(stat.variances[i])
-    if var <= 0.0:
-        raise DegenerateFeatureError(f"feature {i} has non-positive variance {var}")
-    return float(stat.t[i] / np.sqrt(var))
-

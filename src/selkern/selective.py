@@ -15,18 +15,11 @@ import numpy as np
 
 from . import designs
 from .config import METHODS, RunConfig
-from .core import DataShapeError, Design, MultiStat, derive_rng
+from .core import DataShapeError, DegenerateFeatureError, Design, MultiStat, derive_rng
 from .hsic import JointSample, _block_hsic, _quad_h_matrix
 from .kernels import IMQ, KernelSpec, flat_columns, median_bandwidths, median_heuristic
 from .mmd import _check_two_sample, _pair_h
-from .multiscale import (
-    ScalesDroppedWarning,
-    default_scales,
-    fit_bootstrap_probabilities,
-    flat_hypothesis_distance,
-    log_ndtr,
-    selective_p_detail,
-)
+from .multiscale import ScalesDroppedWarning, default_scales, fit_bootstrap_probabilities, log_ndtr
 
 _STREAM_STAT = 0
 _STREAM_BOOT = 1
@@ -110,7 +103,10 @@ def poly_p(t, var: float, vminus, vplus):
 
     With ls(x) = log survival(x / sigma), the value is
     (exp(ls(t)) - exp(ls(v+))) / (exp(ls(v-)) - exp(ls(v+))), evaluated via
-    expm1 of log-survival differences so far tails do not cancel.
+    expm1 of log-survival differences so far tails do not cancel.  Past
+    t / sigma ~ 1.34e154 the log survival at t is -inf, as at every end above
+    t; there the value is 1 at t = v- and, as t - v- >= ulp(t), below the
+    least double otherwise.
     """
     if var <= 0:
         raise DegenerateFeatureError(f"non-positive variance {var}")
@@ -130,7 +126,7 @@ def poly_p(t, var: float, vminus, vplus):
         den = -np.expm1(ls_high - ls_low)
         ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0), 1.0)
         out = np.exp(ls_t - ls_low) * ratio
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(np.where(ls_t == -np.inf, t == vminus, out), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -270,35 +266,34 @@ def _selection_fractions(t: np.ndarray, factor: np.ndarray, k: int, gamma2, repl
     return out
 
 
-def _multiscale_feature_test(diag: dict, bps: np.ndarray, gamma2, replicates: int) -> float:
+def _multiscale_feature_test(diag: dict, bps: np.ndarray, gamma2, replicates: int):
+    """Multi's p-value survival(beta0) / survival(beta0 + phi_S(0)) (Terada &
+    Shimodaira 2017) is the survival at beta0 of N(0, 1) truncated to
+    [beta0 + phi_S(0), inf).  Without a fit the selection event is taken as
+    unconstraining, phi_S(0) = -inf."""
     diag.update(fit_bootstrap_probabilities(bps, gamma2, replicates))
     if "fit_beta0" not in diag:
-        warnings.warn("selection bootstrap probability degenerate at nearly all scales; "
-                      "treating the selection event as unconstraining", ScalesDroppedWarning, stacklevel=2)
         diag.update({"phi_s0": -np.inf, "fallback": "selection-unconstraining"})
-        phi_s = -np.inf
     else:
         # The fitted line at gamma^2 = 0 is its intercept.
-        phi_s = min(diag["fit_beta0"], 0.0)
-        diag.update({"phi_s0_raw": diag["fit_beta0"], "phi_s0": phi_s})
-    p, degenerate = selective_p_detail(diag["beta0"], phi_s)
-    if degenerate:
-        diag["fallback"] = "degenerate-selection"
-    return p
+        diag.update({"phi_s0_raw": diag["fit_beta0"], "phi_s0": min(diag["fit_beta0"], 0.0)})
+    return diag["beta0"], 1.0, diag["beta0"] + diag["phi_s0"], np.inf
 
 
 def _report(stat: MultiStat, selected: tuple[int, ...], config: RunConfig, feature_test) -> SelectiveReport:
     """The report on the ``selected`` features.  Each one's diagnostics hold
-    its index, name and beta0, and ``feature_test(j, diag)`` gives the p-value
-    of ``selected[j]``, adding to ``diag``.  A feature of zero variance (a
+    its index, name and beta0 = t_i / sqrt(Sigma_ii), and
+    ``feature_test(j, diag)`` gives the (t, variance, lower end, upper end)
+    of the truncated normal whose survival at t, `poly_p`, is the p-value of
+    ``selected[j]``, adding to ``diag``.  A feature of zero variance (a
     constant kernel, see `_feature_specs`) is flagged and gets the
     conservative p = 1 instead, before any test runs."""
     p_values, diagnostics = [], []
     for j, i in enumerate(selected):
         diag: dict = {"feature": i, "name": stat.feature_names[i]}
         if stat.variances[i] > 0:
-            diag["beta0"] = flat_hypothesis_distance(stat, i)
-            p_values.append(feature_test(j, diag))
+            diag["beta0"] = float(stat.t[i] / np.sqrt(stat.variances[i]))
+            p_values.append(poly_p(*feature_test(j, diag)))
         else:
             diag.update({"error": f"feature {i} has non-positive variance", "fallback": "degenerate-variance"})
             p_values.append(1.0)
@@ -316,7 +311,7 @@ def _multiscale_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
         diag, fractions[:, sel[j]], gamma2, replicates))
 
 
-def _poly_feature_test(stat: MultiStat, i: int, vminus: float, vplus: float, diag: dict) -> float:
+def _poly_feature_test(stat: MultiStat, i: int, vminus: float, vplus: float, diag: dict):
     vminus, vplus = float(vminus), float(vplus)
     t_i = float(stat.t[i])
     # A tie at the selection boundary makes a constraint active, so t_i equals
@@ -326,7 +321,7 @@ def _poly_feature_test(stat: MultiStat, i: int, vminus: float, vplus: float, dia
         t_i = inside
         diag["clamped"] = True
     diag.update({"vminus": vminus, "vplus": vplus})
-    return poly_p(t_i, float(stat.variances[i]), vminus, vplus)
+    return t_i, float(stat.variances[i]), vminus, vplus
 
 
 def _poly_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
@@ -336,17 +331,29 @@ def _poly_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
         stat, sel[j], vminus[j], vplus[j], diag))
 
 
+def _method_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
+    """``config.method``'s report on ``stat``.  If any selected feature's
+    selection event is taken as unconstraining, one `ScalesDroppedWarning`
+    says how many, at the line that called `selective_report` or
+    `select_and_test`."""
+    if config.k is None:
+        raise ValueError("config.k must be set to select features")
+    report = (_multiscale_report if config.method.startswith("multi-") else _poly_report)(stat, config)
+    fell_back = sum(diag.get("fallback") == "selection-unconstraining" for diag in report.diagnostics)
+    if fell_back:
+        warnings.warn(f"selection bootstrap probability degenerate at nearly all scales for {fell_back} "
+                      f"of {len(report.selected)} selected features; treating their selection events as "
+                      "unconstraining", ScalesDroppedWarning, stacklevel=3)
+    return report
+
+
 def selective_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
     """Run ``config.method``'s per-feature tests on an already-computed statistic.
 
     Lets harnesses that compare methods on identical data compute the shared
     statistic once; selection sets then coincide by construction.
     """
-    if config.k is None:
-        raise ValueError("config.k must be set to select features")
-    if config.method.startswith("multi-"):
-        return _multiscale_report(stat, config)
-    return _poly_report(stat, config)
+    return _method_report(stat, config)
 
 
 def select_and_test(data, config: RunConfig,
@@ -356,4 +363,4 @@ def select_and_test(data, config: RunConfig,
     ``data`` is an ``(X, Y)`` pair of samples for the MMD methods (two-sample
     tests) and a `JointSample` for the HSIC methods (dependence tests).
     """
-    return selective_report(statistic(data, config, feature_names), config)
+    return _method_report(statistic(data, config, feature_names), config)

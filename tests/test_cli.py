@@ -246,11 +246,12 @@ def test_cli_loads_no_scipy(sample_csvs, tmp_path):
         assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
 
 
-def test_python_m_selkern_runs_the_cli(tmp_path):
+@pytest.mark.parametrize("module", ["selkern", "selkern.cli"])
+def test_python_m_selkern_runs_the_cli(tmp_path, module):
     src = str(Path(selkern.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     missing = str(tmp_path / "missing.csv")
-    argv = [sys.executable, "-m", "selkern", "mmd-test", "--x", missing, "--y", missing, "--k", "1", "--seed", "1"]
+    argv = [sys.executable, "-m", module, "mmd-test", "--x", missing, "--y", missing, "--k", "1", "--seed", "1"]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 1 and out.stdout == ""
     assert out.stderr.startswith("error: ") and "missing.csv" in out.stderr
@@ -697,11 +698,17 @@ def test_document_sanitizes_non_finite(tmp_path):
 
 
 def test_document_to_stdout_when_no_out(sample_csvs, capsys):
+    # Without --out, stdout is the document alone and the table goes to stderr.
     xp, yp, *_ = sample_csvs
-    code = cli_main(["mmd-test", "--x", xp, "--y", yp, "--k", "2", "--seed", "4"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert '"schema_version"' in out
+    for argv, table_head in (
+        (["mmd-test", "--x", xp, "--y", yp, "--k", "2", "--seed", "4"], "MultiMMD: top-2 features"),
+        (["simulate", "--problem", "mean-shift", "--n", "60", "--d", "4", "--informative", "1",
+          "--trials", "2", "--methods", "poly-mmd", "--seed", "4"], "      method"),
+    ):
+        assert cli_main(argv) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["command"] == argv[0]
+        assert captured.err.startswith(table_head)
 
 
 def test_simulate_null_calibration(tmp_path, capsys):

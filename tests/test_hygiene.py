@@ -3,7 +3,7 @@ no module imports a name it never uses or imports scipy, every private
 top-level function or class is referenced somewhere in `src/`, every
 public one is exported or read there, and no function restates a
 `RunConfig` default.  Also: no trial setting has a default both in the
-CLI and in the library."""
+CLI and in the library, and the README names every `fallback` reason."""
 import argparse
 import ast
 import inspect
@@ -116,3 +116,21 @@ def test_no_trial_setting_is_defaulted_in_both_the_cli_and_the_library():
             if cli_sets_a_value and default not in (MISSING, inspect.Parameter.empty):
                 found.append(f"{command} --{action.dest}: {action.default!r} and {name}={default!r}")
     assert not found
+
+
+def test_readme_names_every_fallback_reason():
+    # Every value the package stores under a "fallback" key, in a dict display
+    # or by subscript assignment, is a string literal the README explains.
+    values = []
+    for tree in _SOURCES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                pairs = zip(node.keys, node.values)
+            elif isinstance(node, ast.Assign):
+                pairs = [(target.slice, node.value) for target in node.targets if isinstance(target, ast.Subscript)]
+            else:
+                continue
+            values += [value for key, value in pairs if isinstance(key, ast.Constant) and key.value == "fallback"]
+    assert values and all(isinstance(v, ast.Constant) and isinstance(v.value, str) for v in values)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert not [v.value for v in values if f"`{v.value}`" not in readme]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.stats import norm
@@ -12,11 +12,10 @@ from selkern import (
     RunConfig,
     default_scales,
     fit_scaling_law,
-    flat_hypothesis_distance,
-    selective_p_detail,
+    poly_p,
 )
 from selkern.multiscale import fit_bootstrap_probabilities, log_ndtr, ndtri
-from selkern.selective import _selection_fractions
+from selkern.selective import _report, _selection_fractions
 
 # Three interior scales around the one under test, so every fit has points.
 _OTHER_SCALES = ((0.5, 0.4), (1.0, 0.3), (2.0, 0.2))
@@ -378,16 +377,23 @@ def test_bootstrap_probability_rank_deficient_exact():
     assert (fractions[:, 3] > 0.2).all()
 
 
+def _multi_p(beta0, phi_s0):
+    """Multi's p-value survival(beta0) / survival(beta0 + phi_S(0)), as the
+    report computes it: the survival at beta0 of N(0, 1) truncated to
+    [beta0 + phi_S(0), inf)."""
+    return poly_p(beta0, 1.0, beta0 + phi_s0, np.inf)
+
+
 def test_selective_p_unconstrained_selection():
-    assert selective_p_detail(1.5, -np.inf)[0] == pytest.approx(norm.sf(1.5), rel=1e-10)
+    assert _multi_p(1.5, -np.inf) == pytest.approx(norm.sf(1.5), rel=1e-10)
 
 
 def test_selective_p_both_boundaries():
-    assert selective_p_detail(0.0, 0.0)[0] == 1.0
+    assert _multi_p(0.0, 0.0) == 1.0
 
 
 def test_selective_p_gaussian_quantile():
-    assert selective_p_detail(1.6449, -np.inf)[0] == pytest.approx(0.05, abs=1e-4)
+    assert _multi_p(1.6449, -np.inf) == pytest.approx(0.05, abs=1e-4)
 
 
 def test_selective_p_dominates_classical():
@@ -395,38 +401,67 @@ def test_selective_p_dominates_classical():
     for _ in range(200):
         a = rng.normal(scale=2.0)
         s = -abs(rng.normal(scale=2.0))
-        p = selective_p_detail(a, s)[0]
+        p = _multi_p(a, s)
         assert norm.sf(a) - 1e-12 <= p <= 1.0
 
 
 def test_selective_p_deep_tail_stable():
     # Far beyond where survival functions underflow, the ratio still resolves.
-    p = selective_p_detail(42.0, -1.0)[0]
+    p = _multi_p(42.0, -1.0)
     assert 0.0 < p < 1.0
     assert p == pytest.approx(np.exp(norm.logsf(42.0) - norm.logsf(41.0)), rel=1e-6)
 
 
-def test_selective_p_degenerate_denominator_flag():
-    p, degenerate = selective_p_detail(3.0, np.inf)
-    assert p == 1.0 and degenerate
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.floats(max_value=0.0, allow_nan=False))
+@example(1e155, 0.0)
+@example(1e155, -1.0)
+@example(1e155, -1e154)
+@example(-1e308, -1e308)
+def test_selective_p_is_a_valid_selective_p_value(beta0, phi_s0):
+    p = _multi_p(beta0, phi_s0)
+    assert 0.0 <= p <= 1.0
+    # Never below the unselective p-value: the package's own survival(beta0).
+    assert p >= np.exp(log_ndtr(-beta0))
+    with np.errstate(all="ignore"):
+        ref = np.exp(norm.logsf(beta0) - norm.logsf(beta0 + phi_s0))
+    # A log survival near -beta0^2 / 2 carries a rounding error near
+    # beta0^2 * eps, which is the ratio's relative error; at |beta0| <= 1000
+    # that is below 1e-9.
+    if ref > 0 and abs(beta0) <= 1000:
+        assert p == pytest.approx(ref, rel=1e-9)
+
+
+def _beta0_report(stat):
+    """The report on every feature of ``stat`` by the classical test (no
+    truncation), which reads only the beta0 the report wrote."""
+    def feature_test(_j, diag):
+        return diag["beta0"], 1.0, -np.inf, np.inf
+    return _report(stat, tuple(range(stat.t.size)), RunConfig(seed=0), feature_test)
 
 
 def test_flat_hypothesis_distance():
+    # The report's beta0 is the signed distance t[i] / sqrt(Sigma[i, i]) to the
+    # flat boundary {y_i = 0}, whose curvature vanishes, so it already equals
+    # the extrapolated phi_H(-1).
     stat = MultiStat(t=np.array([0.0, 2.0]), factor=np.diag([1.0, 2.0]), n=10)
-    assert flat_hypothesis_distance(stat, 0) == 0.0
-    assert flat_hypothesis_distance(stat, 1) == 1.0
+    assert [diag["beta0"] for diag in _beta0_report(stat).diagnostics] == [0.0, 1.0]
     rng = np.random.default_rng(6)
     t = rng.standard_normal(3)
     sd = rng.random(3) + 0.5
     stat = MultiStat(t=t, factor=np.diag(sd), n=5)
-    for i in range(3):
-        assert flat_hypothesis_distance(stat, i) == t[i] / np.sqrt(sd[i] ** 2)
+    for i, diag in enumerate(_beta0_report(stat).diagnostics):
+        assert diag["beta0"] == t[i] / np.sqrt(sd[i] ** 2)
 
 
 def test_flat_hypothesis_distance_zero_variance():
     stat = MultiStat(t=np.array([1.0]), factor=np.array([[0.0]]), n=5)
+    report = _beta0_report(stat)
+    assert report.p_values == [1.0]
+    assert "beta0" not in report.diagnostics[0]
+    assert report.diagnostics[0]["fallback"] == "degenerate-variance"
     with pytest.raises(DegenerateFeatureError):
-        flat_hypothesis_distance(stat, 0)
+        poly_p(1.0, 0.0, -np.inf, np.inf)
 
 
 def _selection_fit(mean, factor, k, n, replicates, seed):

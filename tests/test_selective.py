@@ -155,6 +155,16 @@ def test_poly_p_zero_width_interval():
         poly_p(1.0, 1.0, 1.0, 1.0)
 
 
+def test_poly_p_far_tail_is_not_nan():
+    # Past t / sigma ~ 1.34e154 the log survival is -inf at t and beyond: the
+    # value is 1 at the lower end and underflows to 0 above it.
+    assert poly_p(1e155, 1.0, 0.0, np.inf) == 0.0
+    assert poly_p(1e155, 1.0, 1e155, np.inf) == 1.0
+    assert poly_p(-1e155, 1.0, -np.inf, -1e154) == 1.0
+    got = poly_p(np.array([1e155, 1e155, 2.0]), 1.0, np.array([0.0, 1e155, 2.0]), np.inf)
+    assert got.tolist() == [0.0, 1.0, 1.0]
+
+
 def _single_feature_problem(seed):
     rng = derive_rng(seed)
     X = rng.standard_normal((120, 1))
@@ -205,6 +215,41 @@ def test_report_shape_and_bounds():
         assert len(diag["bootstrap_probabilities"]) == len(diag["psi"]) == scale_count
         if "fit_beta0" in diag:
             assert {"fit_weighted_rss", "fit_rmse", "fit_max_abs_residual"} <= diag.keys()
+
+
+def test_multi_p_is_poly_p_on_the_selection_interval():
+    # Every fitted Multi feature's p is the survival at beta0 = t_i / sigma_i
+    # of N(0, 1) truncated to [beta0 + phi_S(0), inf), bit for bit.
+    rng = derive_rng(5)
+    X, Y = gen_mean_shift(150, 8, 0.5, 3, rng)
+    Z = gen_logistic(150, 8, 3, rng)
+    fitted = 0
+    for data, method in (((X, Y), "multi-mmd"), (Z, "multi-hsic")):
+        config = RunConfig(seed=31, k=4, method=method)
+        stat = statistic(data, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScalesDroppedWarning)
+            report = selective_report(stat, config)
+        for i, p, diag in zip(report.selected, report.p_values, report.diagnostics):
+            assert diag["beta0"] == stat.t[i] / np.sqrt(stat.variances[i])
+            if "fit_beta0" in diag:
+                fitted += 1
+                assert p == poly_p(diag["beta0"], 1.0, diag["beta0"] + diag["phi_s0"], np.inf)
+    assert fitted > 0
+
+
+def test_scales_dropped_warns_once_per_report_at_the_caller():
+    # With k = d every replicate selects every feature, so no feature has a fit.
+    rng = derive_rng(5)
+    X, Y = gen_mean_shift(60, 3, 0.5, 1, rng)
+    config = RunConfig(seed=31, k=3)
+    for run in (lambda: select_and_test((X, Y), config),
+                lambda: selective_report(mmd_stat(X, Y, config), config)):
+        with pytest.warns(ScalesDroppedWarning) as rec:
+            report = run()
+        assert [diag["fallback"] for diag in report.diagnostics] == ["selection-unconstraining"] * 3
+        assert len(rec) == 1 and rec[0].filename == __file__
+        assert "for 3 of 3 selected features" in str(rec[0].message)
 
 
 def test_hsic_reports_run():
@@ -546,7 +591,8 @@ def test_poly_intervals_match_per_feature_loop(case):
         except DegenerateFeatureError:
             assert np.isnan(vminus[j]) and np.isnan(vplus[j])
             # The shared report builder flags the feature before the Poly test runs.
-            report = _report(MultiStat(t, factor, n=2), sel, RunConfig(seed=0), lambda _j, _diag: 0.5)
+            report = _report(MultiStat(t, factor, n=2), sel, RunConfig(seed=0),
+                             lambda _j, _diag: (0.0, 1.0, -np.inf, np.inf))
             assert report.p_values[j] == 1.0
             assert report.diagnostics[j]["error"] == f"feature {i} has non-positive variance"
             continue
