@@ -23,6 +23,9 @@ from .multiscale import ScalesDroppedWarning, default_scales, fit_bootstrap_prob
 
 _STREAM_STAT = 0
 _STREAM_BOOT = 1
+# The bootstrap forms its (replicates, d) draw a block of rows of about this
+# many values at a time.
+_BOOT_BLOCK_VALUES = 1 << 18
 
 
 @dataclass
@@ -96,7 +99,7 @@ def poly_truncation_intervals(
     return vminus, vplus
 
 
-def poly_p(t, var: float, vminus, vplus):
+def poly_p(t, var, vminus, vplus):
     """One-sided truncated-normal p-value: the survival at t of N(0, var)
     truncated to [vminus, vplus], tail-stable.  Scalar arguments give a
     float; arrays, which broadcast, give a float array of their shape.
@@ -108,7 +111,8 @@ def poly_p(t, var: float, vminus, vplus):
     t; there the value is 1 at t = v- and, as t - v- >= ulp(t), below the
     least double otherwise.
     """
-    if var <= 0:
+    var = np.asarray(var, dtype=float)
+    if np.any(var <= 0):
         raise DegenerateFeatureError(f"non-positive variance {var}")
     sigma = np.sqrt(var)
     t = np.asarray(t, dtype=float)
@@ -224,8 +228,8 @@ def statistic(data, config: RunConfig,
     return mmd_stat(*data, config, feature_names)
 
 
-def _top_k_fractions(draws: np.ndarray, k: int) -> np.ndarray:
-    """Fraction of the rows of ``draws`` in which each column is among the k largest.
+def _top_k_counts(draws: np.ndarray, k: int) -> np.ndarray:
+    """Number of rows of ``draws`` in which each column is among the k largest.
 
     Column i counts in a row exactly when `select_top_k` on that row would
     select i.  A row's k-th largest value v comes from one partition; every
@@ -234,36 +238,47 @@ def _top_k_fractions(draws: np.ndarray, k: int) -> np.ndarray:
     """
     b, d = draws.shape
     if k == d:
-        return np.ones(d)
+        return np.full(d, b)
     v = np.partition(draws, d - k, axis=1)[:, d - k, None]
     top = draws >= v
-    # Only rows with more than k entries at or above v have ties to break.
-    tied = np.flatnonzero(np.count_nonzero(top, axis=1) > k)
-    if tied.size:
+    # Every row has at least k entries at or above v; only rows with more
+    # have ties to break.
+    if np.count_nonzero(top) > b * k:
+        tied = np.flatnonzero(np.count_nonzero(top, axis=1) > k)
         rows, at = draws[tied], v[tied]
         above, equal = rows > at, rows == at
         places = k - np.count_nonzero(above, axis=1)
         top[tied] = above | (equal & (np.cumsum(equal, axis=1) <= places[:, None]))
-    return np.count_nonzero(top, axis=0) / b
+    return top.sum(axis=0, dtype=np.intp)
 
 
 def _selection_fractions(t: np.ndarray, factor: np.ndarray, k: int, gamma2, replicates: int,
                          seed: int) -> np.ndarray:
     """Per-scale top-k fractions of every feature, shape (len(gamma2), d).
 
-    Scale s draws ``replicates`` rows of one N(t, gamma2[s] Sigma) sample,
-    t + gamma * z @ factor with factorᵀ factor = Sigma and z from stream
-    (seed, BOOT, s), and every feature's selection event is counted on it,
-    so each feature's bootstrap probability has the same law as with a draw
-    of its own.
+    One draw serves every scale (common random numbers): ``replicates``
+    rows w = z @ factor, with factorᵀ factor = Sigma and z from stream
+    (seed, BOOT, 0), and scale s counts every feature's selection event in
+    the rows t + gamma_s w, each distributed as N(t, gamma2[s] Sigma).  So
+    each feature's bootstrap probability at each scale has the same law as
+    with a draw of its own.  The rows are drawn about `_BOOT_BLOCK_VALUES`
+    values at a time, so memory does not grow with ``replicates``; the
+    stream fills them in order, so the normals do not depend on the chunk.
     """
-    out = np.empty((len(gamma2), t.shape[0]))
-    for s, g2 in enumerate(gamma2):
-        draws = derive_rng(seed, _STREAM_BOOT, s).standard_normal((replicates, factor.shape[0])) @ factor
-        draws *= np.sqrt(g2)
-        draws += t
-        out[s] = _top_k_fractions(draws, k)
-    return out
+    r, d = factor.shape
+    gammas = np.sqrt(gamma2)
+    counts = np.zeros((gammas.size, d), dtype=np.intp)
+    rng = derive_rng(seed, _STREAM_BOOT, 0)
+    chunk = min(replicates, max(1, _BOOT_BLOCK_VALUES // d))
+    buffer = np.empty((chunk, d))
+    for start in range(0, replicates, chunk):
+        w = rng.standard_normal((min(chunk, replicates - start), r)) @ factor
+        draws = buffer[:w.shape[0]]
+        for s, gamma in enumerate(gammas):
+            np.multiply(w, gamma, out=draws)
+            draws += t
+            counts[s] += _top_k_counts(draws, k)
+    return counts / replicates
 
 
 def _multiscale_feature_test(diag: dict, bps: np.ndarray, gamma2, replicates: int):
@@ -285,21 +300,24 @@ def _report(stat: MultiStat, selected: tuple[int, ...], config: RunConfig, featu
     its index, name and beta0 = t_i / sqrt(Sigma_ii), and
     ``feature_test(j, diag)`` gives the (t, variance, lower end, upper end)
     of the truncated normal whose survival at t, `poly_p`, is the p-value of
-    ``selected[j]``, adding to ``diag``.  A feature of zero variance (a
-    constant kernel, see `_feature_specs`) is flagged and gets the
-    conservative p = 1 instead, before any test runs."""
-    p_values, diagnostics = [], []
+    ``selected[j]``, adding to ``diag``; one `poly_p` call takes them all.
+    A feature of zero variance (a constant kernel, see `_feature_specs`) is
+    flagged and gets the conservative p = 1 instead, before any test runs."""
+    tested = stat.variances[list(selected)] > 0
+    tests, diagnostics = [], []
     for j, i in enumerate(selected):
         diag: dict = {"feature": i, "name": stat.feature_names[i]}
-        if stat.variances[i] > 0:
+        if tested[j]:
             diag["beta0"] = float(stat.t[i] / np.sqrt(stat.variances[i]))
-            p_values.append(poly_p(*feature_test(j, diag)))
+            tests.append(feature_test(j, diag))
         else:
             diag.update({"error": f"feature {i} has non-positive variance", "fallback": "degenerate-variance"})
-            p_values.append(1.0)
         diagnostics.append(diag)
+    p_values = np.ones(len(selected))
+    if tests:
+        p_values[tested] = poly_p(*np.array(tests).T)
     return SelectiveReport(method=METHODS[config.method], selected=selected, scores=stat.t,
-                           feature_names=stat.feature_names, p_values=p_values,
+                           feature_names=stat.feature_names, p_values=p_values.tolist(),
                            diagnostics=diagnostics, config=config.snapshot())
 
 
@@ -332,18 +350,29 @@ def _poly_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
 
 
 def _method_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
-    """``config.method``'s report on ``stat``.  If any selected feature's
-    selection event is taken as unconstraining, one `ScalesDroppedWarning`
-    says how many, at the line that called `selective_report` or
-    `select_and_test`."""
+    """``config.method``'s report on ``stat``, without a warning."""
     if config.k is None:
         raise ValueError("config.k must be set to select features")
-    report = (_multiscale_report if config.method.startswith("multi-") else _poly_report)(stat, config)
-    fell_back = sum(diag.get("fallback") == "selection-unconstraining" for diag in report.diagnostics)
+    return (_multiscale_report if config.method.startswith("multi-") else _poly_report)(stat, config)
+
+
+def _warn_unconstraining(fell_back: int, tested: int, stacklevel: int) -> None:
+    """One `ScalesDroppedWarning` when ``fell_back`` of ``tested`` selected
+    features took their selection events as unconstraining.  ``stacklevel``
+    counts as in `warnings.warn` called from the caller of this function."""
     if fell_back:
         warnings.warn(f"selection bootstrap probability degenerate at nearly all scales for {fell_back} "
-                      f"of {len(report.selected)} selected features; treating their selection events as "
-                      "unconstraining", ScalesDroppedWarning, stacklevel=3)
+                      f"of {tested} selected features; treating their selection events as "
+                      "unconstraining", ScalesDroppedWarning, stacklevel=stacklevel + 1)
+
+
+def _warned_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
+    """`_method_report`, then one `ScalesDroppedWarning` if any selected
+    feature's selection event is taken as unconstraining, at the line that
+    called `selective_report` or `select_and_test`."""
+    report = _method_report(stat, config)
+    fell_back = sum(diag.get("fallback") == "selection-unconstraining" for diag in report.diagnostics)
+    _warn_unconstraining(fell_back, len(report.selected), stacklevel=3)
     return report
 
 
@@ -353,7 +382,7 @@ def selective_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
     Lets harnesses that compare methods on identical data compute the shared
     statistic once; selection sets then coincide by construction.
     """
-    return _method_report(stat, config)
+    return _warned_report(stat, config)
 
 
 def select_and_test(data, config: RunConfig,
@@ -363,4 +392,4 @@ def select_and_test(data, config: RunConfig,
     ``data`` is an ``(X, Y)`` pair of samples for the MMD methods (two-sample
     tests) and a `JointSample` for the HSIC methods (dependence tests).
     """
-    return _method_report(statistic(data, config, feature_names), config)
+    return _warned_report(statistic(data, config, feature_names), config)

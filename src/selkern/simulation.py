@@ -12,7 +12,7 @@ import numpy as np
 from .config import METHODS, RunConfig
 from .core import DataShapeError, derive_rng, derive_seed
 from .hsic import JointSample
-from .selective import SelectiveReport, selective_report, statistic
+from .selective import SelectiveReport, _method_report, _warn_unconstraining, statistic
 
 _STREAM_TRIAL_DATA = 2
 _STREAM_TRIAL_TEST = 3
@@ -134,9 +134,10 @@ class TrialSummary:
 
 
 def _trial_reports(methods: list[str], data, config: RunConfig) -> dict[str, SelectiveReport]:
-    """One report per method, computing the shared statistic only once."""
+    """One report per method, computing the shared statistic only once; the
+    trial pool issues the fallback warning."""
     stat = statistic(data, replace(config, method=methods[0]))
-    return {m: selective_report(stat, replace(config, method=m)) for m in methods}
+    return {m: _method_report(stat, replace(config, method=m)) for m in methods}
 
 
 def _nan_mean_se(values: list[float]) -> tuple[float, float, int]:
@@ -192,7 +193,9 @@ def _run_trial_pool(
 ) -> list[TrialSummary]:
     """Run every trial of ``family``'s ``methods`` on ``config.threads``
     worker threads and summarize, selecting ``default_k`` features when
-    ``config.k`` is None.
+    ``config.k`` is None.  If any Multi test took its selection event as
+    unconstraining, one `ScalesDroppedWarning` gives the count over all
+    trials, at the line that called `run_trials` or `benchmark_trials`.
 
     Trial t draws its data with ``make_data`` from stream (seed, DATA, t)
     and tests with seed (seed, TEST, t), seed being ``config.seed``; records
@@ -212,7 +215,11 @@ def _run_trial_pool(
 
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         per_trial = list(pool.map(one_trial, range(trials)))
-    return [_summarize(m, [records[m] for records in per_trial], config) for m in methods]
+    summaries = [_summarize(m, [records[m] for records in per_trial], config) for m in methods]
+    _warn_unconstraining(sum(s.fallbacks.get("selection-unconstraining", 0) for s in summaries),
+                         sum(len(r["selected"]) for s in summaries if s.method.startswith("multi-")
+                             for r in s.records), stacklevel=3)
+    return summaries
 
 
 def run_trials(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from selkern import (
     fit_scaling_law,
     poly_p,
 )
+from selkern import selective
 from selkern.multiscale import fit_bootstrap_probabilities, log_ndtr, ndtri
 from selkern.selective import _report, _selection_fractions
 
@@ -304,6 +307,55 @@ def test_bootstrap_probability_matches_exact_top_k(t, sd):
             assert exact.sum() == pytest.approx(k, abs=1e-8)
             tol = 4.0 * np.sqrt(exact * (1.0 - exact) / b) + 1e-8
             assert (np.abs(bps - exact) <= tol).all(), (k, gamma2, bps, exact)
+
+
+@st.composite
+def _bootstrap_problems(draw):
+    # Tied means, flat features (a zero column of the factor, so every draw
+    # equals t there) and, with one factor row, equal columns.  With more rows
+    # equal columns are left out: BLAS may round their w = z R entries apart,
+    # differently for different row counts, and so break such a tie either way.
+    d = draw(st.integers(1, 8))
+    r = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.choice([-0.5, 0.0, 0.0, 1.0], d) if draw(st.booleans()) else rng.standard_normal(d)
+    factor = rng.standard_normal((r, d))
+    if r == 1:
+        factor = factor[:, rng.integers(0, d, d)]
+    factor[:, rng.random(d) < 0.25] = 0.0
+    return t, factor, draw(st.integers(1, d)), draw(st.integers(1, 40)), draw(st.integers(0, 999))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bootstrap_problems())
+def test_selection_fractions_do_not_depend_on_the_chunk(case):
+    t, factor, k, b, seed = case
+    gamma2 = (0.5, 1.0, 2.0)
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        for rows in (1, 7, b):
+            patch.setattr(selective, "_BOOT_BLOCK_VALUES", rows * t.size)
+            runs.append(_selection_fractions(t, factor, k, gamma2, b, seed))
+    # Every replicate selects exactly k features at every scale.
+    counts = np.round(runs[0] * b)
+    np.testing.assert_allclose(runs[0] * b, counts, rtol=0, atol=1e-9)
+    assert (counts.sum(axis=1) == k * b).all()
+    assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+
+
+def test_selection_fractions_memory_does_not_grow_with_replicates():
+    # One (B, d) float64 draw at B = 2000, d = 5000 takes 80 MB; the stage
+    # forms it a block of rows at a time.
+    b, d = 2000, 5000
+    rng = np.random.default_rng(9)
+    factor, t = rng.standard_normal((50, d)), rng.standard_normal(d)
+    tracemalloc.start()
+    try:
+        _selection_fractions(t, factor, 30, (0.5, 1.0, 2.0), b, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < b * d * 8 / 4, peak
 
 
 def test_bootstrap_probability_rejects_bad_inputs():

@@ -29,7 +29,7 @@ from selkern import (
     select_top_k,
     selective_report,
 )
-from selkern.selective import _report, _top_k_fractions, statistic
+from selkern.selective import _report, _top_k_counts, statistic
 
 
 def test_select_top_k_basic():
@@ -57,7 +57,7 @@ def test_select_top_k_range_errors():
 def selection_indicator(points, i, k):
     """Which rows of ``points`` have coordinate i among their k largest.
 
-    The oracle of `_top_k_fractions`, with the tie rule of `select_top_k`:
+    The oracle of `_top_k_counts`, with the tie rule of `select_top_k`:
     coordinate i is beaten only by strictly larger coordinates and by equal
     coordinates of lower index.
     """
@@ -425,6 +425,39 @@ def test_poly_near_tie_is_clamped_into_interval():
     assert clamped > 0
 
 
+def test_report_p_values_are_the_per_feature_poly_p_values():
+    # The report takes every tested feature's p-value from one array call of
+    # poly_p; each equals the scalar call on that feature's truncated normal,
+    # bit for bit.  Feature 5 has zero variance and is always selected; the
+    # near-tie of feature 0 with feature j makes some Poly features clamped.
+    rng = np.random.default_rng(0)
+    clamped = 0
+    for _ in range(60):
+        A = rng.standard_normal((6, 6))
+        factor = np.vstack([A.T, np.sqrt(0.1) * np.eye(6)])
+        factor[:, 5] = 0.0
+        t = rng.standard_normal(6)
+        t[5] = 10.0
+        j = rng.integers(1, 5)
+        t[j] = t[0] * (1 + rng.choice([-1.0, 1.0]) * 1e-15)
+        stat = MultiStat(t=t, factor=factor, n=100)
+        for method in ("multi-mmd", "poly-mmd"):
+            config = RunConfig(seed=1, k=4, method=method, replicates_per_scale=200)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ScalesDroppedWarning)
+                report = selective_report(stat, config)
+            for i, p, diag in zip(report.selected, report.p_values, report.diagnostics):
+                if i == 5:
+                    assert p == 1.0 and diag["fallback"] == "degenerate-variance"
+                elif method == "multi-mmd":
+                    assert p == poly_p(diag["beta0"], 1.0, diag["beta0"] + diag["phi_s0"], np.inf)
+                else:
+                    t_i = min(max(t[i], diag["vminus"]), diag["vplus"]) if diag.get("clamped") else t[i]
+                    assert p == poly_p(float(t_i), float(stat.variances[i]), diag["vminus"], diag["vplus"])
+                    clamped += diag.get("clamped", False)
+    assert clamped > 0
+
+
 def test_reports_never_form_the_d_by_d_covariance():
     # With d = 3000 features from l = 60 tuples, one d x d array takes
     # d^2 * 8 bytes = 72 MB; the factor holds 60 rows and Poly reads only
@@ -442,6 +475,35 @@ def test_reports_never_form_the_d_by_d_covariance():
         finally:
             tracemalloc.stop()
         assert peak < d * d * 8, (method, peak)
+
+
+@pytest.mark.parametrize("signal, k", [
+    ((), 3), ((4.0, 4.0), 3), ((1.0, 1.0, 1.0), 3), ((2.0,) * 5, 6), ((), 1),
+], ids=["null-k3", "two-at-4-k3", "three-at-1-k3", "five-at-2-k6", "null-k1"])
+def test_gaussian_layer_calibration_map(signal, k):
+    # t ~ N(mu, I) over 10 features, mu holding ``signal`` on the first ones,
+    # and Sigma = I known: the p-values of the selected null features
+    # (mu_i = 0) are pooled over 500 draws.  Poly is exact for its event, so
+    # P(p < alpha) lies within 4 binomial SDs of alpha; Multi is valid, at
+    # most alpha + 4 SDs.  B = 1000 replicates per scale (half the default)
+    # keep the five rows near 10 s.
+    alpha, mu = 0.05, np.zeros(10)
+    mu[:len(signal)] = signal
+    rng = np.random.default_rng(5)
+    pooled = {"multi-mmd": [], "poly-mmd": []}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScalesDroppedWarning)
+        for draw in range(500):
+            stat = MultiStat(t=mu + rng.standard_normal(10), factor=np.eye(10), n=1000)
+            for method, p_values in pooled.items():
+                config = RunConfig(seed=draw, k=k, method=method, replicates_per_scale=1000)
+                report = selective_report(stat, config)
+                p_values += [p for i, p in zip(report.selected, report.p_values) if mu[i] == 0]
+    for method, p_values in pooled.items():
+        rate, sd = np.mean(np.array(p_values) < alpha), np.sqrt(alpha * (1 - alpha) / len(p_values))
+        assert rate <= alpha + 4 * sd, (method, rate, len(p_values))
+        if method == "poly-mmd":
+            assert rate >= alpha - 4 * sd, (method, rate, len(p_values))
 
 
 def test_multi_not_less_powerful_than_poly_on_true_features():
@@ -492,11 +554,11 @@ def _draw_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_draw_matrices())
-def test_top_k_fractions_match_selection_indicator(case):
+def test_top_k_counts_match_selection_indicator(case):
     draws, k = case
-    fractions = _top_k_fractions(draws, k)
+    counts = _top_k_counts(draws, k)
     for i in range(draws.shape[1]):
-        assert fractions[i] == selection_indicator(draws, i, k).mean()
+        assert counts[i] == selection_indicator(draws, i, k).sum()
 
 
 @st.composite
@@ -520,11 +582,11 @@ def _tied_draws(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_tied_draws())
-def test_top_k_fractions_match_selection_indicator_wide_ties(case):
+def test_top_k_counts_match_selection_indicator_wide_ties(case):
     draws, k = case
-    fractions = _top_k_fractions(draws, k)
+    counts = _top_k_counts(draws, k)
     for i in range(draws.shape[1]):
-        assert fractions[i] == selection_indicator(draws, i, k).mean()
+        assert counts[i] == selection_indicator(draws, i, k).sum()
 
 
 def _poly_interval_oracle(t, sigma, selected, i):

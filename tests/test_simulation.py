@@ -7,6 +7,7 @@ import pytest
 from selkern import (
     ProblemSpec,
     RunConfig,
+    ScalesDroppedWarning,
     SelectiveReport,
     augment_fake_features,
     benchmark_trials,
@@ -14,9 +15,9 @@ from selkern import (
     gen_logistic,
     gen_mean_shift,
     run_trials,
-    selective_report,
     tpr_fpr,
 )
+from selkern.selective import _method_report
 
 
 def test_mean_shift_null_shapes():
@@ -174,6 +175,23 @@ def test_trial_summary_counts_fallbacks():
     assert poly.fallbacks == {}
 
 
+def test_trial_harnesses_warn_once_at_the_caller():
+    # With k = d every Multi test of every trial falls back.  The worker
+    # threads stay silent; the harness warns once with the total, at the
+    # line that called it.
+    problem = ProblemSpec(kind="mean-shift", n=60, d=2, shift=0.4, informative=1)
+    config = RunConfig(seed=2, k=2, replicates_per_scale=200, threads=2)
+    X, Y = gen_mean_shift(40, 2, 0.4, 1, derive_rng(4))
+    labels = np.repeat([0.0, 1.0], 40)
+    for run in (lambda: run_trials(problem, ["multi-mmd", "poly-mmd"], 3, config),
+                lambda: benchmark_trials(np.vstack([X, Y]), labels, "mmd", ["multi-mmd", "poly-mmd"], 3,
+                                         config, 30, 0)):
+        with pytest.warns(ScalesDroppedWarning) as rec:
+            run()
+        assert len(rec) == 1 and rec[0].filename == __file__
+        assert "for 6 of 6 selected features" in str(rec[0].message)
+
+
 def test_run_trials_null_calibration_smoke():
     problem = ProblemSpec(kind="mean-shift", n=200, d=8, shift=0.0, informative=0)
     config = RunConfig(seed=77, k=4, replicates_per_scale=500)
@@ -191,10 +209,10 @@ def test_run_trials_high_dimensional_null_calibration(monkeypatch):
     reports = []
 
     def recording_report(*args, **kwargs):
-        reports.append(selective_report(*args, **kwargs))
+        reports.append(_method_report(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr("selkern.simulation.selective_report", recording_report)
+    monkeypatch.setattr("selkern.simulation._method_report", recording_report)
     problem = ProblemSpec(kind="mean-shift", n=100, d=500, shift=0.0, informative=0)
     config = RunConfig(seed=1, k=10, bandwidth=1.0, replicates_per_scale=1000)
     (summary,) = run_trials(problem, ["multi-mmd"], 40, config=config)
