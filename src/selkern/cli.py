@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -401,8 +402,31 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Have glibc keep freed arrays of up to 32 MiB mapped for reuse.
+
+    By default glibc serves a block above its mmap threshold (128 KiB, rising
+    to the largest such block freed) by a mapping of its own, which free
+    unmaps, and hands free heap top past twice that threshold back to the
+    system, so numpy's temporaries were faulted in afresh, page by page, on
+    each use.  A no-op on other C libraries; process-wide, so set once."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or a libc without the name
+        return
+    if glibc:
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: blocks up to 32 MiB come from the heap
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: up to 64 MiB of free heap top stays mapped
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     """Entry point; returns 0 on success, 2 on usage errors, 1 on data errors."""
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

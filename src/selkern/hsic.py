@@ -58,14 +58,28 @@ def _quad_h_matrix(Z: JointSample, specs, specY, design: Design) -> np.ndarray:
     return _h_from_pairs(K, pair_kernel(specY, Z.Y, a, Z.Y, b)[..., None])
 
 
+# Kernel values per chunk of blocks in `_block_hsic`, so that its memory is
+# O(chunk), not O(n B d); 2^19 keeps n = 800, B = 8, d = 50 in one chunk.
+_BLOCK_HSIC_VALUES = 1 << 19
+
+
 def _block_hsic(Z: JointSample, specs, specY, block_size: int) -> np.ndarray:
-    """(m, d) per-feature unbiased HSIC of the m = floor(n/B) blocks, in O(n B d).
+    """(m, d) per-feature unbiased HSIC of the m = floor(n/B) blocks, in O(n B d),
+    formed a chunk of about `_BLOCK_HSIC_VALUES` kernel values at a time.
 
     With K, L a block's Gram matrices with zeroed diagonals (Song et al. 2012),
     HSIC_u = [tr(KL) + 1'K1 1'L1 / ((B-1)(B-2)) - 2/(B-2) 1'KL1] / (B(B-3)).
     """
     B, m = block_size, Z.n // block_size
     Xb, Yb = Z.X[: m * B].reshape(m, B, -1), Z.Y[: m * B].reshape(m, B, -1)
+    chunk = max(1, _BLOCK_HSIC_VALUES // (B * B * Z.d))
+    return np.concatenate([_block_rows(Xb[c:c + chunk], Yb[c:c + chunk], specs, specY)
+                           for c in range(0, m, chunk)])
+
+
+def _block_rows(Xb: np.ndarray, Yb: np.ndarray, specs, specY) -> np.ndarray:
+    """`_block_hsic`'s rows of the (c, B, .) blocks Xb, Yb; each row depends on its own block alone."""
+    B = Xb.shape[1]
     # Entry (b, s, u) pairs rows s and u of block b.
     K = pair_kernel(specs, Xb, np.s_[:, :, None], Xb, np.s_[:, None])
     L = pair_kernel(specY, Yb, np.s_[:, :, None], Yb, np.s_[:, None])

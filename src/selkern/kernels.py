@@ -94,11 +94,16 @@ def median_heuristic(pooled: np.ndarray) -> float:
         if np.isnan(width):
             raise DegenerateSampleError("no positive squared distance between rows")
     else:
-        # Each row against the later ones: the n(n-1)/2 pair values.
-        sq = np.concatenate([_squared_distances(pooled[i], pooled[i + 1:]) for i in range(pooled.shape[0] - 1)])
+        # Each row against the later ones: the n(n-1)/2 pair values, in one buffer.
+        n = pooled.shape[0]
+        sq, start = np.empty(n * (n - 1) // 2), 0
+        for i in range(n - 1):
+            sq[start:start + n - 1 - i] = _squared_distances(pooled[i], pooled[i + 1:])
+            start += n - 1 - i
         # Two middle values may sum past the largest double: the width is inf.
         with np.errstate(over="ignore"):
-            med = float(np.median(sq))
+            # Partitions sq in place; the fall-back below sees the same values.
+            med = float(np.median(sq, overwrite_input=True))
             if med <= 0.0:
                 positive = sq[sq > 0]
                 if positive.size == 0:

@@ -246,6 +246,37 @@ def test_cli_loads_no_scipy(sample_csvs, tmp_path):
         assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
 
 
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="sets glibc's allocator only")
+def test_cli_keeps_freed_memory_mapped(tmp_path):
+    # Freed temporaries that glibc hands back to the system are faulted in
+    # again, page by page, by the next command: this simulate took about 5.6k
+    # minor faults per call that way, and under 20 with them kept mapped.
+    src = str(Path(selkern.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    code = (
+        "import resource, sys, selkern.cli\n"
+        "argv = ['simulate', '--problem', 'logistic', '--n', '400', '--d', '50', '--k', '30', '--trials', '2',\n"
+        "        '--methods', 'multi-hsic', 'poly-hsic', '--threads', '1', '--seed', '1', '--out', sys.argv[1]]\n"
+        "for _ in range(2):\n"
+        "    assert selkern.cli.cli_main(argv) == 0\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "assert selkern.cli.cli_main(argv) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    argv = [sys.executable, "-c", code, str(tmp_path / "out.json")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=120)
+    faults = int(out.stdout.splitlines()[-1])
+    assert faults < 500, faults
+
+
 @pytest.mark.parametrize("module", ["selkern", "selkern.cli"])
 def test_python_m_selkern_runs_the_cli(tmp_path, module):
     src = str(Path(selkern.__file__).resolve().parents[1])

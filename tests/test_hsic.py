@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -22,6 +23,7 @@ from selkern import (
     hsic_stat,
     sample_quad_design,
 )
+from selkern import hsic
 from selkern.hsic import _block_hsic, _quad_h_matrix
 
 SPEC_X = KernelSpec(bandwidth=1.1)
@@ -217,6 +219,40 @@ def test_multistat_incomplete_matches_loop_oracle():
         sigma_expected = centered.T @ centered / (n - 1)
         assert np.allclose(stat.t, t_expected, atol=1e-10)
         assert np.allclose(stat.factor.T @ stat.factor, sigma_expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("blocks", [1, 3, 7])
+@pytest.mark.parametrize("family", ["gaussian", "imq"])
+def test_block_rows_do_not_depend_on_the_chunk(monkeypatch, family, blocks):
+    # 20 blocks of 8 rows (and 5 trailing rows) fit one chunk of the default budget.
+    rng = np.random.default_rng(31)
+    B, d, n = 8, 3, 20 * 8 + 5
+    specs = [KernelSpec(family, w, w) for w in (0.5, 1.0, 2.0)]
+    Z = JointSample(rng.standard_normal((n, d)), rng.standard_normal((n, 2)))
+    whole = _block_hsic(Z, specs, KernelSpec(family), B)
+    monkeypatch.setattr(hsic, "_BLOCK_HSIC_VALUES", blocks * B * B * d)
+    chunked = _block_hsic(Z, specs, KernelSpec(family), B)
+    assert chunked.shape == (20, d)
+    assert chunked.view(np.int64).tolist() == whole.view(np.int64).tolist()
+
+
+def test_block_memory_does_not_grow_with_n():
+    # The (m, B, B, d) kernel arrays of all blocks at once would take 8 B^2 d
+    # bytes per block: 33 MB for the larger sample here.
+    B, d = 16, 10
+    chunk_rows = hsic._BLOCK_HSIC_VALUES // (B * B * d) * B
+    specs = [KernelSpec(bandwidth=1.0)] * d
+    peaks = []
+    for n in (2 * chunk_rows, 8 * chunk_rows):
+        rng = np.random.default_rng(32)
+        Z = JointSample(rng.standard_normal((n, d)), rng.standard_normal(n))
+        tracemalloc.start()
+        try:
+            _block_hsic(Z, specs, SPEC_Y, B)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def test_multistat_block_two_blocks_sigma():

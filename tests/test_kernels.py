@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -174,6 +175,20 @@ def test_median_heuristic_permutation_invariant():
     sigma = median_heuristic(pts)
     perm = rng.permutation(40)
     assert median_heuristic(pts[perm]) == sigma
+
+
+def test_multi_column_median_heuristic_holds_one_buffer_of_pair_values():
+    # The n(n-1)/2 squared distances take 9 MB at n = 1500; they are written
+    # into one buffer and its median is taken in place, so no copy of them is made.
+    n = 1500
+    pooled = np.random.default_rng(18).standard_normal((n, 2))
+    tracemalloc.start()
+    try:
+        median_heuristic(pooled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * (n * (n - 1) // 2) * 8, peak
 
 
 def _pdist_median_width(col):
