@@ -424,8 +424,18 @@ def _keep_freed_memory() -> None:
         mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: up to 64 MiB of free heap top stays mapped
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as ``warning: <message>`` on stderr, without the
+    package's file, line and source that `warnings` would print."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def cli_main(argv: list[str] | None = None) -> int:
-    """Entry point; returns 0 on success, 2 on usage errors, 1 on data errors."""
+    """Entry point; returns 0 on success, 2 on usage errors, 1 on data errors.
+
+    Warnings a command raises are printed as ``warning: <message>`` lines."""
+    import warnings
+
     _keep_freed_memory()
     parser = build_parser()
     try:
@@ -433,7 +443,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args, parser)
+        with warnings.catch_warnings():
+            warnings.showwarning = _print_warning
+            return _HANDLERS[args.command](args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (DataFormatError, DataShapeError, DegenerateSampleError, InsufficientScalesError,

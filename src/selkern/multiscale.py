@@ -76,13 +76,43 @@ def default_scales(n: int, config: RunConfig) -> tuple[float, ...]:
     return scales
 
 
+def _weighted_lines(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> dict[str, np.ndarray]:
+    """One weighted least-squares line y ~ beta0 + beta1 * x per row of the
+    (lines, points) arrays, in closed centred form: beta1 =
+    sum w (x - xbar)(y - ybar) / sum w (x - xbar)^2 and beta0 = ybar - beta1
+    xbar, with weighted means.  A point of weight 0 is left out; its x and y
+    must still be finite.  Returns each line's beta0, beta1, points,
+    weighted RSS, RMSE and largest residual, as arrays over the lines.  Each
+    row is summed on its own, so a line does not depend on the other rows."""
+    inside = w > 0
+    lowest = np.where(inside, x, np.inf).min(axis=1, initial=np.inf)
+    if (lowest == np.where(inside, x, -np.inf).max(axis=1, initial=-np.inf)).any():
+        raise ValueError("scaling-law points need at least two distinct gamma^2")
+    total = w.sum(axis=1)
+    xbar = (w * x).sum(axis=1) / total
+    ybar = (w * y).sum(axis=1) / total
+    dx = x - xbar[:, None]
+    beta1 = (w * dx * (y - ybar[:, None])).sum(axis=1) / (w * dx * dx).sum(axis=1)
+    beta0 = ybar - beta1 * xbar
+    resid = np.where(inside, y - (beta0[:, None] + beta1[:, None] * x), 0.0)
+    points = np.count_nonzero(inside, axis=1)
+    return {
+        "beta0": beta0,
+        "beta1": beta1,
+        "points": points,
+        "weighted_rss": (w * resid**2).sum(axis=1),
+        "rmse": np.sqrt((resid**2).sum(axis=1) / points),
+        "max_abs_residual": np.abs(resid).max(axis=1, initial=0.0),
+    }
+
+
 def fit_scaling_law(gamma2, psi, weights) -> tuple[float, float, dict]:
     """Weighted least-squares line psi ~ beta0 + gamma^2 * beta1.
 
     Returns beta0, beta1 and the fit's diagnostics: the number of points
     and the residuals.  Callers tracking bootstrap noise pass the inverse
     delta-method variance of each psi, so the extrapolation is stabilized by
-    the better-resolved scales.
+    the better-resolved scales.  The points need two distinct gamma^2.
     """
     x = np.asarray(gamma2, dtype=float)
     y = np.asarray(psi, dtype=float)
@@ -95,22 +125,20 @@ def fit_scaling_law(gamma2, psi, weights) -> tuple[float, float, dict]:
         raise ValueError("scaling-law points must be finite")
     if w.shape != x.shape or (w <= 0).any():
         raise ValueError("weights must be positive, one per point")
-    sw = np.sqrt(w)
-    design = np.column_stack([np.ones_like(x), x]) * sw[:, None]
-    coef, *_ = np.linalg.lstsq(design, y * sw, rcond=None)
-    beta0, beta1 = float(coef[0]), float(coef[1])
-    resid = y - (beta0 + beta1 * x)
-    return beta0, beta1, {
-        "points": int(x.size),
-        "weighted_rss": float(np.sum(w * resid**2)),
-        "rmse": float(np.sqrt(np.mean(resid**2))),
-        "max_abs_residual": float(np.max(np.abs(resid))),
-    }
+    fit = {key: value[0].item() for key, value in _weighted_lines(x[None], y[None], w[None]).items()}
+    return fit.pop("beta0"), fit.pop("beta1"), fit
 
 
-def fit_bootstrap_probabilities(bps, gamma2, replicates: int) -> dict:
-    """Fit the scaling law to one bootstrap probability per scale gamma^2,
-    each the fraction of ``replicates`` draws; return the fit's diagnostics.
+def fit_bootstrap_probabilities(bps, gamma2, replicates: int) -> dict | list[dict]:
+    """Fit the scaling law to bootstrap probabilities, one row per scale
+    gamma^2, each the fraction of ``replicates`` draws; return the fit's
+    diagnostics.
+
+    ``bps`` holds one feature's probabilities, shape (scales,), or a block
+    of several features', shape (scales, features); the first gives one
+    diagnostics dict, the second a list of one per column.  All columns are
+    fitted at once, each by its own line, through the routine
+    `fit_scaling_law` uses.
 
     An interior probability gives psi = gamma * z with z = -ndtri(BP), and
     the delta-method variance gamma^2 BP (1 - BP) / (B phi(z)^2) of psi
@@ -124,26 +152,33 @@ def fit_bootstrap_probabilities(bps, gamma2, replicates: int) -> dict:
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    points: list[tuple[float, float, float]] = []
-    psis: list[float] = []
-    dropped: list[float] = []
-    for g2, bp in zip(gamma2, bps, strict=True):
-        if 0.0 < bp < 1.0:
-            z = -ndtri(bp)
-            psi = float(np.sqrt(g2) * z)
-            density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-            points.append((g2, psi, 1.0 / (g2 * bp * (1.0 - bp) / (replicates * density**2))))
-        else:
-            psi = np.inf if bp <= 0.0 else -np.inf
-            dropped.append(g2)
-        psis.append(psi)
-    diag = {
-        "bootstrap_probabilities": [float(bp) for bp in bps],
-        "psi": psis,
-        "scales_dropped": len(dropped),
-        "dropped_gamma2": dropped,
-    }
-    if len(points) >= 3:
-        beta0, beta1, fit = fit_scaling_law(*zip(*points))
-        diag.update({f"fit_{key}": value for key, value in {"beta0": beta0, "beta1": beta1, **fit}.items()})
-    return diag
+    g2 = np.asarray(gamma2, dtype=float)
+    given = np.asarray(bps, dtype=float)
+    if g2.ndim != 1 or given.ndim not in (1, 2) or given.shape[0] != g2.size:
+        raise ValueError("need one bootstrap probability per gamma^2 in each column")
+    # One row per feature, so each feature's sums run along a contiguous row.
+    rows = np.ascontiguousarray(np.atleast_2d(given.T))
+    interior = (rows > 0.0) & (rows < 1.0)
+    bp = rows[interior]
+    scale = np.broadcast_to(g2, rows.shape)[interior]
+    z = -np.array([ndtri(p) for p in bp.tolist()])
+    density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    psi = np.where(rows <= 0.0, np.inf, -np.inf)
+    psi[interior] = np.sqrt(scale) * z
+    weights = np.zeros(rows.shape)
+    weights[interior] = 1.0 / (scale * bp * (1.0 - bp) / (replicates * density**2))
+    fitted = np.flatnonzero(np.count_nonzero(interior, axis=1) >= 3)
+    lines = _weighted_lines(g2[None], np.where(interior, psi, 0.0)[fitted], weights[fitted])
+    lines = {f"fit_{key}": value.tolist() for key, value in lines.items()}
+    fits = {feature: {key: value[j] for key, value in lines.items()} for j, feature in enumerate(fitted.tolist())}
+    diags = []
+    for feature, row in enumerate(rows):
+        dropped = g2[~interior[feature]]
+        diags.append({
+            "bootstrap_probabilities": row.tolist(),
+            "psi": psi[feature].tolist(),
+            "scales_dropped": int(dropped.size),
+            "dropped_gamma2": dropped.tolist(),
+            **fits.get(feature, {}),
+        })
+    return diags[0] if given.ndim == 1 else diags

@@ -281,12 +281,13 @@ def _selection_fractions(t: np.ndarray, factor: np.ndarray, k: int, gamma2, repl
     return counts / replicates
 
 
-def _multiscale_feature_test(diag: dict, bps: np.ndarray, gamma2, replicates: int):
+def _multiscale_feature_test(diag: dict, fit: dict):
     """Multi's p-value survival(beta0) / survival(beta0 + phi_S(0)) (Terada &
     Shimodaira 2017) is the survival at beta0 of N(0, 1) truncated to
-    [beta0 + phi_S(0), inf).  Without a fit the selection event is taken as
+    [beta0 + phi_S(0), inf), with phi_S(0) read from the feature's
+    scaling-law ``fit``.  Without a fit the selection event is taken as
     unconstraining, phi_S(0) = -inf."""
-    diag.update(fit_bootstrap_probabilities(bps, gamma2, replicates))
+    diag.update(fit)
     if "fit_beta0" not in diag:
         diag.update({"phi_s0": -np.inf, "fallback": "selection-unconstraining"})
     else:
@@ -325,8 +326,8 @@ def _multiscale_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
     sel = select_top_k(stat.t, config.k)
     gamma2, replicates = default_scales(stat.n, config), config.replicates_per_scale
     fractions = _selection_fractions(stat.t, stat.factor, len(sel), gamma2, replicates, config.seed)
-    return _report(stat, sel, config, lambda j, diag: _multiscale_feature_test(
-        diag, fractions[:, sel[j]], gamma2, replicates))
+    fits = fit_bootstrap_probabilities(fractions[:, sel], gamma2, replicates)
+    return _report(stat, sel, config, lambda j, diag: _multiscale_feature_test(diag, fits[j]))
 
 
 def _poly_feature_test(stat: MultiStat, i: int, vminus: float, vplus: float, diag: dict):

@@ -3,16 +3,18 @@
 These are the direct, quadratic- or quartic-cost forms of each statistic:
 scalar and Gram-matrix kernels, the complete U-statistics, the incomplete
 estimators read from Gram matrices, the per-block HSIC as a mean of complete
-U-statistics, and the complete and block index designs.  C1, C2 and the
-loop-oracle tests in `test_mmd.py`, `test_hsic.py`, `test_designs.py` and
-`test_kernels.py` check the package against them.
+U-statistics, and the complete and block index designs; and the scaling-law
+fit of one feature at a time by `np.linalg.lstsq`.  C1, C2 and the
+loop-oracle tests in `test_mmd.py`, `test_hsic.py`, `test_designs.py`,
+`test_kernels.py` and `test_multiscale.py` check the package against them.
 
 They live here, not in `selkern`, because the selection pipeline never
 calls them: the package ships one linear-in-n estimator per statistic
-(`mmd_stat`, `hsic_stat`), and these are only the yardsticks for it.  They
-still build on the shipped primitives (`pair_kernel`, `_pair_h`,
-`_check_two_sample`, `JointSample`, `Design`), so a test that compares the
-two checks the shipped row builders against an independent summation.
+(`mmd_stat`, `hsic_stat`) and one closed-form fit for every selected
+feature at once, and these are only the yardsticks for them.  They still
+build on the shipped primitives (`pair_kernel`, `_pair_h`,
+`_check_two_sample`, `JointSample`, `Design`, `ndtri`), so a test that
+compares the two checks the shipped code against an independent summation.
 """
 from __future__ import annotations
 
@@ -20,10 +22,11 @@ from itertools import permutations
 
 import numpy as np
 
-from selkern.core import DataShapeError, Design
+from selkern.core import DataShapeError, Design, InsufficientScalesError
 from selkern.hsic import _PAIRS, JointSample, _h_from_pairs
 from selkern.kernels import KernelSpec, pair_kernel
 from selkern.mmd import _check_two_sample, _pair_h
+from selkern.multiscale import ndtri
 
 
 # ---------------------------------------------------------------------------
@@ -189,3 +192,79 @@ def hsic_block(Z: JointSample, specX: KernelSpec, specY: KernelSpec, block_size:
         rows = slice(b * block_size, (b + 1) * block_size)
         vals.append(hsic_u(JointSample(Z.X[rows], Z.Y[rows]), specX, specY))
     return float(np.mean(vals))
+
+
+# ---------------------------------------------------------------------------
+# Multiscale bootstrap
+# ---------------------------------------------------------------------------
+def fit_scaling_law(gamma2, psi, weights) -> tuple[float, float, dict]:
+    """Weighted least-squares line psi ~ beta0 + gamma^2 * beta1.
+
+    Returns beta0, beta1 and the fit's diagnostics: the number of points
+    and the residuals.  Callers tracking bootstrap noise pass the inverse
+    delta-method variance of each psi, so the extrapolation is stabilized by
+    the better-resolved scales.
+    """
+    x = np.asarray(gamma2, dtype=float)
+    y = np.asarray(psi, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if x.ndim != 1 or y.shape != x.shape:
+        raise ValueError("need one psi per gamma^2")
+    if x.size < 3:
+        raise InsufficientScalesError(f"need >= 3 usable points, got {x.size}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("scaling-law points must be finite")
+    if w.shape != x.shape or (w <= 0).any():
+        raise ValueError("weights must be positive, one per point")
+    sw = np.sqrt(w)
+    design = np.column_stack([np.ones_like(x), x]) * sw[:, None]
+    coef, *_ = np.linalg.lstsq(design, y * sw, rcond=None)
+    beta0, beta1 = float(coef[0]), float(coef[1])
+    resid = y - (beta0 + beta1 * x)
+    return beta0, beta1, {
+        "points": int(x.size),
+        "weighted_rss": float(np.sum(w * resid**2)),
+        "rmse": float(np.sqrt(np.mean(resid**2))),
+        "max_abs_residual": float(np.max(np.abs(resid))),
+    }
+
+
+def fit_bootstrap_probabilities(bps, gamma2, replicates: int) -> dict:
+    """Fit the scaling law to one bootstrap probability per scale gamma^2,
+    each the fraction of ``replicates`` draws; return the fit's diagnostics.
+
+    An interior probability gives psi = gamma * z with z = -ndtri(BP), and
+    the delta-method variance gamma^2 BP (1 - BP) / (B phi(z)^2) of psi
+    weights its point.  Scales whose bootstrap probability hits 0 or 1
+    carry an infinite psi and are dropped.  The diagnostics report the
+    per-scale bootstrap probabilities and psi values and which scales were
+    dropped.  When at least 3 scales survive they also hold the fitted line,
+    ``fit_beta0`` and ``fit_beta1``, and `fit_scaling_law`'s diagnostics
+    under ``fit_`` keys; otherwise there is no fit and the caller decides the
+    fallback.
+    """
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    points: list[tuple[float, float, float]] = []
+    psis: list[float] = []
+    dropped: list[float] = []
+    for g2, bp in zip(gamma2, bps, strict=True):
+        if 0.0 < bp < 1.0:
+            z = -ndtri(bp)
+            psi = float(np.sqrt(g2) * z)
+            density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+            points.append((g2, psi, 1.0 / (g2 * bp * (1.0 - bp) / (replicates * density**2))))
+        else:
+            psi = np.inf if bp <= 0.0 else -np.inf
+            dropped.append(g2)
+        psis.append(psi)
+    diag = {
+        "bootstrap_probabilities": [float(bp) for bp in bps],
+        "psi": psis,
+        "scales_dropped": len(dropped),
+        "dropped_gamma2": dropped,
+    }
+    if len(points) >= 3:
+        beta0, beta1, fit = fit_scaling_law(*zip(*points))
+        diag.update({f"fit_{key}": value for key, value in {"beta0": beta0, "beta1": beta1, **fit}.items()})
+    return diag

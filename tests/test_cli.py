@@ -493,6 +493,34 @@ def test_hsic_test_runs(tmp_path):
     assert set(doc["results"]["feature_names"]) <= {"a", "b", "c", "d"}
 
 
+def _fallback_argv(tmp_path, command):
+    """``command`` on 3 features with k = 3, so that every selected feature
+    is selected in every bootstrap draw and its Multi test falls back."""
+    rng = derive_rng(110)
+    x, y = rng.standard_normal((2, 40, 3))
+    save_csv(tmp_path / "x.csv", x, ["a", "b", "c"])
+    save_csv(tmp_path / "y.csv", y, ["a", "b", "c"])
+    save_csv(tmp_path / "z.csv", np.column_stack([x, np.arange(40) % 2]), ["a", "b", "c", "cls"])
+    common = ["--k", "3", "--seed", "1", "--out", str(tmp_path / "doc.json")]
+    return {
+        "mmd-test": ["mmd-test", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv")],
+        "hsic-test": ["hsic-test", "--data", str(tmp_path / "z.csv"), "--response", "cls"],
+        "simulate": ["simulate", "--problem", "mean-shift", "--n", "40", "--d", "3", "--informative", "1",
+                     "--trials", "1", "--methods", "multi-mmd"],
+        "benchmark": ["benchmark", "--data", str(tmp_path / "z.csv"), "--mode", "mmd", "--label", "cls",
+                      "--fakes", "0", "--trials", "1", "--methods", "multi-mmd"],
+    }[command] + common
+
+
+@pytest.mark.parametrize("command", ["mmd-test", "hsic-test", "simulate", "benchmark"])
+def test_cli_prints_the_fallback_warning_as_one_message_line(tmp_path, capsys, command):
+    # The warning names no file or source line of the package.
+    assert cli_main(_fallback_argv(tmp_path, command)) == 0
+    assert capsys.readouterr().err == (
+        "warning: selection bootstrap probability degenerate at nearly all scales for 3 of 3 selected "
+        "features; treating their selection events as unconstraining\n")
+
+
 def test_simulate_requires_explicit_seed(monkeypatch, capsys):
     monkeypatch.setenv("SELKERN_SEED", "5")
     code = cli_main(

@@ -1,9 +1,10 @@
 """Source hygiene checks on `src/selkern`, by the standard library's `ast`:
-no module imports a name it never uses or imports scipy, every private
-top-level function or class is referenced somewhere in `src/`, every
-public one is exported or read there, and no function restates a
-`RunConfig` default.  Also: no trial setting has a default both in the
-CLI and in the library, and the README names every `fallback` reason."""
+no module imports a name it never uses or imports scipy, none calls
+`lstsq`, every private top-level function or class is referenced somewhere
+in `src/`, every public one is exported or read there, and no function
+restates a `RunConfig` default.  Also: no trial setting has a default both
+in the CLI and in the library, and the README names every `fallback`
+reason."""
 import argparse
 import ast
 import inspect
@@ -58,6 +59,15 @@ def test_no_scipy_imports():
             else:
                 continue
             found += [f"{name}: {m}" for m in modules if m == "scipy" or m.startswith("scipy.")]
+    assert not found
+
+
+def test_no_lstsq_calls():
+    # The scaling-law fit has one path, `multiscale._weighted_lines`, which
+    # both `fit_scaling_law` and the Multi report go through.
+    found = [f"{name}: line {node.lineno}" for name, tree in _SOURCES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and "lstsq" in (getattr(node.func, "attr", None),
+                                                          getattr(node.func, "id", None))]
     assert not found
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.stats import norm
 
+import oracles
 from selkern import (
     DegenerateFeatureError,
     InsufficientScalesError,
@@ -184,6 +185,56 @@ def test_fit_noisy_recovery():
     assert fit["scales_dropped"] == 0
     assert fit["fit_beta0"] == pytest.approx(1.0, abs=0.05)
     assert fit["fit_beta1"] == pytest.approx(0.0, abs=0.05)
+
+
+@st.composite
+def _fraction_blocks(draw):
+    """(gamma2, fractions, replicates): the grid n / n' of distinct resampling
+    sizes n', and a (scales, k) block of bootstrap fractions count /
+    replicates, rich in exact 0s and 1s, so that some columns keep fewer
+    than 3 interior scales."""
+    replicates = draw(st.integers(1, 5000))
+    sizes = draw(st.lists(st.integers(2, 2000), min_size=3, max_size=10, unique=True))
+    gamma2 = draw(st.integers(4, 2000)) / np.array(sorted(sizes, reverse=True), dtype=float)
+    k = draw(st.integers(1, 6))
+    count = st.one_of(st.just(0), st.just(replicates), st.integers(0, replicates))
+    counts = draw(st.lists(count, min_size=gamma2.size * k, max_size=gamma2.size * k))
+    return gamma2, np.array(counts).reshape(gamma2.size, k) / replicates, replicates
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fraction_blocks())
+def test_block_fit_matches_the_per_feature_lstsq_oracle(case):
+    gamma2, block, replicates = case
+    fits = fit_bootstrap_probabilities(block, gamma2, replicates)
+    assert len(fits) == block.shape[1]
+    for j, fit in enumerate(fits):
+        want = oracles.fit_bootstrap_probabilities(block[:, j], gamma2, replicates)
+        assert fit == fit_bootstrap_probabilities(block[:, j], gamma2, replicates)
+        assert list(fit) == list(want)
+        for key in ("psi", "bootstrap_probabilities", "scales_dropped", "dropped_gamma2", "fit_points"):
+            assert fit.get(key) == want.get(key), key
+        if "fit_beta0" not in want:
+            continue
+        # Each number agrees to 1e-12 relative, or to 1e-12 of the size of the
+        # terms it is formed from: the intercept beta0 = ybar - beta1 xbar, and
+        # the residuals psi - beta0 - beta1 x, can cancel to far below them.
+        inside = (block[:, j] > 0) & (block[:, j] < 1)
+        x, bp = gamma2[inside], block[inside, j]
+        size = np.abs(np.array(want["psi"])[inside]).max() + abs(want["fit_beta1"]) * x.max()
+        weights = replicates * norm.pdf(norm.isf(bp)) ** 2 / (x * bp * (1 - bp))
+        scales = {"fit_beta0": size, "fit_beta1": size / (x.max() - x.min()), "fit_rmse": size,
+                  "fit_max_abs_residual": size, "fit_weighted_rss": weights.sum() * size**2}
+        for key, scale in scales.items():
+            assert fit[key] == pytest.approx(want[key], rel=1e-12, abs=1e-12 * scale), key
+
+
+def test_fit_needs_two_distinct_scales():
+    # The closed form divides by sum w (x - xbar)^2, which is 0 here.
+    with pytest.raises(ValueError, match="distinct"):
+        fit_scaling_law([1.5] * 4, [0.2, 0.4, 0.1, 0.3], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="distinct"):
+        fit_bootstrap_probabilities(np.full((3, 2), 0.3), [0.5, 0.5, 0.5], 1000)
 
 
 def test_default_scales_endpoints():
