@@ -69,8 +69,14 @@ def load_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
     plain = _load_plain(path)
     if plain is not None:
         return plain
+    rows, num = [], 0
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [(num, row) for num, row in enumerate(csv.reader(fh), start=1) if row]
+        try:
+            for num, row in enumerate(csv.reader(fh), start=1):
+                if row:
+                    rows.append((num, row))
+        except csv.Error as exc:  # a field over `csv.field_size_limit`
+            raise DataFormatError(f"{path}: row {num + 1}: {exc}") from None
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     width = len(rows[0][1])
@@ -103,8 +109,9 @@ def _load_plain(path: str) -> tuple[np.ndarray, list[str] | None] | None:
         # One leading byte-order mark (codecs.BOM_UTF8), as "utf-8-sig" skips on the csv path.
         lines = [line for line in fh.read().removeprefix(b"\xef\xbb\xbf").splitlines() if line]
     # A quoted first cell may run over a line break; fields past the csv
-    # module's size limit are an error there.
-    if not lines or b'"' in lines[0] or max(map(len, lines)) > csv.field_size_limit():
+    # module's size limit are an error there.  Only lines past it can hold one.
+    limit = csv.field_size_limit()
+    if not lines or b'"' in lines[0] or any(_longest_field(line) > limit for line in lines if len(line) > limit):
         return None
     try:
         first = lines[0].decode("utf-8").split(",")
@@ -121,6 +128,12 @@ def _load_plain(path: str) -> tuple[np.ndarray, list[str] | None] | None:
     if values.shape[1] != len(first) or not np.isfinite(values).all():
         return None
     return values, [c.strip() for c in first] if has_header else None
+
+
+def _longest_field(line: bytes) -> int:
+    """Length of the longest comma-separated field of ``line``, in bytes."""
+    commas = np.flatnonzero(np.frombuffer(line, np.uint8) == ord(","))
+    return int(np.diff(commas, prepend=-1, append=len(line)).max()) - 1
 
 
 def _is_number(cell: str) -> bool:

@@ -138,6 +138,8 @@ _BAND_LIMIT = 32768
 _BLOCK_VALUES = 1 << 16
 # Bracket half-width in sampling standard deviations of the target quantile.
 _BRACKET_Z = 2.0
+# Relative widening of histogram brackets, for rounding in the bin of a value.
+_BIN_MARGIN = 1e-9
 # The draws only steer the search; every result is exact whatever they are.
 _BRACKET_SEED = 0x5E1EC7
 # Bracketing rounds before the search gives up; 2 to 4 occur in practice, so
@@ -192,11 +194,14 @@ def _differences_at_ranks(cols: "_Columns", ranks: np.ndarray, rng: np.random.Ge
 
     The candidates of column c form a band, the open value interval between
     bounds[c]: row i holds it at j in [lo_end[c, i], hi_end[c, i]), and below[c]
-    differences precede it.  Each round brackets the open ranks by quantiles of
-    differences drawn from the band and counts exactly where the two bracket
-    values fall: a rank lands on one, or the band narrows to the interval
-    between them.  A band of at most `_BAND_LIMIT` is gathered and partitioned.
-    More than `_MAX_ROUNDS` rounds raise `RuntimeError`.
+    differences precede it.  Each round brackets the open ranks and counts
+    exactly where the two bracket values fall: a rank lands on one, or the
+    band narrows to the interval between them.  The first round takes a
+    column's brackets from its histogram (`_lag_brackets`) where they are
+    expected to leave a smaller band than draws would; otherwise the brackets
+    are quantiles of differences drawn from the band.  A band of at most
+    `_BAND_LIMIT` is gathered and partitioned.  More than `_MAX_ROUNDS` rounds
+    raise `RuntimeError`.
     """
     d, m = cols.d, cols.m
     bounds, below, found = np.tile([-np.inf, np.inf], (d, 1)), np.zeros(d, dtype=np.int64), np.full((d, 2), np.nan)
@@ -211,13 +216,20 @@ def _differences_at_ranks(cols: "_Columns", ranks: np.ndarray, rng: np.random.Ge
         ca, k, open_ = cols.subset(act), ranks[act], np.isnan(found[act])
         # size**(2/3) balances draws and band left; from 16 on, one bracket is always drawn.
         draws = min(_BRACKET_DRAWS, max(16, int(size[act].max() ** (2 / 3))))
-        sample = np.sort(ca.band(lo_end[act], hi_end[act], draws, rng), axis=1)
-        # Brackets: sample quantiles likely below and above the open ranks, else the bounds.
-        q = (np.where(open_, k, k[:, ::-1]) - below[act, None] + 0.5) / size[act, None]
-        pos = q * draws + [-1, 1] * (_BRACKET_Z * np.sqrt(draws * q * (1.0 - q)) + 1.0)
-        pos = np.stack([np.floor(pos[:, 0]), np.ceil(pos[:, 1])], 1).astype(np.intp)
-        v = np.where((pos >= 0) & (pos < draws),
-                     np.take_along_axis(sample, np.clip(pos, 0, draws - 1), 1), bounds[act])
+        # The first round takes a column's histogram brackets where they leave
+        # no more than the band that the draws are expected to leave.
+        v = (_lag_brackets(ca, k, size[act] * (_BRACKET_Z * np.sqrt(draws) + 2.0) / draws) if rounds == 0
+             else np.full((act.size, 2), np.nan))
+        drawn = np.flatnonzero(np.isnan(v[:, 0]))
+        if drawn.size:
+            at, kd = act[drawn], k[drawn]
+            sample = np.sort(ca.subset(drawn).band(lo_end[at], hi_end[at], draws, rng), axis=1)
+            # Brackets: sample quantiles likely below and above the open ranks, else the bounds.
+            q = (np.where(open_[drawn], kd, kd[:, ::-1]) - below[at, None] + 0.5) / size[at, None]
+            pos = q * draws + [-1, 1] * (_BRACKET_Z * np.sqrt(draws * q * (1.0 - q)) + 1.0)
+            pos = np.stack([np.floor(pos[:, 0]), np.ceil(pos[:, 1])], 1).astype(np.intp)
+            v[drawn] = np.where((pos >= 0) & (pos < draws),
+                                np.take_along_axis(sample, np.clip(pos, 0, draws - 1), 1), bounds[at])
         lt_low, le_low = ca.ends(v[:, 0])
         lt_high, le_high = ca.ends(v[:, 1])
         a, b, c, e = (E.sum(axis=1)[:, None] - ca.first.sum() for E in (lt_low, le_low, lt_high, le_high))
@@ -238,6 +250,57 @@ def _differences_at_ranks(cols: "_Columns", ranks: np.ndarray, rng: np.random.Ge
         values = np.partition(values, r)
         found[row] = np.where(open_[row], (values[r], values[r + 1:].min() if r1 > r else values[r]), found[row])
     return found
+
+
+def _lag_brackets(cols: "_Columns", ranks: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """(d, 2) brackets of the (equal or adjacent) difference ``ranks`` of each
+    column from an equal-width histogram of it, NaN where they may leave a band
+    larger than ``budget``.
+
+    With bins of width h, a pair whose bins lie L apart differs by more than
+    (L - 1)h and by less than (L + 1)h, so the pairs counted at each lag place
+    every rank between two multiples of h.  Bin rounding is covered by
+    `_BIN_MARGIN`; a bracket that still misses a rank costs a round, never a
+    wrong value.  By Cauchy-Schwarz no lag holds more pairs than the sum of
+    the squared bin counts, so only columns where three times that sum fits
+    the budget, whose band over three lags must fit, go on to the transform:
+    heavy ties and far outliers, which crowd the values into few bins, do not.
+    """
+    bins = 1 << (cols.m - 1).bit_length()
+    span = cols.xs[:, -1] - cols.xs[:, 0]
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = bins / span
+    # Spans that overflow, or whose bins would, get no brackets.
+    ok = np.flatnonzero(np.isfinite(scale) & (scale > 0))
+    at = np.minimum(((cols.xs[ok] - cols.xs[ok, :1]) * scale[ok, None]).astype(np.intp), bins - 1)
+    counts = np.bincount((at + np.arange(0, ok.size * bins, bins)[:, None]).ravel(), minlength=ok.size * bins)
+    counts = counts.reshape(ok.size, bins)
+    fits = 3 * (counts * counts).sum(axis=1) <= budget[ok]
+    ok, counts = ok[fits], counts[fits]
+    v = np.full((cols.d, 2), np.nan)
+    if not ok.size:
+        return v
+    below = np.cumsum(_lag_counts(counts), axis=1)  # pairs at lags up to L
+    # The first lag whose pairs reach past each rank, and the pairs that may
+    # fall between the brackets: those at lags hit[0] - 1 to hit[1] + 1.
+    hit = np.stack([(below <= r[:, None]).sum(axis=1) for r in ranks[ok].T], 1)
+    ends = np.take_along_axis(below, np.clip(hit + [-2, 1], 0, bins - 1), 1)
+    take = ends[:, 1] - ends[:, 0] * (hit[:, 0] >= 2) <= budget[ok]
+    h = (span[ok] / bins)[:, None]
+    brackets = np.stack([(hit[:, 0] - 1) * (1.0 - _BIN_MARGIN), (hit[:, 1] + 1) * (1.0 + _BIN_MARGIN)], 1) * h
+    v[ok[take]] = brackets[take]
+    return v
+
+
+def _lag_counts(counts: np.ndarray) -> np.ndarray:
+    """Entry (c, L) of the result counts the pairs i < j of items in row c of
+    the (d, B) bin ``counts`` whose bins lie L apart: the autocorrelation of the
+    counts, by one zero-padded real transform, rounded to integers."""
+    bins = counts.shape[1]
+    f = np.fft.rfft(counts, 2 * bins)
+    lags = np.rint(np.fft.irfft(f.real ** 2 + f.imag ** 2, 2 * bins)[:, :bins]).astype(np.int64)
+    lags[:, 0] = (lags[:, 0] - counts.sum(axis=1)) // 2  # each item paired with itself, and each pair twice
+    return lags
 
 
 class _Columns:

@@ -8,6 +8,7 @@ import sys
 import types
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -121,6 +122,31 @@ def test_csv_non_finite_rejected(tmp_path):
     path.write_text("a,b\n1,2\nnan,4\n")
     with pytest.raises(DataFormatError, match="row 3"):
         load_csv(str(path))
+
+
+@pytest.mark.parametrize("cell", ["1" * 200_000, "x" * 200_000], ids=["numeric", "text"])
+def test_csv_field_over_the_size_limit_names_row(tmp_path, capsys, cell):
+    # A numeric cell as well as a non-numeric one: numpy's reader would take
+    # the first, so both readers must leave it to the csv module's limit.
+    path = tmp_path / "long.csv"
+    path.write_text(f"y,a\n1,2\n3,{cell}\n")
+    with pytest.raises(DataFormatError, match=r"long\.csv: row 3: field larger than field limit"):
+        load_csv(str(path))
+    assert cli_main(["hsic-test", "--data", str(path), "--response", "y", "--k", "1", "--seed", "1"]) == 1
+    assert "row 3: field larger than field limit" in capsys.readouterr().err
+
+
+def test_csv_lines_over_the_field_limit_load_through_numpy(tmp_path):
+    # 8000 cells of 17 digits make lines longer than the csv module's field
+    # limit, though no field is; numpy's reader takes them.
+    values = np.random.default_rng(3).random((3, 8000))
+    path = tmp_path / "wide.csv"
+    save_csv(path, values, [f"c{i}" for i in range(8000)])
+    assert max(map(len, path.read_bytes().splitlines())) > csv.field_size_limit()
+    with mock.patch.object(csv, "reader", side_effect=AssertionError("csv module path taken")):
+        got, names = load_csv(str(path))
+    assert names == [f"c{i}" for i in range(8000)]
+    assert got.view(np.int64).tolist() == values.view(np.int64).tolist()
 
 
 def _csv_module_loader(path):

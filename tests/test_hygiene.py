@@ -1,10 +1,10 @@
 """Source hygiene checks on `src/selkern`, by the standard library's `ast`:
-no module imports a name it never uses or imports scipy, none calls
-`lstsq`, every private top-level function or class is referenced somewhere
-in `src/`, every public one is exported or read there, and no function
-restates a `RunConfig` default.  Also: no trial setting has a default both
-in the CLI and in the library, and the README names every `fallback`
-reason."""
+no module imports a name it never uses or imports scipy, none loads
+`numpy.fft` on import, none calls `lstsq`, every private top-level function
+or class is referenced somewhere in `src/`, every public one is exported or
+read there, and no function restates a `RunConfig` default.  Also: no
+trial setting has a default both in the CLI and in the library, and the
+README names every `fallback` reason."""
 import argparse
 import ast
 import inspect
@@ -68,6 +68,29 @@ def test_no_lstsq_calls():
     found = [f"{name}: line {node.lineno}" for name, tree in _SOURCES.items() for node in ast.walk(tree)
              if isinstance(node, ast.Call) and "lstsq" in (getattr(node.func, "attr", None),
                                                           getattr(node.func, "id", None))]
+    assert not found
+
+
+def test_no_module_level_numpy_fft():
+    # numpy loads numpy.fft on first use; importing it with a module would
+    # add its load to every command's start-up.
+    found = []
+    for name, tree in _SOURCES.items():
+        stack = list(tree.body)
+        while stack:  # every node that runs on import: all but function bodies
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module or ""]
+            elif isinstance(node, ast.Attribute) and node.attr == "fft":
+                modules = ["numpy.fft"]
+            else:
+                continue
+            found += [f"{name}: line {node.lineno}" for m in modules if m == "numpy.fft" or m.startswith("numpy.fft.")]
     assert not found
 
 

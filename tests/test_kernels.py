@@ -321,6 +321,71 @@ def test_median_bandwidths_match_pdist_large_column():
     assert np.array_equal(median_bandwidths(pooled), [_pdist_median_width(c) for c in pooled.T])
 
 
+def _shaped_columns(m):
+    """Columns on both sides of the histogram bracket rule: smooth ones, heavy
+    tails, a far outlier, and heavy ties."""
+    rng = np.random.default_rng(m)
+    z = rng.standard_normal(m)
+    outlier = rng.standard_normal(m)
+    outlier[m // 3] = 1e12
+    return np.column_stack([
+        z,
+        rng.standard_cauchy(m),
+        np.exp(3.0 * rng.standard_normal(m)),
+        1e9 + 1e-6 * rng.standard_normal(m),
+        rng.choice([0.0, 1.0], m),
+        np.round(z, 1),
+        outlier,
+    ])
+
+
+@pytest.mark.parametrize("m", [400, 801, 4000])
+def test_median_bandwidths_match_pdist_on_shaped_columns(m):
+    taken = []
+    lag_brackets = kernels._lag_brackets
+
+    def recording(cols, ranks, budget):
+        v = lag_brackets(cols, ranks, budget)
+        taken.append((~np.isnan(v[:, 0])).tolist())
+        return v
+
+    pooled = _shaped_columns(m)
+    with mock.patch.object(kernels, "_lag_brackets", recording):
+        assert np.array_equal(median_bandwidths(pooled), [_pdist_median_width(c) for c in pooled.T])
+    # Only the Gaussian column takes histogram brackets.
+    assert taken[0] == [True] + [False] * 6
+
+
+def test_lag_counts_match_pair_lags():
+    # Bin counts in runs of equal values (empty bins among them), for up to
+    # about 2000 items, and all items in one bin.
+    rng = np.random.default_rng(41)
+    for bins in [2, 4, 32, 256, 1024, 2048]:
+        counts = np.stack([np.repeat(rng.integers(0, 3, bins), rng.integers(1, 40, bins))[:bins]
+                           for _ in range(3)] + [np.eye(1, bins, bins // 2, dtype=np.intp)[0] * 50])
+        for row, got in zip(counts, kernels._lag_counts(counts)):
+            items = np.repeat(np.arange(bins), row)
+            i, j = np.triu_indices(items.size, 1)
+            assert got.tolist() == np.bincount(items[j] - items[i], minlength=bins).tolist()
+
+
+def test_histogram_brackets_count_each_column_twice():
+    # Each smooth column takes its histogram brackets, one counting round
+    # (two `ends` per column) leaves a band small enough to gather, and no
+    # random draw is needed.
+    counted = []
+    ends = kernels._Columns.ends
+
+    def counting(self, v):
+        counted.append(self.d)
+        return ends(self, v)
+
+    pooled = np.random.default_rng(43).standard_normal((4000, 8))
+    with mock.patch.object(kernels._Columns, "ends", counting):
+        median_bandwidths(pooled)
+    assert sum(counted) == 2 * 8
+
+
 def test_median_bandwidths_round_cap_raises():
     # Counts that place every rank outside both brackets never narrow the
     # band, so the search would redraw forever; the round cap turns that
