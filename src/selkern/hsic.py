@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataShapeError, Design
-from .kernels import pair_kernel
+from .kernels import _chunked_rows, pair_kernel
 
 # The 6 index pairs of a quadruple, ordered so that pair p's complement is 5 - p.
 _PAIRS = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], dtype=np.intp)
@@ -45,36 +45,33 @@ class JointSample:
 
 
 def _h_from_pairs(Kp: np.ndarray, Lp: np.ndarray) -> np.ndarray:
-    """h from the kernel values on the 6 pairs of each quadruple (axis 1)."""
-    return 0.25 * (Kp * (Lp + Lp[:, ::-1])).sum(axis=1) - Lp.sum(axis=1) / 12.0 * Kp.sum(axis=1)
+    """h from the kernel values on the 6 pairs of each quadruple (axis 1);
+    overwrites Kp."""
+    K_sum = Kp.sum(axis=1)
+    Kp *= Lp + Lp[:, ::-1]
+    return 0.25 * Kp.sum(axis=1) - Lp.sum(axis=1) / 12.0 * K_sum
 
 
 def _quad_h_matrix(Z: JointSample, specs, specY, design: Design) -> np.ndarray:
     """(l, d) per-feature h values, one row per design tuple, from the kernel
-    on each quadruple's 6 pairs; the response's squared distances sum over its
-    columns."""
-    a, b = design.tuples[:, _PAIRS].transpose(2, 0, 1)
-    K = pair_kernel(specs, Z.X, a, Z.X, b)
-    return _h_from_pairs(K, pair_kernel(specY, Z.Y, a, Z.Y, b)[..., None])
-
-
-# Kernel values per chunk of blocks in `_block_hsic`, so that its memory is
-# O(chunk), not O(n B d); 2^19 keeps n = 800, B = 8, d = 50 in one chunk.
-_BLOCK_HSIC_VALUES = 1 << 19
+    on each quadruple's 6 pairs, a chunk of tuples at a time; the response's
+    squared distances sum over its columns."""
+    def rows(chunk):
+        a, b = design.tuples[chunk, _PAIRS].transpose(2, 0, 1)
+        return _h_from_pairs(pair_kernel(specs, Z.X, a, Z.X, b), pair_kernel(specY, Z.Y, a, Z.Y, b)[..., None])
+    return _chunked_rows(rows, len(design), 6 * Z.d)
 
 
 def _block_hsic(Z: JointSample, specs, specY, block_size: int) -> np.ndarray:
     """(m, d) per-feature unbiased HSIC of the m = floor(n/B) blocks, in O(n B d),
-    formed a chunk of about `_BLOCK_HSIC_VALUES` kernel values at a time.
+    formed a chunk of blocks at a time.
 
     With K, L a block's Gram matrices with zeroed diagonals (Song et al. 2012),
     HSIC_u = [tr(KL) + 1'K1 1'L1 / ((B-1)(B-2)) - 2/(B-2) 1'KL1] / (B(B-3)).
     """
     B, m = block_size, Z.n // block_size
     Xb, Yb = Z.X[: m * B].reshape(m, B, -1), Z.Y[: m * B].reshape(m, B, -1)
-    chunk = max(1, _BLOCK_HSIC_VALUES // (B * B * Z.d))
-    return np.concatenate([_block_rows(Xb[c:c + chunk], Yb[c:c + chunk], specs, specY)
-                           for c in range(0, m, chunk)])
+    return _chunked_rows(lambda c: _block_rows(Xb[c], Yb[c], specs, specY), m, B * B * Z.d)
 
 
 def _block_rows(Xb: np.ndarray, Yb: np.ndarray, specs, specY) -> np.ndarray:
@@ -86,6 +83,7 @@ def _block_rows(Xb: np.ndarray, Yb: np.ndarray, specs, specY) -> np.ndarray:
     K[:, range(B), range(B)] = 0.0
     L[:, range(B), range(B)] = 0.0
     K_rows, L_rows = K.sum(axis=2), L.sum(axis=2)[..., None]
-    return ((K * L[..., None]).sum(axis=2).sum(axis=1)
+    K *= L[..., None]
+    return (K.sum(axis=2).sum(axis=1)
             + K_rows.sum(axis=1) * L_rows.sum(axis=1) / ((B - 1) * (B - 2))
             - 2.0 / (B - 2) * (K_rows * L_rows).sum(axis=1)) / (B * (B - 3))

@@ -39,24 +39,51 @@ def pair_kernel(spec: KernelSpec | list[KernelSpec], A: np.ndarray, i, B: np.nda
     One spec works on whole rows, whose last axis `_squared_distances` sums in
     column order; a list of d specs of one family works per column, spec f on
     column f of the last axis, which stays.  Squares may overflow to inf,
-    where the kernel takes its limit."""
+    where the kernel takes its limit.  The kernel is evaluated in place in the
+    one array that holds the squares, so a call holds one result-sized array."""
     specs = [spec] if isinstance(spec, KernelSpec) else spec
     if len({s.family for s in specs}) != 1:
         raise ValueError("kernel specs must share one family")
     with np.errstate(over="ignore"):
         if isinstance(spec, KernelSpec):
-            sq = _squared_distances(A[i], B[j])[..., None]
+            K = _squared_distances(A[i], B[j])[..., None]
         elif len(specs) != np.shape(A)[-1]:
             raise DataShapeError("need one kernel spec per feature")
         else:
-            sq = (A[i] - B[j]) ** 2
+            K = A[i] - B[j]
+            np.square(K, out=K)
         if specs[0].family == GAUSSIAN:
             bandwidth = np.array([s.bandwidth for s in specs])
-            # An infinite bandwidth gives the kernel's limit 1, also where sq overflows.
-            K = np.exp(-np.where(np.isinf(bandwidth), 0.0, sq) / (2.0 * bandwidth ** 2))
+            # An infinite bandwidth gives the kernel's limit 1, also where the square overflows.
+            K[..., np.isinf(bandwidth)] = 0.0
+            np.negative(K, out=K)
+            K /= 2.0 * bandwidth ** 2
+            np.exp(K, out=K)
         else:
-            K = (np.array([s.offset for s in specs]) ** 2 + sq) ** -0.5
+            K += np.array([s.offset for s in specs]) ** 2
+            K **= -0.5
     return K[..., 0] if isinstance(spec, KernelSpec) else K
+
+
+# Kernel values per chunk of tuples or blocks in the h-row builders, so that
+# their working memory is O(chunk), not O(l d); 2^19 (4 MB per array) keeps
+# 2000 pairs, 400 quadruples or 100 blocks of 8 at d = 50 in one chunk.
+_CHUNK_VALUES = 1 << 19
+
+
+def _chunked_rows(rows, count: int, values: int) -> np.ndarray:
+    """rows(slice) over ``count`` items, a chunk of about `_CHUNK_VALUES` /
+    ``values`` items at a time, into one array.  Each row must depend on its
+    own item alone, so the chunks do not change a bit of it."""
+    step = max(1, _CHUNK_VALUES // values)
+    first = rows(slice(0, step))
+    if count <= step:
+        return first
+    out = np.empty((count,) + first.shape[1:])
+    out[:step] = first
+    for c in range(step, count, step):
+        out[c:c + step] = rows(slice(c, c + step))
+    return out
 
 
 def _squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -130,7 +157,9 @@ def flat_columns(A: np.ndarray) -> np.ndarray:
 # The largest double whose square rounds to 0.
 _SQUARE_UNDERFLOW = 1.5717277847026285e-162
 # Most pairs drawn per column and round to bracket the target ranks, and the
-# band size per column at which the band is gathered and selected in.
+# band size per column at which the band is gathered and selected in; a
+# column of m values gathers at most max(16 m, 2048) of them, so that a block
+# of short columns is counted down rather than gathered whole.
 _BRACKET_DRAWS = 4096
 _BAND_LIMIT = 32768
 # Values per block of columns (m and the first round's draws per column), so
@@ -200,15 +229,16 @@ def _differences_at_ranks(cols: "_Columns", ranks: np.ndarray, rng: np.random.Ge
     column's brackets from its histogram (`_lag_brackets`) where they are
     expected to leave a smaller band than draws would; otherwise the brackets
     are quantiles of differences drawn from the band.  A band of at most
-    `_BAND_LIMIT` is gathered and partitioned.  More than `_MAX_ROUNDS` rounds
-    raise `RuntimeError`.
+    `_BAND_LIMIT`, and of at most max(16 m, 2048), is gathered and
+    partitioned.  More than `_MAX_ROUNDS` rounds raise `RuntimeError`.
     """
     d, m = cols.d, cols.m
+    limit = min(_BAND_LIMIT, max(16 * m, 2048))
     bounds, below, found = np.tile([-np.inf, np.inf], (d, 1)), np.zeros(d, dtype=np.int64), np.full((d, 2), np.nan)
     lo_end, hi_end = np.tile(cols.first, (d, 1)), np.full((d, m), m)
     for rounds in range(_MAX_ROUNDS + 1):
         size = hi_end.sum(axis=1) - lo_end.sum(axis=1)
-        act = np.flatnonzero(np.isnan(found).any(axis=1) & (size > _BAND_LIMIT))
+        act = np.flatnonzero(np.isnan(found).any(axis=1) & (size > limit))
         if not act.size:
             break
         if rounds == _MAX_ROUNDS:

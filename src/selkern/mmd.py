@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DataShapeError
-from .kernels import KernelSpec, pair_kernel
+from .kernels import KernelSpec, _chunked_rows, pair_kernel
 
 
 def _check_two_sample(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -18,8 +18,13 @@ def _check_two_sample(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _pair_h(X, Y, i, j, spec: KernelSpec | list[KernelSpec]) -> np.ndarray:
     """h values of the index pairs (i[t], j[t]): (l,) with one spec on whole
-    rows, (l, d) with a list of d specs, spec f on column f."""
-    Xi, Yi, Xj, Yj = X[i], Y[i], X[j], Y[j]
-    return (pair_kernel(spec, Xi, ..., Xj, ...) + pair_kernel(spec, Yi, ..., Yj, ...)
-            - pair_kernel(spec, Xj, ..., Yi, ...) - pair_kernel(spec, Xi, ..., Yj, ...))
-
+    rows, (l, d) with a list of d specs, spec f on column f; a chunk of pairs
+    at a time."""
+    def rows(chunk):
+        Xi, Yi, Xj, Yj = X[i[chunk]], Y[i[chunk]], X[j[chunk]], Y[j[chunk]]
+        h = pair_kernel(spec, Xi, ..., Xj, ...)
+        h += pair_kernel(spec, Yi, ..., Yj, ...)
+        h -= pair_kernel(spec, Xj, ..., Yi, ...)
+        h -= pair_kernel(spec, Xi, ..., Yj, ...)
+        return h
+    return _chunked_rows(rows, len(i), X.shape[1])

@@ -33,14 +33,20 @@ def _log_ndtr_scalar(x: float) -> float:
         return math.log(0.5 * math.erfc(-x * _SQRT1_2))
     if math.isnan(x) or x == -math.inf:
         return x
-    # Far left tail: Phi(x) ~ phi(x) / -x * (1 - 1/x^2 + 3/x^4 - 15/x^6 + ...),
-    # taken in logs; at x = -20 the tenth term is below 1e-17.
+    # Far left tail: Phi(x) ~ phi(x) / -x * (1 + _tail_series(x)), taken in logs.
+    return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log1p(_tail_series(x))
+
+
+def _tail_series(x):
+    """-1/x^2 + 3/x^4 - 15/x^6 + ... to ten terms, for a float or an array:
+    the normal tail Phi(-|x|) is phi(x) / |x| * (1 + the series).  From
+    |x| = 20 on the tenth term is below 1e-17."""
     z = 1.0 / (x * x)
     term, series = 1.0, 0.0
     for k in range(1, 11):
         term *= -(2 * k - 1) * z
         series += term
-    return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log1p(series)
+    return series
 
 
 def log_ndtr(x):

@@ -19,7 +19,7 @@ from .core import DataShapeError, DegenerateFeatureError, Design, MultiStat, der
 from .hsic import JointSample, _block_hsic, _quad_h_matrix
 from .kernels import IMQ, KernelSpec, flat_columns, median_bandwidths, median_heuristic
 from .mmd import _check_two_sample, _pair_h
-from .multiscale import ScalesDroppedWarning, default_scales, fit_bootstrap_probabilities, log_ndtr
+from .multiscale import ScalesDroppedWarning, _tail_series, default_scales, fit_bootstrap_probabilities, log_ndtr
 
 _STREAM_STAT = 0
 _STREAM_BOOT = 1
@@ -106,7 +106,8 @@ def poly_p(t, var, vminus, vplus):
 
     With ls(x) = log survival(x / sigma), the value is
     (exp(ls(t)) - exp(ls(v+))) / (exp(ls(v-)) - exp(ls(v+))), evaluated via
-    expm1 of log-survival differences so far tails do not cancel.  Past
+    expm1 of log-survival differences so far tails do not cancel; past
+    `_FAR_TAIL` sigmas `_log_sf_ratio` forms each difference whole.  Past
     t / sigma ~ 1.34e154 the log survival at t is -inf, as at every end above
     t; there the value is 1 at t = v- and, as t - v- >= ulp(t), below the
     least double otherwise.
@@ -126,12 +127,41 @@ def poly_p(t, var, vminus, vplus):
     ls_t = log_ndtr(-t / sigma)
     ls_high = log_ndtr(-vplus / sigma)
     with np.errstate(invalid="ignore"):
-        num = -np.expm1(ls_high - ls_t)
-        den = -np.expm1(ls_high - ls_low)
+        num = -np.expm1(_log_sf_ratio(vplus, t, sigma, ls_high, ls_t))
+        den = -np.expm1(_log_sf_ratio(vplus, vminus, sigma, ls_high, ls_low))
         ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0), 1.0)
-        out = np.exp(ls_t - ls_low) * ratio
+        out = np.exp(_log_sf_ratio(t, vminus, sigma, ls_t, ls_low)) * ratio
     out = np.clip(np.where(ls_t == -np.inf, t == vminus, out), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
+
+
+# Ends at least this many sigmas out take `_log_sf_ratio`'s far-tail form.
+_FAR_TAIL = 20.0
+
+
+def _log_sf_ratio(u, v, sigma, ls_u, ls_v):
+    """log S(u) - log S(v), S the survival of N(0, sigma^2), from the log
+    survivals ls_u, ls_v.  Where a = u / sigma and b = v / sigma are both
+    finite and at least `_FAR_TAIL`, the leading -(a^2 - b^2) / 2 of the
+    normal tail comes as -delta (a + b) / 2 with delta = (u - v) / sigma,
+    log(a / b) as log1p(delta / b), and the difference of the two
+    `_tail_series` term by term, so that the value keeps the digits that the
+    difference of two log survivals of size a^2 / 2 rounds away."""
+    a, b = u / sigma, v / sigma
+    far = np.isfinite(a) & np.isfinite(b) & (np.minimum(a, b) >= _FAR_TAIL)
+    if not far.any():
+        return ls_u - ls_v
+    with np.errstate(all="ignore"):
+        delta = (u - v) / sigma
+        za, zb = 1.0 / (a * a), 1.0 / (b * b)
+        # z_a^k - z_b^k = (z_a - z_b) h_k, with h_k = z_a^(k-1) + z_a^(k-2) z_b + ... + z_b^(k-1).
+        h, zb_k, coef, series = 0.0, 1.0, 1.0, 0.0
+        for k in range(1, 11):
+            h, zb_k, coef = h * za + zb_k, zb_k * zb, coef * -(2 * k - 1)
+            series = series + coef * h
+        series = series * (-delta * (a + b) * za * zb)
+        tail = -0.5 * delta * (a + b) - np.log1p(delta / b) + np.log1p(series / (1.0 + _tail_series(b)))
+        return np.where(far, tail, ls_u - ls_v)
 
 
 def _fixed_spec(config: RunConfig) -> KernelSpec | None:

@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the shipped estimators against.
 
 These are the direct, quadratic- or quartic-cost forms of each statistic:
-scalar and Gram-matrix kernels, the complete U-statistics, the incomplete
+scalar and Gram-matrix kernels, the kernel on index pairs as out-of-place
+array expressions, the complete U-statistics, the incomplete
 estimators read from Gram matrices, the per-block HSIC as a mean of complete
 U-statistics, and the complete and block index designs; and the scaling-law
 fit of one feature at a time by `np.linalg.lstsq`.  C1, C2 and the
@@ -24,7 +25,7 @@ import numpy as np
 
 from selkern.core import DataShapeError, Design, InsufficientScalesError
 from selkern.hsic import _PAIRS, JointSample, _h_from_pairs
-from selkern.kernels import KernelSpec, pair_kernel
+from selkern.kernels import GAUSSIAN, KernelSpec, _squared_distances, pair_kernel
 from selkern.mmd import _check_two_sample, _pair_h
 from selkern.multiscale import ndtri
 
@@ -32,6 +33,25 @@ from selkern.multiscale import ndtri
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------
+def pair_kernel_out_of_place(spec: KernelSpec | list[KernelSpec], A: np.ndarray, i,
+                             B: np.ndarray, j) -> np.ndarray:
+    """`pair_kernel` with every step a new array: the squares, the zeros of the
+    infinite bandwidths, the negation, the quotient and the exp, or the offset
+    sum and its power.  The shipped kernel takes the same steps in place."""
+    specs = [spec] if isinstance(spec, KernelSpec) else spec
+    with np.errstate(over="ignore"):
+        if isinstance(spec, KernelSpec):
+            sq = _squared_distances(A[i], B[j])[..., None]
+        else:
+            sq = (A[i] - B[j]) ** 2
+        if specs[0].family == GAUSSIAN:
+            bandwidth = np.array([s.bandwidth for s in specs])
+            K = np.exp(-np.where(np.isinf(bandwidth), 0.0, sq) / (2.0 * bandwidth ** 2))
+        else:
+            K = (np.array([s.offset for s in specs]) ** 2 + sq) ** -0.5
+    return K[..., 0] if isinstance(spec, KernelSpec) else K
+
+
 def kernel_eval(spec: KernelSpec, x, y) -> float:
     """Evaluate the kernel on a single pair of points (scalars or vectors)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -21,10 +21,12 @@ from selkern import (
     RunConfig,
     derive_rng,
     hsic_stat,
+    sample_pair_design,
     sample_quad_design,
 )
-from selkern import hsic
+from selkern import kernels
 from selkern.hsic import _block_hsic, _quad_h_matrix
+from selkern.mmd import _pair_h
 
 SPEC_X = KernelSpec(bandwidth=1.1)
 SPEC_Y = KernelSpec(bandwidth=0.8)
@@ -224,23 +226,36 @@ def test_multistat_incomplete_matches_loop_oracle():
 @pytest.mark.parametrize("blocks", [1, 3, 7])
 @pytest.mark.parametrize("family", ["gaussian", "imq"])
 def test_block_rows_do_not_depend_on_the_chunk(monkeypatch, family, blocks):
-    # 20 blocks of 8 rows (and 5 trailing rows) fit one chunk of the default budget.
+    # 20 blocks of 8 rows (and 5 trailing rows), 165 quadruples and 165 pairs
+    # each fit one chunk of the default budget; every builder is chunked here
+    # by ``blocks`` blocks or tuples, 165 not being a multiple of 3 or 7.
     rng = np.random.default_rng(31)
     B, d, n = 8, 3, 20 * 8 + 5
     specs = [KernelSpec(family, w, w) for w in (0.5, 1.0, 2.0)]
     Z = JointSample(rng.standard_normal((n, d)), rng.standard_normal((n, 2)))
-    whole = _block_hsic(Z, specs, KernelSpec(family), B)
-    monkeypatch.setattr(hsic, "_BLOCK_HSIC_VALUES", blocks * B * B * d)
-    chunked = _block_hsic(Z, specs, KernelSpec(family), B)
-    assert chunked.shape == (20, d)
-    assert chunked.view(np.int64).tolist() == whole.view(np.int64).tolist()
+    Y = rng.standard_normal((n, d))
+    quads = sample_quad_design(n, n, derive_rng(31))
+    i, j = sample_pair_design(n, n, derive_rng(32)).tuples.T
+    builders = {
+        "block": (lambda: _block_hsic(Z, specs, KernelSpec(family), B), B * B * d, 20),
+        "quad": (lambda: _quad_h_matrix(Z, specs, KernelSpec(family), quads), 6 * d, n),
+        "pair": (lambda: _pair_h(Z.X, Y, i, j, specs), d, n),
+        "pair, one spec": (lambda: _pair_h(Z.X, Y, i, j, KernelSpec(family)), d, n),
+    }
+    for name, (build, values, rows) in builders.items():
+        whole = build()
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_CHUNK_VALUES", blocks * values)
+            chunked = build()
+        assert chunked.shape[0] == rows, name
+        assert chunked.view(np.int64).tolist() == whole.view(np.int64).tolist(), name
 
 
 def test_block_memory_does_not_grow_with_n():
     # The (m, B, B, d) kernel arrays of all blocks at once would take 8 B^2 d
     # bytes per block: 33 MB for the larger sample here.
     B, d = 16, 10
-    chunk_rows = hsic._BLOCK_HSIC_VALUES // (B * B * d) * B
+    chunk_rows = kernels._CHUNK_VALUES // (B * B * d) * B
     specs = [KernelSpec(bandwidth=1.0)] * d
     peaks = []
     for n in (2 * chunk_rows, 8 * chunk_rows):
@@ -253,6 +268,22 @@ def test_block_memory_does_not_grow_with_n():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def test_incomplete_memory_is_bounded_by_the_chunk_budget():
+    # Every quadruple's (l, 6, d) kernel values at once would take 9.6 MB per
+    # array here.  A chunk holds about three arrays of the budget's size (the
+    # two gathered row sets and their kernel), the statistic a few (l, d) ones.
+    n, d = 8000, 25
+    rng = np.random.default_rng(33)
+    Z = JointSample(rng.standard_normal((n, d)), rng.standard_normal(n))
+    tracemalloc.start()
+    try:
+        hsic_stat(Z, RunConfig(seed=0, method="multi-hsic"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (3 * kernels._CHUNK_VALUES + 4 * n * d), peak
 
 
 def test_multistat_block_two_blocks_sigma():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist, pdist
 
-from oracles import gram_matrix, kernel_eval
+from oracles import gram_matrix, kernel_eval, pair_kernel_out_of_place
 from selkern import (
     DataShapeError,
     DegenerateSampleError,
@@ -356,6 +356,22 @@ def test_median_bandwidths_match_pdist_on_shaped_columns(m):
     assert taken[0] == [True] + [False] * 6
 
 
+@pytest.mark.parametrize("m", [100, 160, 256])
+def test_short_columns_match_pdist_in_bounded_memory(m):
+    # Up to m = 256 a column has at most 32 640 pairs.  Gathering every pair of
+    # a block of 50 such columns at once took 6.3 MB at m = 100 and 40 MB at
+    # m = 256; counting rounds first keep each column's gather near 16 m pairs.
+    pooled = np.column_stack([_shaped_columns(m), np.random.default_rng(m + 1).standard_normal((m, 43))])
+    tracemalloc.start()
+    try:
+        widths = median_bandwidths(pooled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(widths, [_pdist_median_width(c) for c in pooled.T])
+    assert peak < 4e6, peak
+
+
 def test_lag_counts_match_pair_lags():
     # Bin counts in runs of equal values (empty bins among them), for up to
     # about 2000 items, and all items in one bin.
@@ -431,6 +447,43 @@ def test_pair_kernel_per_column_matches_single_spec(case):
     for f, spec in enumerate(specs):
         alone = pair_kernel(spec, A[:, [f]], i, B[:, [f]], j)
         assert K[..., f].view(np.int64).tolist() == alone.view(np.int64).tolist()
+
+
+@st.composite
+def _kernel_case(draw):
+    d = draw(st.sampled_from([1, 2, 7, 8, 9]))
+    A = _coordinates(draw, (draw(st.integers(1, 8)), d))
+    B = _coordinates(draw, (draw(st.integers(1, 8)), d))
+    if draw(st.booleans()):
+        make = lambda w: KernelSpec(bandwidth=w)
+        params = st.floats(0.01, 100.0) | st.just(np.inf)
+    else:
+        make = lambda o: KernelSpec("imq", offset=o)
+        params = st.floats(0.01, 100.0)
+    if draw(st.booleans()):
+        spec = make(draw(params))
+    else:
+        spec = [make(p) for p in draw(st.lists(params, min_size=d, max_size=d))]
+    # Index arrays, which gather copies, or slices, which give views of A and B.
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        i = rng.integers(0, len(A), (draw(st.integers(1, 5)), 1))
+        j = rng.integers(0, len(B), draw(st.integers(1, 5)))
+    else:
+        i, j = np.s_[:, None], np.s_[None]
+    return spec, A, i, B, j
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_case())
+def test_pair_kernel_in_place_matches_out_of_place_formula(case):
+    spec, A, i, B, j = case
+    A_bits, B_bits = A.copy().view(np.int64), B.copy().view(np.int64)
+    K = pair_kernel(spec, A, i, B, j)
+    assert A.view(np.int64).tolist() == A_bits.tolist() and B.view(np.int64).tolist() == B_bits.tolist()
+    expected = pair_kernel_out_of_place(spec, A, i, B, j)
+    assert K.shape == expected.shape
+    assert K.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 @st.composite

@@ -2,6 +2,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -163,6 +164,36 @@ def test_poly_p_far_tail_is_not_nan():
     assert poly_p(-1e155, 1.0, -np.inf, -1e154) == 1.0
     got = poly_p(np.array([1e155, 1e155, 2.0]), 1.0, np.array([0.0, 1e155, 2.0]), np.inf)
     assert got.tolist() == [0.0, 1.0, 1.0]
+
+
+def _mp_truncated_survival(t, var, vminus, vplus):
+    """poly_p's value from the exact doubles, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        sigma = mpmath.sqrt(mpmath.mpf(var))
+        sf = lambda x: mpmath.mpf(0) if x == np.inf else mpmath.ncdf(-mpmath.mpf(x) / sigma)
+        return (sf(t) - sf(vplus)) / (sf(vminus) - sf(vplus))
+
+
+def test_poly_p_far_tail_matches_mpmath():
+    # Multi's Phi(-b0) / Phi(-(b0 + phi)) at b0 = 3e5, phi = -3e-6 and at
+    # b0 = 1e4, phi = -1e-4 were 2.3e-6 and 2.1e-9 off, taken as differences
+    # of two log survivals of size b0^2 / 2.  Random intervals, one- and
+    # two-sided, with both ends past 21 sigmas and values above 1e-300.
+    cases = [(3e5, 1.0, 3e5 - 3e-6, np.inf), (1e4, 1.0, 1e4 - 1e-4, np.inf),
+             (1e4, 1.0, 1e4 - 1e-4, 1e4 + 1e-4), (50.0, 4.0, 49.5, np.inf)]
+    rng = np.random.default_rng(23)
+    while len(cases) < 200:
+        sigma = float(np.sqrt(rng.choice([1.0, 0.25, 7.3])))
+        t = 10 ** rng.uniform(1.4, 6) * sigma
+        vminus = t - sigma * 10 ** rng.uniform(-9, 0.5)
+        vplus = np.inf if rng.random() < 0.5 else t + sigma * 10 ** rng.uniform(-9, 0.5)
+        if _mp_truncated_survival(t, sigma ** 2, vminus, vplus) > 1e-300:
+            cases.append((t, sigma ** 2, vminus, vplus))
+    got = poly_p(*np.array(cases).T)
+    for p, case in zip(got, cases):
+        ref = _mp_truncated_survival(*case)
+        assert abs(p - ref) <= 1e-12 * ref, (case, p, ref)
+    assert [poly_p(*case) for case in cases[:4]] == got[:4].tolist()
 
 
 def _single_feature_problem(seed):
