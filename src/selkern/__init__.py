@@ -21,7 +21,7 @@ from .core import (
 from .designs import sample_pair_design, sample_quad_design
 from .hsic import JointSample
 from .kernels import KernelSpec, median_heuristic
-from .multiscale import ScalesDroppedWarning, default_scales, fit_scaling_law
+from .multiscale import ScalesDroppedWarning, default_scales
 from .selective import (
     SelectiveReport,
     hsic_stat,
@@ -63,7 +63,6 @@ __all__ = [
     "median_heuristic",
     "ScalesDroppedWarning",
     "default_scales",
-    "fit_scaling_law",
     "SelectiveReport",
     "hsic_stat",
     "mmd_stat",

@@ -112,8 +112,9 @@ class MultiStat:
         if not np.isfinite(rows).all():
             raise ValueError("statistic rows contain non-finite values")
         m = rows.shape[0]
-        centered = rows - rows.mean(axis=0)
-        factor = np.linalg.qr(centered / np.sqrt(m - ddof), mode="r")
+        mean = rows.mean(axis=0)
+        centered = rows - mean
+        # Scaled in place, so the QR's copy is the only other (m, d) array.
+        factor = np.linalg.qr(np.divide(centered, np.sqrt(m - ddof), out=centered), mode="r")
         factor *= np.where(np.diag(factor) < 0, -1.0, 1.0)[:, None]
-        return cls(t=np.sqrt(m) * rows.mean(axis=0), factor=factor, n=n,
-                   feature_names=list(feature_names or []))
+        return cls(t=np.sqrt(m) * mean, factor=factor, n=n, feature_names=list(feature_names or []))

@@ -112,58 +112,32 @@ def _weighted_lines(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> dict[str, np
     }
 
 
-def fit_scaling_law(gamma2, psi, weights) -> tuple[float, float, dict]:
-    """Weighted least-squares line psi ~ beta0 + gamma^2 * beta1.
-
-    Returns beta0, beta1 and the fit's diagnostics: the number of points
-    and the residuals.  Callers tracking bootstrap noise pass the inverse
-    delta-method variance of each psi, so the extrapolation is stabilized by
-    the better-resolved scales.  The points need two distinct gamma^2.
-    """
-    x = np.asarray(gamma2, dtype=float)
-    y = np.asarray(psi, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if x.ndim != 1 or y.shape != x.shape:
-        raise ValueError("need one psi per gamma^2")
-    if x.size < 3:
-        raise InsufficientScalesError(f"need >= 3 usable points, got {x.size}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("scaling-law points must be finite")
-    if w.shape != x.shape or (w <= 0).any():
-        raise ValueError("weights must be positive, one per point")
-    fit = {key: value[0].item() for key, value in _weighted_lines(x[None], y[None], w[None]).items()}
-    return fit.pop("beta0"), fit.pop("beta1"), fit
-
-
-def fit_bootstrap_probabilities(bps, gamma2, replicates: int) -> dict | list[dict]:
-    """Fit the scaling law to bootstrap probabilities, one row per scale
-    gamma^2, each the fraction of ``replicates`` draws; return the fit's
-    diagnostics.
-
-    ``bps`` holds one feature's probabilities, shape (scales,), or a block
-    of several features', shape (scales, features); the first gives one
-    diagnostics dict, the second a list of one per column.  All columns are
-    fitted at once, each by its own line, through the routine
-    `fit_scaling_law` uses.
+def fit_bootstrap_probabilities(bps, gamma2, replicates: int) -> list[dict]:
+    """Fit the scaling law psi ~ beta0 + gamma^2 * beta1 to bootstrap
+    probabilities, one row per scale gamma^2 and one column per feature,
+    each the fraction of ``replicates`` draws; return one diagnostics dict
+    per column.  All columns are fitted at once, each by its own weighted
+    least-squares line.
 
     An interior probability gives psi = gamma * z with z = -ndtri(BP), and
     the delta-method variance gamma^2 BP (1 - BP) / (B phi(z)^2) of psi
-    weights its point.  Scales whose bootstrap probability hits 0 or 1
+    weights its point, so the extrapolation is stabilized by the
+    better-resolved scales.  Scales whose bootstrap probability hits 0 or 1
     carry an infinite psi and are dropped.  The diagnostics report the
     per-scale bootstrap probabilities and psi values and which scales were
     dropped.  When at least 3 scales survive they also hold the fitted line,
-    ``fit_beta0`` and ``fit_beta1``, and `fit_scaling_law`'s diagnostics
+    ``fit_beta0`` and ``fit_beta1``, and the fit's points and residuals
     under ``fit_`` keys; otherwise there is no fit and the caller decides the
-    fallback.
+    fallback.  The scales need two distinct gamma^2.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     g2 = np.asarray(gamma2, dtype=float)
     given = np.asarray(bps, dtype=float)
-    if g2.ndim != 1 or given.ndim not in (1, 2) or given.shape[0] != g2.size:
+    if g2.ndim != 1 or given.ndim != 2 or given.shape[0] != g2.size:
         raise ValueError("need one bootstrap probability per gamma^2 in each column")
     # One row per feature, so each feature's sums run along a contiguous row.
-    rows = np.ascontiguousarray(np.atleast_2d(given.T))
+    rows = np.ascontiguousarray(given.T)
     interior = (rows > 0.0) & (rows < 1.0)
     bp = rows[interior]
     scale = np.broadcast_to(g2, rows.shape)[interior]
@@ -187,4 +161,4 @@ def fit_bootstrap_probabilities(bps, gamma2, replicates: int) -> dict | list[dic
             "dropped_gamma2": dropped.tolist(),
             **fits.get(feature, {}),
         })
-    return diags[0] if given.ndim == 1 else diags
+    return diags

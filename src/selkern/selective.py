@@ -15,7 +15,7 @@ import numpy as np
 
 from . import designs
 from .config import METHODS, RunConfig
-from .core import DataShapeError, DegenerateFeatureError, Design, MultiStat, derive_rng
+from .core import DataShapeError, DegenerateFeatureError, DegenerateSampleError, Design, MultiStat, derive_rng
 from .hsic import JointSample, _block_hsic, _quad_h_matrix
 from .kernels import IMQ, KernelSpec, flat_columns, median_bandwidths, median_heuristic
 from .mmd import _check_two_sample, _pair_h
@@ -233,6 +233,8 @@ def hsic_stat(Z: JointSample, config: RunConfig,
     with the block estimator sqrt(m) * HSIC_blo over m = floor(n/B) blocks
     (Σ with divisor m)."""
     _check_finite(Z.X, Z.Y)
+    if flat_columns(Z.Y).all():
+        raise DegenerateSampleError("the response is constant: no feature can depend on it")
     specs, constant = _feature_specs(config, Z.X)
     spec_y = _fixed_spec(config) or KernelSpec(bandwidth=median_heuristic(Z.Y))
     if config.estimator == "block":
@@ -311,80 +313,71 @@ def _selection_fractions(t: np.ndarray, factor: np.ndarray, k: int, gamma2, repl
     return counts / replicates
 
 
-def _multiscale_feature_test(diag: dict, fit: dict):
+def _multiscale_tests(stat: MultiStat, selected: tuple[int, ...], beta0: np.ndarray, config: RunConfig):
     """Multi's p-value survival(beta0) / survival(beta0 + phi_S(0)) (Terada &
     Shimodaira 2017) is the survival at beta0 of N(0, 1) truncated to
-    [beta0 + phi_S(0), inf), with phi_S(0) read from the feature's
-    scaling-law ``fit``.  Without a fit the selection event is taken as
-    unconstraining, phi_S(0) = -inf."""
-    diag.update(fit)
-    if "fit_beta0" not in diag:
-        diag.update({"phi_s0": -np.inf, "fallback": "selection-unconstraining"})
-    else:
-        # The fitted line at gamma^2 = 0 is its intercept.
-        diag.update({"phi_s0_raw": diag["fit_beta0"], "phi_s0": min(diag["fit_beta0"], 0.0)})
-    return diag["beta0"], 1.0, diag["beta0"] + diag["phi_s0"], np.inf
+    [beta0 + phi_S(0), inf), with phi_S(0) the intercept of each selected
+    feature's scaling-law fit, capped at 0.  Without a fit the selection
+    event is taken as unconstraining, phi_S(0) = -inf."""
+    gamma2, replicates = default_scales(stat.n, config), config.replicates_per_scale
+    fractions = _selection_fractions(stat.t, stat.factor, len(selected), gamma2, replicates, config.seed)
+    diagnostics = fit_bootstrap_probabilities(fractions[:, selected], gamma2, replicates)
+    for diag in diagnostics:
+        if "fit_beta0" not in diag:
+            diag.update({"phi_s0": -np.inf, "fallback": "selection-unconstraining"})
+        else:
+            # The fitted line at gamma^2 = 0 is its intercept.
+            diag.update({"phi_s0_raw": diag["fit_beta0"], "phi_s0": min(diag["fit_beta0"], 0.0)})
+    lower = beta0 + np.array([diag["phi_s0"] for diag in diagnostics])
+    return beta0, np.ones_like(beta0), lower, np.full_like(beta0, np.inf), diagnostics
 
 
-def _report(stat: MultiStat, selected: tuple[int, ...], config: RunConfig, feature_test) -> SelectiveReport:
-    """The report on the ``selected`` features.  Each one's diagnostics hold
-    its index, name and beta0 = t_i / sqrt(Sigma_ii), and
-    ``feature_test(j, diag)`` gives the (t, variance, lower end, upper end)
-    of the truncated normal whose survival at t, `poly_p`, is the p-value of
-    ``selected[j]``, adding to ``diag``; one `poly_p` call takes them all.
-    A feature of zero variance (a constant kernel, see `_feature_specs`) is
-    flagged and gets the conservative p = 1 instead, before any test runs."""
-    tested = stat.variances[list(selected)] > 0
-    tests, diagnostics = [], []
+def _poly_tests(stat: MultiStat, selected: tuple[int, ...], beta0: np.ndarray, config: RunConfig):
+    """Poly's p-value is the survival at t_i of N(0, Sigma_ii) truncated to
+    the polyhedral interval [V-, V+] of the whole selection (Lee et al. 2016)."""
+    vminus, vplus = poly_truncation_intervals(stat.t, stat.factor, selected)
+    t = stat.t[list(selected)]
+    # A tie at the selection boundary makes a constraint active, so t_i equals
+    # an interval end up to rounding; pull a t_i that close back inside.
+    inside = np.minimum(np.maximum(t, vminus), vplus)
+    clamped = (inside != t) & (np.abs(inside - t) <= 1e-9 * np.maximum(1.0, np.abs(t)))
+    diagnostics = [{"clamped": True} if c else {} for c in clamped.tolist()]
+    for diag, low, high in zip(diagnostics, vminus.tolist(), vplus.tolist()):
+        diag.update({"vminus": low, "vplus": high})
+    return np.where(clamped, inside, t), stat.variances[list(selected)], vminus, vplus, diagnostics
+
+
+def _report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
+    """``config.method``'s report on the top ``config.k`` features of ``stat``,
+    without a warning.  Each selected feature's diagnostics hold its index,
+    name and beta0 = t_i / sqrt(Sigma_ii).  The method's function maps the
+    selection to arrays (t, variance, lower end, upper end) of truncated
+    normals, whose survivals at t, in one `poly_p` call, are the p-values,
+    and to one diagnostics dict per feature.  A feature of zero variance (a
+    constant kernel, see `_feature_specs`) gets p = 1 and a flag instead."""
+    if config.k is None:
+        raise ValueError("config.k must be set to select features")
+    selected = select_top_k(stat.t, config.k)
+    variances = stat.variances[list(selected)]
+    tested = variances > 0
+    # NaN where the feature is not tested, so no method's arithmetic on it warns.
+    beta0 = np.divide(stat.t[list(selected)], np.sqrt(variances), out=np.full(len(selected), np.nan), where=tested)
+    # Looked up at call time, so a wrapper installed on the module sees the call.
+    tests = _multiscale_tests if config.method.startswith("multi-") else _poly_tests
+    *normals, method_diagnostics = tests(stat, selected, beta0, config)
+    diagnostics = []
     for j, i in enumerate(selected):
         diag: dict = {"feature": i, "name": stat.feature_names[i]}
         if tested[j]:
-            diag["beta0"] = float(stat.t[i] / np.sqrt(stat.variances[i]))
-            tests.append(feature_test(j, diag))
+            diag.update({"beta0": float(beta0[j]), **method_diagnostics[j]})
         else:
             diag.update({"error": f"feature {i} has non-positive variance", "fallback": "degenerate-variance"})
         diagnostics.append(diag)
     p_values = np.ones(len(selected))
-    if tests:
-        p_values[tested] = poly_p(*np.array(tests).T)
+    p_values[tested] = poly_p(*(a[tested] for a in normals))
     return SelectiveReport(method=METHODS[config.method], selected=selected, scores=stat.t,
                            feature_names=stat.feature_names, p_values=p_values.tolist(),
                            diagnostics=diagnostics, config=config.snapshot())
-
-
-def _multiscale_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
-    sel = select_top_k(stat.t, config.k)
-    gamma2, replicates = default_scales(stat.n, config), config.replicates_per_scale
-    fractions = _selection_fractions(stat.t, stat.factor, len(sel), gamma2, replicates, config.seed)
-    fits = fit_bootstrap_probabilities(fractions[:, sel], gamma2, replicates)
-    return _report(stat, sel, config, lambda j, diag: _multiscale_feature_test(diag, fits[j]))
-
-
-def _poly_feature_test(stat: MultiStat, i: int, vminus: float, vplus: float, diag: dict):
-    vminus, vplus = float(vminus), float(vplus)
-    t_i = float(stat.t[i])
-    # A tie at the selection boundary makes a constraint active, so t_i equals
-    # an interval end up to rounding; pull a t_i that close back inside.
-    inside = min(max(t_i, vminus), vplus)
-    if inside != t_i and abs(inside - t_i) <= 1e-9 * max(1.0, abs(t_i)):
-        t_i = inside
-        diag["clamped"] = True
-    diag.update({"vminus": vminus, "vplus": vplus})
-    return t_i, float(stat.variances[i]), vminus, vplus
-
-
-def _poly_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
-    sel = select_top_k(stat.t, config.k)
-    vminus, vplus = poly_truncation_intervals(stat.t, stat.factor, sel)
-    return _report(stat, sel, config, lambda j, diag: _poly_feature_test(
-        stat, sel[j], vminus[j], vplus[j], diag))
-
-
-def _method_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
-    """``config.method``'s report on ``stat``, without a warning."""
-    if config.k is None:
-        raise ValueError("config.k must be set to select features")
-    return (_multiscale_report if config.method.startswith("multi-") else _poly_report)(stat, config)
 
 
 def _warn_unconstraining(fell_back: int, tested: int, stacklevel: int) -> None:
@@ -398,10 +391,10 @@ def _warn_unconstraining(fell_back: int, tested: int, stacklevel: int) -> None:
 
 
 def _warned_report(stat: MultiStat, config: RunConfig) -> SelectiveReport:
-    """`_method_report`, then one `ScalesDroppedWarning` if any selected
+    """`_report`, then one `ScalesDroppedWarning` if any selected
     feature's selection event is taken as unconstraining, at the line that
     called `selective_report` or `select_and_test`."""
-    report = _method_report(stat, config)
+    report = _report(stat, config)
     fell_back = sum(diag.get("fallback") == "selection-unconstraining" for diag in report.diagnostics)
     _warn_unconstraining(fell_back, len(report.selected), stacklevel=3)
     return report

@@ -12,7 +12,7 @@ import numpy as np
 from .config import METHODS, RunConfig
 from .core import DataShapeError, derive_rng, derive_seed
 from .hsic import JointSample
-from .selective import SelectiveReport, _method_report, _warn_unconstraining, statistic
+from .selective import SelectiveReport, _report, _warn_unconstraining, statistic
 
 _STREAM_TRIAL_DATA = 2
 _STREAM_TRIAL_TEST = 3
@@ -137,7 +137,7 @@ def _trial_reports(methods: list[str], data, config: RunConfig) -> dict[str, Sel
     """One report per method, computing the shared statistic only once; the
     trial pool issues the fallback warning."""
     stat = statistic(data, replace(config, method=methods[0]))
-    return {m: _method_report(stat, replace(config, method=m)) for m in methods}
+    return {m: _report(stat, replace(config, method=m)) for m in methods}
 
 
 def _nan_mean_se(values: list[float]) -> tuple[float, float, int]:
@@ -192,10 +192,11 @@ def _run_trial_pool(
     truth: set[int],
 ) -> list[TrialSummary]:
     """Run every trial of ``family``'s ``methods`` on ``config.threads``
-    worker threads and summarize, selecting ``default_k`` features when
-    ``config.k`` is None.  If any Multi test took its selection event as
-    unconstraining, one `ScalesDroppedWarning` gives the count over all
-    trials, at the line that called `run_trials` or `benchmark_trials`.
+    threads (the calling one alone when 1) and summarize, selecting
+    ``default_k`` features when ``config.k`` is None.  If any Multi test
+    took its selection event as unconstraining, one `ScalesDroppedWarning`
+    gives the count over all trials, at the line that called `run_trials`
+    or `benchmark_trials`.
 
     Trial t draws its data with ``make_data`` from stream (seed, DATA, t)
     and tests with seed (seed, TEST, t), seed being ``config.seed``; records
@@ -214,7 +215,8 @@ def _run_trial_pool(
         return {m: _trial_record(trial, trial_seed, r, truth, config.alpha) for m, r in reports.items()}
 
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        per_trial = list(pool.map(one_trial, range(trials)))
+        # A fresh worker thread per call made a warm CLI call's page faults vary from 20 to 740.
+        per_trial = list((pool.map if config.threads > 1 else map)(one_trial, range(trials)))
     summaries = [_summarize(m, [records[m] for records in per_trial], config) for m in methods]
     _warn_unconstraining(sum(s.fallbacks.get("selection-unconstraining", 0) for s in summaries),
                          sum(len(r["selected"]) for s in summaries if s.method.startswith("multi-")

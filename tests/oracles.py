@@ -5,9 +5,11 @@ scalar and Gram-matrix kernels, the kernel on index pairs as out-of-place
 array expressions, the complete U-statistics, the incomplete
 estimators read from Gram matrices, the per-block HSIC as a mean of complete
 U-statistics, and the complete and block index designs; and the scaling-law
-fit of one feature at a time by `np.linalg.lstsq`.  C1, C2 and the
-loop-oracle tests in `test_mmd.py`, `test_hsic.py`, `test_designs.py`,
-`test_kernels.py` and `test_multiscale.py` check the package against them.
+fit of one feature at a time by `np.linalg.lstsq`; and the selective
+report built one feature at a time through a per-feature callback.  C1, C2
+and the loop-oracle tests in `test_mmd.py`, `test_hsic.py`,
+`test_designs.py`, `test_kernels.py`, `test_multiscale.py` and
+`test_selective.py` check the package against them.
 
 They live here, not in `selkern`, because the selection pipeline never
 calls them: the package ships one linear-in-n estimator per statistic
@@ -27,7 +29,9 @@ from selkern.core import DataShapeError, Design, InsufficientScalesError
 from selkern.hsic import _PAIRS, JointSample, _h_from_pairs
 from selkern.kernels import GAUSSIAN, KernelSpec, _squared_distances, pair_kernel
 from selkern.mmd import _check_two_sample, _pair_h
-from selkern.multiscale import ndtri
+from selkern.config import METHODS
+from selkern.multiscale import default_scales, fit_bootstrap_probabilities as fit_block, ndtri
+from selkern.selective import SelectiveReport, _selection_fractions, poly_p, poly_truncation_intervals, select_top_k
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +292,66 @@ def fit_bootstrap_probabilities(bps, gamma2, replicates: int) -> dict:
         beta0, beta1, fit = fit_scaling_law(*zip(*points))
         diag.update({f"fit_{key}": value for key, value in {"beta0": beta0, "beta1": beta1, **fit}.items()})
     return diag
+
+
+# ---------------------------------------------------------------------------
+# Selective report
+# ---------------------------------------------------------------------------
+def _report(stat, selected, config, feature_test) -> SelectiveReport:
+    """The report on the ``selected`` features.  Each one's diagnostics hold
+    its index, name and beta0 = t_i / sqrt(Sigma_ii), and
+    ``feature_test(j, diag)`` gives the (t, variance, lower end, upper end)
+    of the truncated normal whose survival at t, `poly_p`, is the p-value of
+    ``selected[j]``, adding to ``diag``; one `poly_p` call takes them all.
+    A feature of zero variance is flagged and gets the conservative p = 1
+    instead, before any test runs."""
+    tested = stat.variances[list(selected)] > 0
+    tests, diagnostics = [], []
+    for j, i in enumerate(selected):
+        diag: dict = {"feature": i, "name": stat.feature_names[i]}
+        if tested[j]:
+            diag["beta0"] = float(stat.t[i] / np.sqrt(stat.variances[i]))
+            tests.append(feature_test(j, diag))
+        else:
+            diag.update({"error": f"feature {i} has non-positive variance", "fallback": "degenerate-variance"})
+        diagnostics.append(diag)
+    p_values = np.ones(len(selected))
+    if tests:
+        p_values[tested] = poly_p(*np.array(tests).T)
+    return SelectiveReport(method=METHODS[config.method], selected=selected, scores=stat.t,
+                           feature_names=stat.feature_names, p_values=p_values.tolist(),
+                           diagnostics=diagnostics, config=config.snapshot())
+
+
+def _multiscale_feature_test(diag: dict, fit: dict):
+    diag.update(fit)
+    if "fit_beta0" not in diag:
+        diag.update({"phi_s0": -np.inf, "fallback": "selection-unconstraining"})
+    else:
+        diag.update({"phi_s0_raw": diag["fit_beta0"], "phi_s0": min(diag["fit_beta0"], 0.0)})
+    return diag["beta0"], 1.0, diag["beta0"] + diag["phi_s0"], np.inf
+
+
+def _poly_feature_test(stat, i: int, vminus: float, vplus: float, diag: dict):
+    vminus, vplus = float(vminus), float(vplus)
+    t_i = float(stat.t[i])
+    inside = min(max(t_i, vminus), vplus)
+    if inside != t_i and abs(inside - t_i) <= 1e-9 * max(1.0, abs(t_i)):
+        t_i = inside
+        diag["clamped"] = True
+    diag.update({"vminus": vminus, "vplus": vplus})
+    return t_i, float(stat.variances[i]), vminus, vplus
+
+
+def report(stat, config) -> SelectiveReport:
+    """``config.method``'s report on the top ``config.k`` features of
+    ``stat``, one feature at a time: Multi's truncation at beta0 + phi_S(0)
+    from each feature's scaling-law fit, or Poly's polyhedral interval."""
+    sel = select_top_k(stat.t, config.k)
+    if config.method.startswith("multi-"):
+        gamma2, replicates = default_scales(stat.n, config), config.replicates_per_scale
+        fractions = _selection_fractions(stat.t, stat.factor, len(sel), gamma2, replicates, config.seed)
+        fits = fit_block(fractions[:, sel], gamma2, replicates)
+        return _report(stat, sel, config, lambda j, diag: _multiscale_feature_test(diag, fits[j]))
+    vminus, vplus = poly_truncation_intervals(stat.t, stat.factor, sel)
+    return _report(stat, sel, config, lambda j, diag: _poly_feature_test(stat, sel[j], vminus[j], vplus[j], diag))

@@ -138,14 +138,15 @@ def test_c4_scaling_law_recovery():
     scales = sk.default_scales(1000, sk.RunConfig(seed=0, replicates_per_scale=replicates))
     details = []
     ok = True
-    for s in (-1.0, 0.0, 1.0):
-        # Fraction of N((s, 0), gamma^2 I) draws in the half-space {y_0 <= 0}.
-        bps = []
+    shifts = (-1.0, 0.0, 1.0)
+    # Column j: the fraction of N((s_j, 0), gamma^2 I) draws in the half-space {y_0 <= 0}.
+    bps = np.empty((len(scales), len(shifts)))
+    for j, s in enumerate(shifts):
         for idx, gamma2 in enumerate(scales):
             z = sk.derive_rng(1006, int(10 * s) + 20, idx).standard_normal((replicates, 2))
-            bps.append(float(np.mean(s + np.sqrt(gamma2) * z[:, 0] <= 0)))
+            bps[idx, j] = np.mean(s + np.sqrt(gamma2) * z[:, 0] <= 0)
+    for s, fit in zip(shifts, fit_bootstrap_probabilities(bps, scales, replicates)):
         # The fitted line at gamma^2 = 0 is its intercept.
-        fit = fit_bootstrap_probabilities(bps, scales, replicates)
         value, slope = fit["fit_beta0"], fit["fit_beta1"]
         details.append(f"s={s:+.0f}: phi(0)={value:+.4f} slope={slope:+.4f}")
         ok = ok and abs(value - s) < 0.05 and abs(slope) < 0.05
@@ -179,6 +180,9 @@ def test_c5_fpr_control():
 # ---------------------------------------------------------------------------
 # 6. Power dominance of minimal conditioning.
 # ---------------------------------------------------------------------------
+# A few of each run's 3000 Multi tests take their selection event as
+# unconstraining; the summaries count them.
+@pytest.mark.filterwarnings("ignore::selkern.multiscale.ScalesDroppedWarning")
 def test_c6_power_dominance():
     mean_shift = sk.ProblemSpec(kind="mean-shift", n=500, d=50, shift=0.5, informative=10)
     mmd_summaries = {

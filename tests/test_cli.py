@@ -539,6 +539,7 @@ def _fallback_argv(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["mmd-test", "hsic-test", "simulate", "benchmark"])
+@pytest.mark.filterwarnings("always::selkern.multiscale.ScalesDroppedWarning")
 def test_cli_prints_the_fallback_warning_as_one_message_line(tmp_path, capsys, command):
     # The warning names no file or source line of the package.
     assert cli_main(_fallback_argv(tmp_path, command)) == 0

@@ -64,7 +64,7 @@ def test_no_scipy_imports():
 
 def test_no_lstsq_calls():
     # The scaling-law fit has one path, `multiscale._weighted_lines`, which
-    # both `fit_scaling_law` and the Multi report go through.
+    # `fit_bootstrap_probabilities`, and so the Multi report, goes through.
     found = [f"{name}: line {node.lineno}" for name, tree in _SOURCES.items() for node in ast.walk(tree)
              if isinstance(node, ast.Call) and "lstsq" in (getattr(node.func, "attr", None),
                                                           getattr(node.func, "id", None))]

@@ -14,21 +14,31 @@ from selkern import (
     MultiStat,
     RunConfig,
     default_scales,
-    fit_scaling_law,
     poly_p,
 )
 from selkern import selective
-from selkern.multiscale import fit_bootstrap_probabilities, log_ndtr, ndtri
+from selkern.multiscale import _weighted_lines, fit_bootstrap_probabilities, log_ndtr, ndtri
 from selkern.selective import _report, _selection_fractions
 
 # Three interior scales around the one under test, so every fit has points.
 _OTHER_SCALES = ((0.5, 0.4), (1.0, 0.3), (2.0, 0.2))
 
 
+def _fit_one(bps, gamma2, replicates):
+    """The fit of one feature's bootstrap probabilities, one per scale."""
+    return fit_bootstrap_probabilities(np.reshape(bps, (-1, 1)), gamma2, replicates)[0]
+
+
+def _line(gamma2, psi, weights):
+    """beta0, beta1 and the point count of one weighted least-squares line."""
+    fit = _weighted_lines(*(np.asarray(a, dtype=float)[None] for a in (gamma2, psi, weights)))
+    return fit["beta0"][0], fit["beta1"][0], fit["points"][0]
+
+
 def _psi(bp, gamma2, b_reps=2000):
     """psi of one bootstrap probability at gamma2, read from the fit's report."""
     g2s, bps = zip(*_OTHER_SCALES, (gamma2, bp))
-    return fit_bootstrap_probabilities(bps, g2s, b_reps)["psi"][-1]
+    return _fit_one(bps, g2s, b_reps)["psi"][-1]
 
 
 def test_psi_at_half_is_zero():
@@ -46,7 +56,7 @@ def test_psi_gamma_scaling():
 def test_psi_rejects_degenerate_bp():
     # A probability of 0 or 1 has an infinite psi and is left out of the fit.
     for bp, psi in ((0.0, np.inf), (1.0, -np.inf)):
-        info = fit_bootstrap_probabilities((0.4, 0.3, bp), (0.5, 1.0, 2.0), 2000)
+        info = _fit_one((0.4, 0.3, bp), (0.5, 1.0, 2.0), 2000)
         assert "fit_beta0" not in info and info["psi"][-1] == psi
         assert info["scales_dropped"] == 1 and info["dropped_gamma2"] == [2.0]
 
@@ -66,12 +76,11 @@ def _wls(gamma2, bps, b):
 def test_psi_variance_delta_method():
     # The weights change beta and set the weighted RSS, which scales with them.
     gamma2, bps, b = (0.5, 1.5, 2.0), (0.3, 0.2, 0.45), 2000
-    fit = fit_bootstrap_probabilities(bps, gamma2, b)
+    fit = _fit_one(bps, gamma2, b)
     beta0 = fit["fit_beta0"]
     want = _wls(gamma2, bps, b)
     assert (beta0, fit["fit_beta1"], fit["fit_weighted_rss"]) == pytest.approx(want, rel=1e-10)
-    assert beta0 != pytest.approx(fit_scaling_law(gamma2, norm.isf(bps) * np.sqrt(gamma2), np.ones(3))[0],
-                                  rel=1e-3)
+    assert beta0 != pytest.approx(_line(gamma2, norm.isf(bps) * np.sqrt(gamma2), np.ones(3))[0], rel=1e-3)
 
 
 @pytest.mark.parametrize("bp, b_reps", [(0.0, 2000), (1.0, 2000), (-0.1, 2000), (1.5, 2000),
@@ -82,9 +91,9 @@ def test_psi_variance_rejects_degenerate_inputs(bp, b_reps):
     g2s, bps = zip(*_OTHER_SCALES, (1.0, bp))
     if b_reps < 1:
         with pytest.raises(ValueError):
-            fit_bootstrap_probabilities(bps, g2s, b_reps)
+            _fit_one(bps, g2s, b_reps)
         return
-    fit = fit_bootstrap_probabilities(bps, g2s, b_reps)
+    fit = _fit_one(bps, g2s, b_reps)
     assert np.isinf(fit["psi"][-1]) and fit["scales_dropped"] == 1
     assert fit["fit_points"] == 3
     want = _wls(g2s[:3], bps[:3], b_reps)[:2]
@@ -144,35 +153,33 @@ def test_ndtri_on_bootstrap_fractions_and_extremes():
 
 def test_fit_exact_line():
     gamma2 = np.linspace(0.5, 2.0, 10)
-    beta0, beta1, _ = fit_scaling_law(gamma2, 1.0 + 0.5 * gamma2, np.ones(10))
+    beta0, beta1, _ = _line(gamma2, 1.0 + 0.5 * gamma2, np.ones(10))
     assert beta0 == pytest.approx(1.0, abs=1e-10)
     assert beta1 == pytest.approx(0.5, abs=1e-10)
     assert beta0 - beta1 == pytest.approx(0.5, abs=1e-10)
 
 
 def test_fit_constant_points():
-    beta0, beta1, diagnostics = fit_scaling_law([0.5, 1.0, 2.0], [3.25] * 3, [1.0] * 3)
+    beta0, beta1, points = _line([0.5, 1.0, 2.0], [3.25] * 3, [1.0] * 3)
     assert beta0 == pytest.approx(3.25, abs=1e-12)
     assert beta1 == pytest.approx(0.0, abs=1e-12)
-    assert diagnostics["points"] == 3
+    assert points == 3
 
 
 def test_fit_weights_change_solution():
     gamma2, psi = [0.5, 1.0, 2.0], [1.0, 2.0, 1.0]
-    unweighted = fit_scaling_law(gamma2, psi, [1.0] * 3)
-    weighted = fit_scaling_law(gamma2, psi, [100.0, 1.0, 100.0])
+    unweighted = _line(gamma2, psi, [1.0] * 3)
+    weighted = _line(gamma2, psi, [100.0, 1.0, 100.0])
     assert unweighted[0] != weighted[0]
 
 
 def test_fit_requires_three_points():
-    with pytest.raises(InsufficientScalesError):
-        fit_scaling_law([0.5, 1.0], [1.0, 2.0], [1.0, 1.0])
-    for bad in ([np.nan, 1.0, 2.0], [1.0, np.inf, 2.0]):
-        with pytest.raises(ValueError, match="finite"):
-            fit_scaling_law([0.5, 1.0, 2.0], bad, [1.0] * 3)
-    for weights in ([1.0, 0.0, 1.0], [1.0, 1.0]):
-        with pytest.raises(ValueError, match="weights"):
-            fit_scaling_law([0.5, 1.0, 2.0], [1.0, 2.0, 3.0], weights)
+    # A column with two interior scales gets no fit, and the caller its
+    # fallback; a column with three beside it is fitted through them.
+    fits = fit_bootstrap_probabilities(np.array([[0.4, 0.4], [0.3, 0.3], [0.2, 1.0], [0.0, 0.0]]),
+                                       [0.5, 1.0, 1.5, 2.0], 1000)
+    assert "fit_beta0" not in fits[1] and fits[1]["scales_dropped"] == 2
+    assert fits[0]["fit_points"] == 3 and fits[0]["dropped_gamma2"] == [2.0]
 
 
 def test_fit_noisy_recovery():
@@ -181,7 +188,7 @@ def test_fit_noisy_recovery():
     b = 10_000
     gamma2 = np.exp(np.linspace(np.log(0.5), np.log(2.0), 10))
     bps = [rng.binomial(b, norm.sf(1.0 / np.sqrt(g2))) / b for g2 in gamma2]
-    fit = fit_bootstrap_probabilities(bps, gamma2, b)
+    fit = _fit_one(bps, gamma2, b)
     assert fit["scales_dropped"] == 0
     assert fit["fit_beta0"] == pytest.approx(1.0, abs=0.05)
     assert fit["fit_beta1"] == pytest.approx(0.0, abs=0.05)
@@ -210,7 +217,7 @@ def test_block_fit_matches_the_per_feature_lstsq_oracle(case):
     assert len(fits) == block.shape[1]
     for j, fit in enumerate(fits):
         want = oracles.fit_bootstrap_probabilities(block[:, j], gamma2, replicates)
-        assert fit == fit_bootstrap_probabilities(block[:, j], gamma2, replicates)
+        assert fit == _fit_one(block[:, j], gamma2, replicates)
         assert list(fit) == list(want)
         for key in ("psi", "bootstrap_probabilities", "scales_dropped", "dropped_gamma2", "fit_points"):
             assert fit.get(key) == want.get(key), key
@@ -232,7 +239,7 @@ def test_block_fit_matches_the_per_feature_lstsq_oracle(case):
 def test_fit_needs_two_distinct_scales():
     # The closed form divides by sum w (x - xbar)^2, which is 0 here.
     with pytest.raises(ValueError, match="distinct"):
-        fit_scaling_law([1.5] * 4, [0.2, 0.4, 0.1, 0.3], [1.0, 2.0, 3.0, 4.0])
+        _line([1.5] * 4, [0.2, 0.4, 0.1, 0.3], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError, match="distinct"):
         fit_bootstrap_probabilities(np.full((3, 2), 0.3), [0.5, 0.5, 0.5], 1000)
 
@@ -409,6 +416,20 @@ def test_selection_fractions_memory_does_not_grow_with_replicates():
     assert peak < b * d * 8 / 4, peak
 
 
+def test_from_rows_holds_one_centred_copy_of_the_rows():
+    # The centred, scaled rows are formed in one (m, d) array, beside the QR's
+    # own copy of it.
+    for m, d in ((20_000, 100), (2000, 50), (400, 50)):
+        rows = np.random.default_rng(14).standard_normal((m, d))
+        tracemalloc.start()
+        try:
+            MultiStat.from_rows(rows, ddof=1, n=m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * rows.nbytes, (m, d, peak / rows.nbytes)
+
+
 def test_bootstrap_probability_rejects_bad_inputs():
     # The bootstrap's factor comes from the statistic's rows, so non-finite
     # rows are rejected where the statistic is built.
@@ -536,11 +557,12 @@ def test_selective_p_is_a_valid_selective_p_value(beta0, phi_s0):
 
 
 def _beta0_report(stat):
-    """The report on every feature of ``stat`` by the classical test (no
-    truncation), which reads only the beta0 the report wrote."""
-    def feature_test(_j, diag):
-        return diag["beta0"], 1.0, -np.inf, np.inf
-    return _report(stat, tuple(range(stat.t.size)), RunConfig(seed=0), feature_test)
+    """The Poly report on every feature of ``stat``, with its diagnostics in
+    feature order: with k = d there is no constraint, so each feature gets
+    the classical, untruncated test."""
+    report = _report(stat, RunConfig(seed=0, k=stat.t.size, method="poly-mmd"))
+    report.diagnostics.sort(key=lambda diag: diag["feature"])
+    return report
 
 
 def test_flat_hypothesis_distance():
@@ -572,7 +594,7 @@ def _selection_fit(mean, factor, k, n, replicates, seed):
     fractions, then the scaling-law fit."""
     gamma2 = default_scales(n, RunConfig(seed=0))
     fractions = _selection_fractions(np.asarray(mean, dtype=float), factor, k, gamma2, replicates, seed)
-    return fractions, fit_bootstrap_probabilities(fractions[:, 0], gamma2, replicates)
+    return fractions, _fit_one(fractions[:, 0], gamma2, replicates)
 
 
 def test_region_scaling_halfspace_recovery():

@@ -1,6 +1,7 @@
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -30,6 +31,8 @@ from selkern import (
     select_top_k,
     selective_report,
 )
+import oracles
+from selkern import selective
 from selkern.selective import _report, _top_k_counts, statistic
 
 
@@ -361,13 +364,20 @@ def test_degenerate_features_get_one_flag_under_every_method():
 
 
 def test_constant_response_still_raises():
-    # So does a response whose median squared difference overflows: its
-    # median-heuristic width is infinite and its kernel constant.
+    # A constant response raises under every kernel and estimator, where a
+    # fixed-width or IMQ block estimate would test rounding noise.  Under the
+    # median heuristic so does a response whose median squared difference
+    # overflows: its width is infinite and its kernel constant.
     rng = derive_rng(9)
     X = rng.standard_normal((40, 3))
-    for y in (np.ones(40), np.resize([-1e308, 0.0, 1e308], 40)):
+    median = RunConfig(seed=1, k=2, method="multi-hsic")
+    fixed = [{"bandwidth": 1.0}, {"kernel_family": "imq"}]
+    configs = [median] + [replace(median, **kernel) for kernel in fixed] + [
+        replace(median, estimator="block", block_size=b, **kernel) for b in (5, 8, 13) for kernel in fixed]
+    cases = [(np.ones(40), config) for config in configs] + [(np.resize([-1e308, 0.0, 1e308], 40), median)]
+    for y, config in cases:
         with pytest.raises(DegenerateSampleError), np.errstate(over="ignore"):
-            select_and_test(JointSample(X, y), RunConfig(seed=1, k=2, method="multi-hsic"))
+            select_and_test(JointSample(X, y), config)
 
 
 def test_overflowing_column_raises_no_runtime_warning():
@@ -664,6 +674,12 @@ def _poly_problem(draw):
     return t, A.T, k
 
 
+def _untruncated_tests(stat, selected, beta0, config):
+    """A method that gives every selected feature N(0, 1) on the whole line at 0."""
+    k = len(selected)
+    return np.zeros(k), np.ones(k), np.full(k, -np.inf), np.full(k, np.inf), [{} for _ in selected]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_poly_problem())
 # A subnormal covariance: a ratio overflows to inf.
@@ -683,13 +699,45 @@ def test_poly_intervals_match_per_feature_loop(case):
                 expected = _poly_interval_oracle(t, sigma, sel, i)
         except DegenerateFeatureError:
             assert np.isnan(vminus[j]) and np.isnan(vplus[j])
-            # The shared report builder flags the feature before the Poly test runs.
-            report = _report(MultiStat(t, factor, n=2), sel, RunConfig(seed=0),
-                             lambda _j, _diag: (0.0, 1.0, -np.inf, np.inf))
+            # The shared report builder flags the feature, whatever the method gives.
+            with mock.patch.object(selective, "_poly_tests", _untruncated_tests):
+                report = _report(MultiStat(t, factor, n=2), RunConfig(seed=0, k=k, method="poly-mmd"))
             assert report.p_values[j] == 1.0
             assert report.diagnostics[j]["error"] == f"feature {i} has non-positive variance"
             continue
         assert (vminus[j], vplus[j]) == expected
+
+
+@st.composite
+def _report_problem(draw):
+    """A statistic with zero-variance features, some at t != 0, and perhaps
+    a duplicated feature; k from 1 to d; and a method."""
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.standard_normal(d) * draw(st.sampled_from([0.5, 3.0]))
+    factor = rng.standard_normal((draw(st.integers(1, d + 1)), d))
+    factor[:, draw(arrays(np.bool_, d))] = 0.0
+    if d > 1 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(d)))[:2]
+        t[b], factor[:, b] = t[a], factor[:, a]
+    config = RunConfig(seed=draw(st.integers(0, 2**32 - 1)), k=draw(st.integers(1, d)),
+                       method=draw(st.sampled_from(["multi-mmd", "poly-mmd"])), replicates_per_scale=200)
+    return MultiStat(t, factor, n=draw(st.integers(4, 400))), config
+
+
+def _report_outcome(build, stat, config):
+    try:
+        report = build(stat, config)
+    except ValueError as error:
+        return repr(error)
+    return report.selected, np.array(report.p_values).tobytes(), report.diagnostics, report.method
+
+
+@settings(max_examples=150, deadline=None)
+@given(_report_problem())
+def test_report_matches_the_per_feature_callback_oracle(case):
+    stat, config = case
+    assert _report_outcome(_report, stat, config) == _report_outcome(oracles.report, stat, config)
 
 
 @st.composite

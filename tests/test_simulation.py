@@ -17,7 +17,7 @@ from selkern import (
     run_trials,
     tpr_fpr,
 )
-from selkern.selective import _method_report
+from selkern.selective import _report as _selective_report
 
 
 def test_mean_shift_null_shapes():
@@ -169,7 +169,8 @@ def test_trial_summary_counts_fallbacks():
     # never constrains and every Multi test falls back.
     problem = ProblemSpec(kind="mean-shift", n=60, d=2, shift=0.4, informative=1)
     config = RunConfig(seed=2, k=2, replicates_per_scale=200)
-    multi, poly = run_trials(problem, ["multi-mmd", "poly-mmd"], 3, config=config)
+    with pytest.warns(ScalesDroppedWarning, match="for 6 of 6 selected features"):
+        multi, poly = run_trials(problem, ["multi-mmd", "poly-mmd"], 3, config=config)
     assert multi.fallbacks == {"selection-unconstraining": 6}
     assert [rec["fallbacks"] for rec in multi.records] == [{"selection-unconstraining": 2}] * 3
     assert poly.fallbacks == {}
@@ -209,10 +210,10 @@ def test_run_trials_high_dimensional_null_calibration(monkeypatch):
     reports = []
 
     def recording_report(*args, **kwargs):
-        reports.append(_method_report(*args, **kwargs))
+        reports.append(_selective_report(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr("selkern.simulation._method_report", recording_report)
+    monkeypatch.setattr("selkern.simulation._report", recording_report)
     problem = ProblemSpec(kind="mean-shift", n=100, d=500, shift=0.0, informative=0)
     config = RunConfig(seed=1, k=10, bandwidth=1.0, replicates_per_scale=1000)
     (summary,) = run_trials(problem, ["multi-mmd"], 40, config=config)
@@ -243,9 +244,11 @@ def test_benchmark_mmd_mode():
     features = rng.standard_normal((n_rows, 3))
     features[labels == 1, 0] += 1.5  # first column separates the classes
     config = RunConfig(seed=3, k=4, replicates_per_scale=300)
-    summaries = benchmark_trials(
-        features, labels, "mmd", ["multi-mmd"], trials=3, config=config, n=None, n_fake=4
-    )
+    # Two of the twelve Multi tests fall back; the harness warns once with the count.
+    with pytest.warns(ScalesDroppedWarning, match="for 2 of 12 selected features"):
+        summaries = benchmark_trials(
+            features, labels, "mmd", ["multi-mmd"], trials=3, config=config, n=None, n_fake=4
+        )
     s = summaries[0]
     assert s.trials == 3
     assert 0.0 <= s.fpr <= 1.0
