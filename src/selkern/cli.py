@@ -80,10 +80,8 @@ def load_csv(path: str) -> tuple[np.ndarray, list[str] | None]:
     if not rows:
         raise DataFormatError(f"{path}: empty file")
     width = len(rows[0][1])
-    first = rows[0][1]
-    has_header = any(not _is_number(c) for c in first)
-    names = [c.strip() for c in first] if has_header else None
-    data_rows = rows[1:] if has_header else rows
+    names = _header_names(rows[0][1])
+    data_rows = rows[1:] if names is not None else rows
     if not data_rows:
         raise DataFormatError(f"{path}: no data rows")
     values = np.empty((len(data_rows), width))
@@ -117,8 +115,8 @@ def _load_plain(path: str) -> tuple[np.ndarray, list[str] | None] | None:
         first = lines[0].decode("utf-8").split(",")
     except UnicodeDecodeError:
         return None
-    has_header = any(not _is_number(c) for c in first)
-    body = lines[1:] if has_header else lines
+    names = _header_names(first)
+    body = lines[1:] if names is not None else lines
     if not body or b"".join(body).translate(None, _PLAIN_BYTES):
         return None
     try:
@@ -127,7 +125,7 @@ def _load_plain(path: str) -> tuple[np.ndarray, list[str] | None] | None:
         return None
     if values.shape[1] != len(first) or not np.isfinite(values).all():
         return None
-    return values, [c.strip() for c in first] if has_header else None
+    return values, names
 
 
 def _longest_field(line: bytes) -> int:
@@ -136,12 +134,14 @@ def _longest_field(line: bytes) -> int:
     return int(np.diff(commas, prepend=-1, append=len(line)).max()) - 1
 
 
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+def _header_names(first: list[str]) -> list[str] | None:
+    """A header row's stripped cells, or None: a first row is a header when a cell is non-numeric."""
+    for cell in first:
+        try:
+            float(cell)
+        except ValueError:
+            return [c.strip() for c in first]
+    return None
 
 
 def save_csv(path: str, values: np.ndarray, names: list[str]) -> None:
@@ -170,26 +170,16 @@ def split_response(values: np.ndarray, names: list[str] | None, response: str):
 
 
 def _sanitize(obj):
-    """Make a document JSON-serializable and deterministic: numpy scalars to
-    python, non-finite floats to strings."""
+    """Make a document strict JSON: non-finite floats to strings."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
     if isinstance(obj, float):
         if math.isnan(obj):
             return "nan"
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
-        return obj
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 
@@ -197,11 +187,12 @@ def render_document(doc: dict) -> str:
     return json.dumps(_sanitize(doc), sort_keys=True, indent=2) + "\n"
 
 
-def _emit(table: list[str], doc: dict, out_path: str | None) -> int:
+def _emit(command: str, config: dict, inputs: dict, results: dict, table: list[str], out_path: str | None) -> int:
     """Print the ``table`` lines and write the document to ``out_path``, or
     else to stdout, with the table on stderr so that stdout is the JSON alone."""
     print(*table, sep="\n", file=sys.stdout if out_path else sys.stderr)
-    text = render_document(doc)
+    text = render_document({"schema_version": SCHEMA_VERSION, "command": command, "config": config,
+                            "inputs": inputs, "results": results})
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -210,22 +201,15 @@ def _emit(table: list[str], doc: dict, out_path: str | None) -> int:
     return 0
 
 
-def _report_document(command: str, inputs: dict, report, config: RunConfig) -> dict:
-    rejected = report.rejected(config.alpha)
+def _report_results(report, alpha: float) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": report.config,
-        "inputs": inputs,
-        "results": {
-            "method": report.method,
-            "selected": list(report.selected),
-            "feature_names": [report.feature_names[i] for i in report.selected],
-            "scores": [float(report.scores[i]) for i in report.selected],
-            "p_values": [float(p) for p in report.p_values],
-            "rejected": rejected,
-            "diagnostics": report.diagnostics,
-        },
+        "method": report.method,
+        "selected": list(report.selected),
+        "feature_names": [report.feature_names[i] for i in report.selected],
+        "scores": [float(report.scores[i]) for i in report.selected],
+        "p_values": [float(p) for p in report.p_values],
+        "rejected": report.rejected(alpha),
+        "diagnostics": report.diagnostics,
     }
 
 
@@ -261,7 +245,6 @@ def _resolve_seed(args, parser, required_flag: bool = False) -> int:
         except ValueError:
             parser.error(f"SELKERN_SEED must be an integer, got {env!r}")
     parser.error("--seed not given and SELKERN_SEED not set")
-    raise AssertionError("unreachable")
 
 
 def _config_from_args(args, parser, **overrides) -> RunConfig:
@@ -273,7 +256,6 @@ def _config_from_args(args, parser, **overrides) -> RunConfig:
         return RunConfig(**values, **overrides)
     except ValueError as exc:
         parser.error(str(exc))
-        raise AssertionError("unreachable")
 
 
 def _add_common(parser: argparse.ArgumentParser, k_required: bool) -> None:
@@ -358,23 +340,17 @@ def _cmd_test(args, parser) -> int:
         data, inputs = JointSample(X, y[:, None]), {"data": args.data, "response": args.response}
     config = _config_from_args(args, parser, seed=seed, method=f"{args.method}-{family}")
     report = select_and_test(data, config, feature_names=names)
-    return _emit(_report_table(report, config.alpha), _report_document(args.command, inputs, report, config),
-                 args.out)
+    return _emit(args.command, report.config, inputs, _report_results(report, config.alpha),
+                 _report_table(report, config.alpha), args.out)
 
 
 def _emit_summaries(command: str, inputs: dict, summaries, out_path: str | None) -> int:
     """Emit the summary table and the document of a multi-trial command."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": summaries[0].config,
-        "inputs": inputs,
-        "results": {
-            "summaries": [{k: v for k, v in asdict(s).items() if k != "records"} for s in summaries],
-            "per_trial": [{"method": s.method, **rec} for s in summaries for rec in s.records],
-        },
+    results = {
+        "summaries": [{k: v for k, v in asdict(s).items() if k != "records"} for s in summaries],
+        "per_trial": [{"method": s.method, **rec} for s in summaries for rec in s.records],
     }
-    return _emit(_summary_table(summaries), doc, out_path)
+    return _emit(command, summaries[0].config, inputs, results, _summary_table(summaries), out_path)
 
 
 def _cmd_simulate(args, parser) -> int:

@@ -8,35 +8,27 @@ from .core import DataShapeError, Design
 
 def sample_pair_design(n: int, l: int, rng: np.random.Generator) -> Design:
     """l ordered pairs drawn uniformly with replacement from {(i,j): i != j}."""
-    if n < 2:
-        raise DataShapeError("need n >= 2 to form index pairs")
-    if l < 1:
-        raise DataShapeError("design size must be >= 1")
-    i = rng.integers(0, n, size=l)
-    j = rng.integers(0, n - 1, size=l)
-    j += j >= i
-    return Design(np.column_stack([i, j]), n)
+    return _distinct_tuples(n, l, 2, "pairs", rng)
 
 
 def sample_quad_design(n: int, l: int, rng: np.random.Generator) -> Design:
     """l ordered 4-tuples of distinct indices, uniform with replacement."""
-    if n < 4:
-        raise DataShapeError("need n >= 4 to form index quadruples")
+    return _distinct_tuples(n, l, 4, "quadruples", rng)
+
+
+def _distinct_tuples(n: int, l: int, width: int, noun: str, rng: np.random.Generator) -> Design:
+    """l ordered ``width``-tuples of distinct indices in [0, n), uniform with replacement.
+
+    Slot s draws from the n - s values left and is shifted past the earlier
+    slots' indices in ascending order, one slot after another from ``rng``."""
+    if n < width:
+        raise DataShapeError(f"need n >= {width} to form index {noun}")
     if l < 1:
         raise DataShapeError("design size must be >= 1")
-    a = rng.integers(0, n, size=l)
-    b = rng.integers(0, n - 1, size=l)
-    b += b >= a
-    # Each later slot is drawn from the remaining values and shifted past the
-    # already-used indices in ascending order.
-    c = rng.integers(0, n - 2, size=l)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    c += c >= lo
-    c += c >= hi
-    e = rng.integers(0, n - 3, size=l)
-    used = np.sort(np.column_stack([a, b, c]), axis=1)
-    for col in range(3):
-        e += e >= used[:, col]
-    return Design(np.column_stack([a, b, c, e]), n)
-
+    tuples = np.empty((l, width), dtype=np.intp)
+    for s in range(width):
+        slot = rng.integers(0, n - s, size=l)
+        for used in np.sort(tuples[:, :s], axis=1).T:
+            slot += slot >= used
+        tuples[:, s] = slot
+    return Design(tuples, n)

@@ -71,19 +71,15 @@ def _block_hsic(Z: JointSample, specs, specY, block_size: int) -> np.ndarray:
     """
     B, m = block_size, Z.n // block_size
     Xb, Yb = Z.X[: m * B].reshape(m, B, -1), Z.Y[: m * B].reshape(m, B, -1)
-    return _chunked_rows(lambda c: _block_rows(Xb[c], Yb[c], specs, specY), m, B * B * Z.d)
-
-
-def _block_rows(Xb: np.ndarray, Yb: np.ndarray, specs, specY) -> np.ndarray:
-    """`_block_hsic`'s rows of the (c, B, .) blocks Xb, Yb; each row depends on its own block alone."""
-    B = Xb.shape[1]
-    # Entry (b, s, u) pairs rows s and u of block b.
-    K = pair_kernel(specs, Xb, np.s_[:, :, None], Xb, np.s_[:, None])
-    L = pair_kernel(specY, Yb, np.s_[:, :, None], Yb, np.s_[:, None])
-    K[:, range(B), range(B)] = 0.0
-    L[:, range(B), range(B)] = 0.0
-    K_rows, L_rows = K.sum(axis=2), L.sum(axis=2)[..., None]
-    K *= L[..., None]
-    return (K.sum(axis=2).sum(axis=1)
-            + K_rows.sum(axis=1) * L_rows.sum(axis=1) / ((B - 1) * (B - 2))
-            - 2.0 / (B - 2) * (K_rows * L_rows).sum(axis=1)) / (B * (B - 3))
+    def rows(chunk):
+        # Entry (b, s, u) pairs rows s and u of block b; each row depends on its own block alone.
+        K = pair_kernel(specs, Xb[chunk], np.s_[:, :, None], Xb[chunk], np.s_[:, None])
+        L = pair_kernel(specY, Yb[chunk], np.s_[:, :, None], Yb[chunk], np.s_[:, None])
+        K[:, range(B), range(B)] = 0.0
+        L[:, range(B), range(B)] = 0.0
+        K_rows, L_rows = K.sum(axis=2), L.sum(axis=2)[..., None]
+        K *= L[..., None]
+        return (K.sum(axis=2).sum(axis=1)
+                + K_rows.sum(axis=1) * L_rows.sum(axis=1) / ((B - 1) * (B - 2))
+                - 2.0 / (B - 2) * (K_rows * L_rows).sum(axis=1)) / (B * (B - 3))
+    return _chunked_rows(rows, m, B * B * Z.d)

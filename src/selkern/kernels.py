@@ -193,7 +193,8 @@ def median_bandwidths(pooled: np.ndarray) -> np.ndarray:
         raise ValueError("data contain NaN or infinite values")
     m = pooled.shape[0]
     flat = flat_columns(pooled)
-    xs = np.sort(pooled[:, ~flat].T, axis=1)
+    xs = pooled.T[~flat]  # the one copy of the columns (a boolean index copies), sorted in place
+    xs.sort(axis=1)
     block = max(1, _BLOCK_VALUES // (m + min(_BRACKET_DRAWS, int((m * m / 2) ** (2 / 3)))))
     rng = np.random.default_rng(_BRACKET_SEED)
     # Differences and squares may overflow to inf, as they do in `pdist`.

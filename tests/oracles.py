@@ -4,7 +4,8 @@ These are the direct, quadratic- or quartic-cost forms of each statistic:
 scalar and Gram-matrix kernels, the kernel on index pairs as out-of-place
 array expressions, the complete U-statistics, the incomplete
 estimators read from Gram matrices, the per-block HSIC as a mean of complete
-U-statistics, and the complete and block index designs; and the scaling-law
+U-statistics, the complete and block index designs and the two random
+design samplers written out slot by slot; and the scaling-law
 fit of one feature at a time by `np.linalg.lstsq`; and the selective
 report built one feature at a time through a per-feature callback.  C1, C2
 and the loop-oracle tests in `test_mmd.py`, `test_hsic.py`,
@@ -112,6 +113,40 @@ def complete_quad_design(n: int) -> Design:
         & (idx[:, 2] != idx[:, 3])
     )
     return Design(idx[distinct], n)
+
+
+def pair_design_two_draws(n: int, l: int, rng: np.random.Generator) -> Design:
+    """The pair sampler written out: i from [0, n), j from [0, n - 1) shifted past i."""
+    if n < 2:
+        raise DataShapeError("need n >= 2 to form index pairs")
+    if l < 1:
+        raise DataShapeError("design size must be >= 1")
+    i = rng.integers(0, n, size=l)
+    j = rng.integers(0, n - 1, size=l)
+    j += j >= i
+    return Design(np.column_stack([i, j]), n)
+
+
+def quad_design_four_draws(n: int, l: int, rng: np.random.Generator) -> Design:
+    """The quadruple sampler written out slot by slot: each later slot is drawn
+    from the remaining values and shifted past the used indices in ascending order."""
+    if n < 4:
+        raise DataShapeError("need n >= 4 to form index quadruples")
+    if l < 1:
+        raise DataShapeError("design size must be >= 1")
+    a = rng.integers(0, n, size=l)
+    b = rng.integers(0, n - 1, size=l)
+    b += b >= a
+    c = rng.integers(0, n - 2, size=l)
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    c += c >= lo
+    c += c >= hi
+    e = rng.integers(0, n - 3, size=l)
+    used = np.sort(np.column_stack([a, b, c]), axis=1)
+    for col in range(3):
+        e += e >= used[:, col]
+    return Design(np.column_stack([a, b, c, e]), n)
 
 
 # ---------------------------------------------------------------------------

@@ -811,3 +811,38 @@ def test_simulate_null_calibration(tmp_path, capsys):
     assert doc["config"]["k"] == 10  # default k = d // 2
     for summary in doc["results"]["summaries"]:
         assert 0.01 <= summary["fpr"] <= 0.10, (summary["method"], summary["fpr"])
+
+
+_MMD = ["mmd-test", "--x", "{x}", "--y", "{y}", "--k", "2", "--seed", "1"]
+
+
+@pytest.mark.parametrize("call, env, expected, message", [
+    (_MMD + ["--block-size", "3"], {}, 2, "block_size must be >= 4"),
+    (_MMD + ["--replicates", "0"], {}, 2, "replicates_per_scale must be >= 1"),
+    (_MMD + ["--threads", "0"], {}, 2, "threads must be >= 1"),
+    (_MMD + ["--k", "0"], {}, 2, "k must be >= 1"),
+    (_MMD + ["--seed", "-1"], {}, 2, "seed must be an unsigned 64-bit integer"),
+    (_MMD[:-2], {"SELKERN_SEED": "abc"}, 2, "SELKERN_SEED must be an integer, got 'abc'"),
+    (["benchmark", "--data", "{x}", "--mode", "mmd", "--trials", "1", "--seed", "1"], {}, 2,
+     "--label is required in mmd mode"),
+    (["mmd-test", "--x", "{latin1}", "--y", "{latin1}", "--k", "1", "--seed", "1"], {}, 1,
+     "can't decode byte 0xe9"),
+    (lambda tmp_path: save_csv(tmp_path / "s.csv", np.zeros((2, 3)), ["a", "b"]), {}, selkern.DataShapeError,
+     "one column name per column required"),
+], ids=["block-size", "replicates", "threads", "k", "seed", "env-seed", "benchmark-label", "not-utf8",
+        "save-csv-names"])
+def test_input_checks(sample_csvs, tmp_path, capsys, monkeypatch, call, env, expected, message):
+    # A command line exits with its code and names the problem on stderr; a
+    # library call raises.  A first line that is not UTF-8 leaves numpy's
+    # reader for the csv module, whose decoding error is a data error.
+    xp, yp, *_ = sample_csvs
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("café,b\n1,2\n3,4\n".encode("latin-1"))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if callable(call):
+        with pytest.raises(expected, match=f"^{message}$"):
+            call(tmp_path)
+        return
+    assert cli_main([a.format(x=xp, y=yp, latin1=latin1) for a in call]) == expected
+    assert message in capsys.readouterr().err

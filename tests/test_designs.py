@@ -3,7 +3,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from oracles import block_design, complete_pair_design, complete_quad_design
+from oracles import (
+    block_design,
+    complete_pair_design,
+    complete_quad_design,
+    pair_design_two_draws,
+    quad_design_four_draws,
+)
 from selkern import (
     DataShapeError,
     Design,
@@ -48,10 +54,35 @@ def test_pair_design_uniform_frequencies():
 
 
 def test_pair_design_errors():
-    with pytest.raises(DataShapeError):
+    with pytest.raises(DataShapeError, match=r"^need n >= 2 to form index pairs$"):
         sample_pair_design(1, 5, derive_rng(0))
-    with pytest.raises(DataShapeError):
+    with pytest.raises(DataShapeError, match=r"^design size must be >= 1$"):
         sample_pair_design(5, 0, derive_rng(0))
+
+
+@pytest.mark.parametrize("sampler, oracle, width", [
+    (sample_pair_design, pair_design_two_draws, 2),
+    (sample_quad_design, quad_design_four_draws, 4),
+])
+def test_samplers_match_the_slot_by_slot_oracles(sampler, oracle, width):
+    # n = width leaves each later slot one value; each sampler must also leave
+    # its generator where the oracle leaves it.
+    for n in (width, width + 1, 7, 50, 2000):
+        for l in (1, 3, 100):
+            for seed in range(20):
+                ours, theirs = derive_rng(seed), derive_rng(seed)
+                assert np.array_equal(sampler(n, l, ours).tuples, oracle(n, l, theirs).tuples)
+                assert ours.integers(0, 2**62) == theirs.integers(0, 2**62)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Design(np.array([0, 1]), n=3), "design tuples must form a 2-D index array"),
+    (lambda: sample_quad_design(3, 5, derive_rng(0)), "need n >= 4 to form index quadruples"),
+    (lambda: sample_quad_design(5, 0, derive_rng(0)), "design size must be >= 1"),
+], ids=["design-ndim", "quad-n", "quad-l"])
+def test_input_checks(call, message):
+    with pytest.raises(DataShapeError, match=f"^{message}$"):
+        call()
 
 
 def test_quad_design_minimal_n():

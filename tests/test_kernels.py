@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -18,6 +19,7 @@ from selkern import (
     RunConfig,
     derive_rng,
     median_heuristic,
+    mmd_stat,
     sample_pair_design,
     sample_quad_design,
 )
@@ -167,6 +169,17 @@ def test_median_heuristic_degenerate():
 def test_median_heuristic_needs_two_rows():
     with pytest.raises(DataShapeError):
         median_heuristic(np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: median_heuristic(np.full((5, 1), 2.5)), DegenerateSampleError, "no positive squared distance between rows"),
+    (lambda: median_heuristic(np.array([[0.0], [np.nan], [1.0]])), ValueError, "data contain NaN or infinite values"),
+    (lambda: mmd_stat(np.empty((0, 3)), np.empty((0, 3)), RunConfig(seed=1)), DataShapeError,
+     "median bandwidths need an (m, d) array with m >= 2"),
+], ids=["constant-column", "nan-column", "empty-sample"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_median_heuristic_permutation_invariant():
@@ -370,6 +383,19 @@ def test_short_columns_match_pdist_in_bounded_memory(m):
         tracemalloc.stop()
     assert np.array_equal(widths, [_pdist_median_width(c) for c in pooled.T])
     assert peak < 4e6, peak
+
+
+def test_median_bandwidths_hold_one_sorted_copy_of_the_columns():
+    # At (40 000, 50) the data take 16 MB and each block's working arrays far
+    # less, so the peak is the one copy of the columns that is sorted in place.
+    pooled = np.random.default_rng(44).standard_normal((40_000, 50))
+    tracemalloc.start()
+    try:
+        median_bandwidths(pooled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * pooled.nbytes, peak / pooled.nbytes
 
 
 def test_lag_counts_match_pair_lags():

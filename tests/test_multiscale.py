@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -242,6 +243,17 @@ def test_fit_needs_two_distinct_scales():
         _line([1.5] * 4, [0.2, 0.4, 0.1, 0.3], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError, match="distinct"):
         fit_bootstrap_probabilities(np.full((3, 2), 0.3), [0.5, 0.5, 0.5], 1000)
+
+
+@pytest.mark.parametrize("bps, gamma2, replicates, message", [
+    (np.full((4, 2), 0.3), [0.5, 1.0, 2.0], 100, "need one bootstrap probability per gamma^2 in each column"),
+    (np.full(3, 0.3), [0.5, 1.0, 2.0], 100, "need one bootstrap probability per gamma^2 in each column"),
+    (np.full((3, 2), 0.3), [[0.5, 1.0, 2.0]], 100, "need one bootstrap probability per gamma^2 in each column"),
+    (np.full((3, 2), 0.3), [0.5, 1.0, 2.0], 0, "replicates must be >= 1"),
+], ids=["rows", "one-feature", "gamma2-shape", "replicates"])
+def test_input_checks(bps, gamma2, replicates, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit_bootstrap_probabilities(bps, gamma2, replicates)
 
 
 def test_default_scales_endpoints():

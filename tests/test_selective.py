@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -16,6 +17,7 @@ from selkern import (
     DegenerateFeatureError,
     DegenerateSampleError,
     JointSample,
+    KernelSpec,
     MultiStat,
     RunConfig,
     ScalesDroppedWarning,
@@ -32,7 +34,9 @@ from selkern import (
     selective_report,
 )
 import oracles
-from selkern import selective
+from selkern import designs, selective
+from selkern.hsic import _block_hsic, _quad_h_matrix
+from selkern.mmd import _pair_h
 from selkern.selective import _report, _top_k_counts, statistic
 
 
@@ -307,6 +311,58 @@ def test_block_estimator_path():
         report = select_and_test(Z, config)
     assert len(report.p_values) == 2
     assert all(0.0 <= p <= 1.0 for p in report.p_values)
+
+
+def test_imq_config_reaches_both_statistics():
+    # `kernel_family="imq"` gives every column, and the response, the IMQ
+    # kernel at `imq_offset`: each statistic equals the one built from those
+    # per-column specs on the same design, and the offset moves the scores.
+    rng = derive_rng(14)
+    n, d = 64, 3
+    X, Y = rng.standard_normal((n, d)), rng.standard_normal((n, d)) + 0.5
+    Z = JointSample(X, X[:, 0] + rng.standard_normal(n))
+    scores = []
+    for c in (0.5, 2.0):
+        imq = RunConfig(seed=5, method="multi-mmd", kernel_family="imq", imq_offset=c)
+        spec = KernelSpec("imq", offset=c)
+        i, j = selective._stat_design(designs.sample_pair_design, n, imq).tuples.T
+        quads = selective._stat_design(designs.sample_quad_design, n, imq)
+        cases = [
+            (mmd_stat(X, Y, imq), MultiStat.from_rows(_pair_h(X, Y, i, j, [spec] * d), ddof=1, n=n)),
+            (hsic_stat(Z, replace(imq, method="multi-hsic")),
+             MultiStat.from_rows(_quad_h_matrix(Z, [spec] * d, spec, quads), ddof=1, n=n)),
+            (hsic_stat(Z, replace(imq, method="multi-hsic", estimator="block", block_size=8)),
+             MultiStat.from_rows(_block_hsic(Z, [spec] * d, spec, 8), ddof=0, n=n)),
+        ]
+        for got, expected in cases:
+            assert np.array_equal(got.t, expected.t)
+            assert np.array_equal(got.factor, expected.factor)
+        scores.append([got.t for got, _ in cases])
+    for low, high in zip(*scores):
+        assert not np.allclose(low, high)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: RunConfig(seed=1, method="multi"), ValueError,
+     "method must be one of ('multi-mmd', 'poly-mmd', 'multi-hsic', 'poly-hsic')"),
+    (lambda: RunConfig(seed=1, estimator="full"), ValueError, "estimator must be one of ('incomplete', 'block')"),
+    (lambda: RunConfig(seed=1, block_size=3), ValueError, "block_size must be >= 4"),
+    (lambda: RunConfig(seed=1, replicates_per_scale=0), ValueError, "replicates_per_scale must be >= 1"),
+    (lambda: RunConfig(seed=1, kernel_family="laplace"), ValueError, "kernel_family must be 'gaussian' or 'imq'"),
+    (lambda: RunConfig(seed=1, k=0), ValueError, "k must be >= 1"),
+    (lambda: RunConfig(seed=1, threads=0), ValueError, "threads must be >= 1"),
+    (lambda: RunConfig(seed=2**64), ValueError, "seed must be an unsigned 64-bit integer"),
+    (lambda: MultiStat(t=np.zeros(3), factor=np.zeros((2, 2)), n=4), DataShapeError,
+     "factor must be 2-D with one column per entry of t"),
+    (lambda: MultiStat(t=np.zeros(2), factor=np.zeros((2, 2)), n=4, feature_names=["a"]), DataShapeError,
+     "feature_names length must match t"),
+    (lambda: JointSample(np.zeros((4, 2)), np.zeros(3)), DataShapeError, "X and Y must have equal row counts"),
+    (lambda: poly_p(2.0, 1.0, -1.0, 1.0), ValueError, "statistic lies outside its truncation interval"),
+], ids=["method", "estimator", "block-size", "replicates", "kernel-family", "k", "threads", "seed",
+        "factor-shape", "feature-names", "joint-rows", "poly-p-outside"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_degenerate_feature_yields_conservative_p():

@@ -1,10 +1,12 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from selkern import (
+    DataShapeError,
     ProblemSpec,
     RunConfig,
     ScalesDroppedWarning,
@@ -18,6 +20,7 @@ from selkern import (
     tpr_fpr,
 )
 from selkern.selective import _report as _selective_report
+from selkern.simulation import family_methods
 
 
 def test_mean_shift_null_shapes():
@@ -274,3 +277,18 @@ def test_benchmark_requires_binary_label():
     config = RunConfig(seed=0, k=2)
     with pytest.raises(Exception):
         benchmark_trials(features, labels, "mmd", ["multi-mmd"], 1, config, None, 30)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ProblemSpec("mean-shift", n=3, d=2), ValueError, "need n >= 4 and d >= 1"),
+    (lambda: family_methods("mmd", []), ValueError, "at least one method is required"),
+    (lambda: gen_logistic(10, 3, 4, derive_rng(0)), DataShapeError, "informative count m must lie in [0, d]"),
+    (lambda: augment_fake_features(np.zeros((3, 2)), -1, derive_rng(0)), ValueError, "n_fake must be >= 0"),
+    (lambda: benchmark_trials(np.zeros((5, 2)), np.zeros(4), "mmd", ["multi-mmd"], 1, RunConfig(seed=1), None, 0),
+     DataShapeError, "features and split column must have equal rows"),
+    (lambda: benchmark_trials(np.zeros((4, 2)), np.zeros(4), "lasso", ["multi-mmd"], 1, RunConfig(seed=1), None, 0),
+     ValueError, "mode must be 'mmd' or 'hsic'"),
+], ids=["problem-n", "no-methods", "logistic-m", "negative-fakes", "benchmark-rows", "benchmark-mode"])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
